@@ -8,7 +8,15 @@ independent ground truth; and on top sit the parity characterizations
 experiments (`density`). The `oddmult` CLI exposes all of it.
 """
 
-from .characterize import Parity, ParityVerdict, parity_4m1, parity_8m3, parity_even_index, predict_parity
+from .characterize import (
+    Parity,
+    ParityVerdict,
+    odd_flags,
+    parity_4m1,
+    parity_8m3,
+    parity_even_index,
+    predict_parity,
+)
 from .congruence import (
     CongruenceFamily,
     FamilyVerification,

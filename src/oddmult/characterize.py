@@ -5,6 +5,8 @@ Each predicate decides odd/even from arithmetic properties of n alone
 computation. Every verdict carries the case that produced it, so a failed
 comparison against the series names the branch that lied. The class
 n == 7 (mod 8) has no characterization and always comes back Unknown.
+`odd_flags` gives the same verdicts for a whole range at once by marking
+the odd sets directly, without factorizing anything.
 """
 
 from __future__ import annotations
@@ -13,9 +15,19 @@ import enum
 from dataclasses import dataclass
 from math import isqrt
 
-from .numtheory import Factorization, factorize, is_square, is_three_times_square
+import numpy as np
 
-__all__ = ["Parity", "ParityVerdict", "parity_even_index", "parity_4m1", "parity_8m3", "predict_parity"]
+from .numtheory import Factorization, _sieve, factorize, is_square, is_three_times_square
+
+__all__ = [
+    "Parity",
+    "ParityVerdict",
+    "parity_even_index",
+    "parity_4m1",
+    "parity_8m3",
+    "predict_parity",
+    "odd_flags",
+]
 
 
 class Parity(enum.Enum):
@@ -100,3 +112,45 @@ def predict_parity(n: int) -> ParityVerdict:
     if n % 8 == 3:
         return parity_8m3((n - 3) // 8)
     return ParityVerdict(Parity.UNKNOWN, "8m+7: uncharacterized class")
+
+
+def odd_flags(limit: int) -> np.ndarray:
+    """Bool array whose entry n is predict_parity(n).is_odd, for every n < limit.
+
+    Entries at n == 7 (mod 8) are meaningless. The odd sets are marked
+    directly: 2k^2 with k = 0 or 3 not | k; odd k^2 with 3 not | k (the
+    square branch of 4m+1); 3k^2 with k odd (that of 8m+3); and, inside the
+    m == 1 (mod 3) subclasses n == 5 (mod 12) and n == 11 (mod 24), every
+    n = p^e * k^2 with p not | k and e == 1 (mod 4).
+    """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    top = limit - 1
+    flags = np.zeros(limit, dtype=bool)
+    k = np.arange(isqrt(top // 2) + 1)
+    flags[2 * k[(k == 0) | (k % 3 != 0)] ** 2] = True
+    k = np.arange(1, isqrt(top) + 1, 2)
+    flags[k[k % 3 != 0] ** 2] = True
+    k = np.arange(1, isqrt(top // 3) + 1, 2)
+    flags[3 * k**2] = True
+
+    # every prime power p^e <= top with e == 1 (mod 4), beside its prime p
+    primes = _sieve(top)
+    higher = []
+    for p in map(int, primes):
+        if p**5 > top:
+            break
+        higher += [(p**e, p) for e in range(5, top.bit_length(), 4) if p**e <= top]
+    pairs = np.array(higher, dtype=primes.dtype).reshape(-1, 2)
+    power = np.concatenate((primes, pairs[:, 0]))
+    root = np.concatenate((primes, pairs[:, 1]))
+    order = np.argsort(power)
+    power, root = power[order], root[order]
+    for k in range(1, isqrt(top) + 1):
+        cut = np.searchsorted(power, top // (k * k), side="right")
+        if cut == 0:
+            break
+        n = power[:cut] * (k * k)
+        keep = ((n % 12 == 5) | (n % 24 == 11)) & (k % root[:cut] != 0)
+        flags[n[keep]] = True
+    return flags

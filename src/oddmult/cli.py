@@ -1,58 +1,30 @@
 """Command-line frontend: values, parities, verification suites, densities.
 
-Every invocation is deterministic: no timestamps, no machine-dependent
-content, sharded work merged in shard order. Exit codes: 0 success, 1
-verification discrepancy, 2 usage error.
+Every invocation is deterministic: no timestamps and no machine-dependent
+content. Exit codes: 0 success, 1 verification discrepancy, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .characterize import Parity, predict_parity
+from .characterize import Parity, odd_flags, predict_parity
 from .congruence import all_families, verify_family
 from .density import density_8m7, sparse_odd_census
 from .numtheory import is_prime
 from .etaq import DISSECTION_CLASSES, a_parity_series, dissection_by_extraction, dissection_series, identity_suite
 from .partition_oracle import RECOMMENDED_TABLE_LIMIT, build_table
 
-THREADS_ENV = "ODDMULT_THREADS"
-
 _DENSITY_TAGS = {"even": "even", "4m1": "4m+1", "8m3": "8m+3", "8m7": "8m+7"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    limit: int
-    output: str | None
-    format: str
-    threads: int
-
-
-def _default_threads() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise SystemExit(f"{THREADS_ENV} must be an integer, got {env!r}")
-        if value < 1:
-            raise SystemExit(f"{THREADS_ENV} must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
 
 
 # -- a-value / a-parity ---------------------------------------------------
 
 
-def _cmd_value(args, config: RunConfig) -> int:
+def _cmd_value(args) -> int:
     print(build_table(args.n)[args.n])
     return 0
 
@@ -70,7 +42,7 @@ def _parity_line(n: int, parity_bit: int) -> tuple[str, bool]:
     )
 
 
-def _cmd_parity(args, config: RunConfig) -> int:
+def _cmd_parity(args) -> int:
     lo, hi = args.range
     parity = a_parity_series(hi + 1)
     ok = True
@@ -105,43 +77,18 @@ def _verify_identities(limit: int) -> int:
     return failures
 
 
-def _theorem_shard(task: tuple[int, int, bytes]) -> tuple[int, list[tuple[int, str, str, str]]]:
-    start, stop, blob = task
-    bits = int.from_bytes(blob, "little")
-    mismatches = []
-    checked = 0
-    for n in range(start, stop):
-        if n % 8 == 7:
-            continue
-        checked += 1
-        verdict = predict_parity(n)
-        actual = "odd" if bits >> (n - start) & 1 else "even"
-        if verdict.parity.value != actual:
-            mismatches.append((n, verdict.parity.value, actual, verdict.reason))
-    return checked, mismatches
-
-
-def _verify_theorems(limit: int, threads: int) -> int:
-    parity = a_parity_series(limit)
-    bit_array = parity.to_bit_array()
-    n_shards = max(1, min(threads, limit // 1000 or 1))
-    bounds = [limit * i // n_shards for i in range(n_shards + 1)]
-    shards = [
-        (lo, hi, np.packbits(bit_array[lo:hi], bitorder="little").tobytes())
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    if n_shards == 1:
-        results = [_theorem_shard(shards[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=n_shards) as pool:
-            results = list(pool.map(_theorem_shard, shards))
-    checked = sum(c for c, _ in results)
-    mismatches = [m for _, ms in results for m in ms]
-    for n, predicted, actual, reason in mismatches:
-        print(f"FAIL n={n}: predicted {predicted} via [{reason}], series says {actual}")
-    print(f"checked {checked} values below {limit} (class 8m+7 excluded): "
-          f"{len(mismatches)} discrepancies")
-    return len(mismatches)
+def _verify_theorems(limit: int) -> int:
+    predicted = odd_flags(limit)
+    mismatch = a_parity_series(limit).to_bit_array()
+    mismatch ^= predicted
+    mismatch[7::8] = 0  # the uncharacterized class
+    discrepancies = np.flatnonzero(mismatch).tolist()
+    for n in discrepancies:
+        said, actual = ("odd", "even") if predicted[n] else ("even", "odd")
+        print(f"FAIL n={n}: predicted {said} via [{predict_parity(n).reason}], series says {actual}")
+    print(f"checked {limit - limit // 8} values below {limit} (class 8m+7 excluded): "
+          f"{len(discrepancies)} discrepancies")
+    return len(discrepancies)
 
 
 def _verify_congruences(limit: int) -> int:
@@ -158,11 +105,11 @@ def _verify_congruences(limit: int) -> int:
     return failures
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     if args.suite == "identities":
         failures = _verify_identities(args.limit)
     elif args.suite == "theorems":
-        failures = _verify_theorems(args.limit, config.threads)
+        failures = _verify_theorems(args.limit)
     else:
         failures = _verify_congruences(args.limit)
     print("PASS" if failures == 0 else f"FAIL ({failures} discrepancies)")
@@ -172,7 +119,7 @@ def _cmd_verify(args, config: RunConfig) -> int:
 # -- congruences -----------------------------------------------------------
 
 
-def _cmd_congruences(args, config: RunConfig) -> int:
+def _cmd_congruences(args) -> int:
     if args.p is not None:
         from .congruence import generate_12p_family, generate_24p_family
 
@@ -200,14 +147,14 @@ def _write_csv_block(fh, class_tag: str, series_name: str, limit: int, checkpoin
         fh.write(f"{mark.x},{mark.odd_count},{mark.density:.9f}\n")
 
 
-def _cmd_density(args, config: RunConfig) -> int:
+def _cmd_density(args) -> int:
     wanted = list(_DENSITY_TAGS) if args.cls == "all" else [args.cls]
     blocks = []
     status = 0
 
     census_tags = [t for t in wanted if t != "8m7"]
     if census_tags:
-        census = {r.class_tag: r for r in sparse_odd_census(args.limit, workers=config.threads)}
+        census = {r.class_tag: r for r in sparse_odd_census(args.limit)}
         for short in census_tags:
             result = census[_DENSITY_TAGS[short]]
             name = f"f3 / f1^3 extracted at n = {result.class_tag}"
@@ -256,34 +203,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parity of a(n), the number of partitions of n whose parts "
         "all appear with odd multiplicity.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=f"worker count for sharded verification (default: {THREADS_ENV} or CPU count)",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_value = sub.add_parser("a-value", parents=[common], help="print a(n) exactly")
+    p_value = sub.add_parser("a-value", help="print a(n) exactly")
     p_value.add_argument("n", type=int)
 
-    p_parity = sub.add_parser(
-        "a-parity", parents=[common], help="parity verdict for n or a range A..B"
-    )
+    p_parity = sub.add_parser("a-parity", help="parity verdict for n or a range A..B")
     p_parity.add_argument("range", type=str)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=["identities", "theorems", "congruences"])
     p_verify.add_argument("--limit", type=int, default=10_000)
 
-    p_cong = sub.add_parser("congruences", parents=[common], help="list congruence families")
+    p_cong = sub.add_parser("congruences", help="list congruence families")
     p_cong.add_argument("action", choices=["list"])
     p_cong.add_argument("--p", type=int, default=None, help="only families for this prime")
 
-    p_density = sub.add_parser(
-        "density", parents=[common], help="odd-density experiment per residue class"
-    )
+    p_density = sub.add_parser("density", help="odd-density experiment per residue class")
     p_density.add_argument("cls", choices=["even", "4m1", "8m3", "8m7", "all"])
     p_density.add_argument("--limit", type=int, default=1_000_000)
     p_density.add_argument("--csv", type=str, default=None)
@@ -295,34 +231,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    threads = args.threads if args.threads is not None else _default_threads()
-    if threads < 1:
-        parser.error("--threads must be >= 1")
-
     if args.subcommand == "a-value":
         if not 0 <= args.n <= RECOMMENDED_TABLE_LIMIT:
             parser.error(f"a-value supports 0 <= n <= {RECOMMENDED_TABLE_LIMIT}")
-        limit = args.n
     elif args.subcommand == "a-parity":
         try:
             args.range = _parse_range(args.range)
         except ValueError as exc:
             parser.error(str(exc))
-        limit = args.range[1]
     else:
-        limit = getattr(args, "limit", 1)
-        if limit < 1:
+        if getattr(args, "limit", 1) < 1:
             parser.error("--limit must be >= 1")
         if getattr(args, "p", None) is not None and (args.p < 3 or not is_prime(args.p)):
             parser.error(f"--p must be an odd prime, got {args.p}")
-
-    config = RunConfig(
-        subcommand=args.subcommand,
-        limit=limit,
-        output=getattr(args, "csv", None),
-        format="csv" if getattr(args, "csv", None) else "plain",
-        threads=threads,
-    )
 
     commands = {
         "a-value": _cmd_value,
@@ -331,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         "congruences": _cmd_congruences,
         "density": _cmd_density,
     }
-    return commands[args.subcommand](args, config)
+    return commands[args.subcommand](args)
 
 
 if __name__ == "__main__":

@@ -131,9 +131,10 @@ def verify_family(
         parity = a_parity_series(bound)
     elif parity.trunc_len < bound:
         raise ValueError("parity series shorter than requested bound")
-    checked = 0
-    for n in range(family.residue, bound, family.modulus):
-        if parity[n]:
-            return FamilyVerification(family, bound, checked, n)
-        checked += 1
-    return FamilyVerification(family, bound, checked, None)
+    if family.residue >= bound:
+        return FamilyVerification(family, bound, 0, None)
+    members = parity.truncate(bound).extract(family.modulus, family.residue)
+    odd = members.support()
+    if odd:
+        return FamilyVerification(family, bound, odd[0], family.modulus * odd[0] + family.residue)
+    return FamilyVerification(family, bound, members.trunc_len, None)

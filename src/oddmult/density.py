@@ -13,10 +13,11 @@ checks that matter are the exact cross-route agreements.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .characterize import parity_4m1, parity_8m3, parity_even_index
+import numpy as np
+
+from .characterize import odd_flags
 from .etaq import a_parity_series, dissection_by_extraction, dissection_series
 
 __all__ = [
@@ -31,11 +32,11 @@ __all__ = [
 
 _SAMPLE_SEED = 0x0DD
 
-# class tag -> (step, offset, per-index predicate)
+# class tag -> (step, offset): the class is n == offset (mod step)
 CENSUS_CLASSES = {
-    "even": (2, 0, parity_even_index),
-    "4m+1": (4, 1, parity_4m1),
-    "8m+3": (8, 3, parity_8m3),
+    "even": (2, 0),
+    "4m+1": (4, 1),
+    "8m+3": (8, 3),
 }
 
 
@@ -113,54 +114,30 @@ def density_8m7(limit_m: int, cross_check_samples: int = 1000) -> DensityReport:
     return DensityReport("8m+7", tuple(marks), marks[-1].density, checked)
 
 
-def _predicate_flags(class_tag: str, start: int, stop: int) -> bytes:
-    """Predicate verdicts (1 = odd) for member indices start..stop-1, packed as bytes."""
-    predicate = CENSUS_CLASSES[class_tag][2]
-    return bytes(1 if predicate(m).is_odd else 0 for m in range(start, stop))
-
-
-def _gather_flags(class_tag: str, members: int, workers: int) -> bytes:
-    if workers <= 1 or members < 4 * workers:
-        return _predicate_flags(class_tag, 0, members)
-    bounds = [members * i // workers for i in range(workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(
-            _predicate_flags,
-            [class_tag] * workers,
-            bounds[:-1],
-            bounds[1:],
-        )
-        return b"".join(parts)
-
-
-def sparse_odd_census(limit_n: int, workers: int = 1) -> list[CensusResult]:
+def sparse_odd_census(limit_n: int) -> list[CensusResult]:
     """Count odd a(n) in each characterized class for n < limit_n, two ways.
 
-    The predicate route evaluates the per-class characterization at every
-    member index; the series route decimates the parity series. The counts
-    must agree exactly at every checkpoint; densities are odd members over
-    members scanned.
+    The predicate route reads the class members out of odd_flags, the
+    characterizations evaluated over the whole range at once; the series
+    route decimates the parity series. The counts must agree exactly at
+    every checkpoint; densities are odd members over members scanned.
     """
     if limit_n < 1:
         raise ValueError("limit_n must be >= 1")
     parity = a_parity_series(limit_n)
+    flags = odd_flags(limit_n)
     xs = checkpoints_upto(limit_n)
     results = []
-    for tag, (step, offset, _) in CENSUS_CLASSES.items():
-        members_total = _members_below(limit_n, step, offset)
-        flags = _gather_flags(tag, members_total, workers)
-
+    for tag, (step, offset) in CENSUS_CLASSES.items():
+        class_flags = flags[offset::step]
         class_bits = parity.extract(step, offset) if limit_n > offset else None
         pred_marks, series_marks = [], []
-        running = 0
-        done = 0
         for x in xs:
             members = _members_below(x, step, offset)
-            running += sum(flags[done:members])
-            done = members
+            pred_odd = int(np.count_nonzero(class_flags[:members]))
             series_odd = class_bits.odd_count(upto=members) if class_bits and members else 0
             denom = members if members else 1
-            pred_marks.append(DensityCheckpoint(x, running, running / denom))
+            pred_marks.append(DensityCheckpoint(x, pred_odd, pred_odd / denom))
             series_marks.append(DensityCheckpoint(x, series_odd, series_odd / denom))
 
         results.append(

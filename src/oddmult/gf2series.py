@@ -14,7 +14,7 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -64,7 +64,6 @@ def _spread_bits(bits: int, bit_len: int) -> int:
     """Frobenius square on the raw bitset: bit k moves to bit 2k."""
     if bit_len < _NUMPY_CUTOFF:
         out = 0
-        pos = 0
         while bits:
             low = bits & -bits
             out |= 1 << (2 * (low.bit_length() - 1))
@@ -154,12 +153,6 @@ class Gf2Series:
         head = self.support()[:8]
         tail = ", ..." if len(self.support()) > 8 else ""
         return f"Gf2Series(trunc_len={self.trunc_len}, support=[{', '.join(map(str, head))}{tail}])"
-
-    def __iter__(self) -> Iterator[int]:
-        bits = self._bits
-        for _ in range(self.trunc_len):
-            yield bits & 1
-            bits >>= 1
 
     def _check_len(self, other: Gf2Series) -> None:
         if self.trunc_len != other.trunc_len:

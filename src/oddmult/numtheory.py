@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+import numpy as np
+
 __all__ = [
     "Factorization",
     "DivisorClassCounts",
@@ -39,16 +41,17 @@ MAX_INPUT = 2**63
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
+def _sieve(limit: int) -> np.ndarray:
+    """Primes <= limit, ascending, by the sieve of Eratosthenes."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
     for i in range(2, isqrt(limit) + 1):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i, f in enumerate(flags) if f]
+            flags[i * i :: i] = False
+    return np.flatnonzero(flags)
 
 
-_TRIAL_PRIMES = _sieve(10_000)  # full factorization by trial division below 1e8
+_TRIAL_PRIMES = _sieve(10_000).tolist()  # full factorization by trial division below 1e8
 
 
 @dataclass(frozen=True)

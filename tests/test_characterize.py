@@ -2,6 +2,7 @@ import pytest
 
 from oddmult.characterize import (
     Parity,
+    odd_flags,
     parity_4m1,
     parity_8m3,
     parity_even_index,
@@ -55,7 +56,7 @@ def test_reasons_are_never_empty():
 
 
 def test_domain_errors():
-    for fn in (parity_even_index, parity_4m1, parity_8m3, predict_parity):
+    for fn in (parity_even_index, parity_4m1, parity_8m3, predict_parity, odd_flags):
         with pytest.raises(ValueError):
             fn(-1)
 
@@ -75,3 +76,20 @@ def test_agreement_with_exact_oracle(oracle_2000):
             continue
         expected = Parity.ODD if oracle_2000.parity(n) else Parity.EVEN
         assert predict_parity(n).parity is expected, n
+
+
+def test_odd_flags_match_predict_parity():
+    for limit in [*range(1, 65), 20_000]:
+        flags = odd_flags(limit)
+        assert flags.shape == (limit,)
+        for n in range(limit):
+            if n % 8 != 7:
+                assert flags[n] == predict_parity(n).is_odd, (limit, n)
+
+
+def test_odd_flags_prime_powers():
+    flags = odd_flags(1_953_126)
+    # 5^3 even; 5^5, 11^5 (class 8m+3) and 5^9 odd; 27 = 3 * 3^2 odd
+    pinned = {125: False, 3125: True, 161051: True, 1953125: True, 27: True}
+    for n, odd in pinned.items():
+        assert flags[n] == odd == predict_parity(n).is_odd, n

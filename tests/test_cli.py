@@ -1,8 +1,11 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import oddmult
+from oddmult.characterize import odd_flags
 from oddmult.cli import build_parser, main
 
 
@@ -60,10 +63,21 @@ def test_verify_theorems(capsys):
     assert "0 discrepancies" in out
 
 
-def test_verify_theorems_sharded(capsys):
-    code, out = run_cli(capsys, "verify", "theorems", "--limit", "5000", "--threads", "2")
-    assert code == 0
-    assert "0 discrepancies" in out
+def test_verify_theorems_reports_each_discrepancy(monkeypatch, capsys):
+    def flipped(limit):
+        flags = odd_flags(limit)
+        flags[5] = not flags[5]  # a(5) = 5 is odd
+        return flags
+
+    monkeypatch.setattr("oddmult.cli.odd_flags", flipped)
+    code, out = run_cli(capsys, "verify", "theorems", "--limit", "100")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL n=5: predicted even via [4m+1: m == 1 (mod 3), lone odd prime exponent == 1 (mod 4)], "
+        "series says odd",
+        "checked 88 values below 100 (class 8m+7 excluded): 1 discrepancies",
+        "FAIL (1 discrepancies)",
+    ]
 
 
 def test_verify_congruences(capsys):
@@ -126,18 +140,10 @@ def test_stdout_deterministic(capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["density", "bogus-class"])
-    assert exc.value.code == 2
-
-
-def test_threads_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("ODDMULT_THREADS", "2")
-    code, out = run_cli(capsys, "verify", "theorems", "--limit", "4000")
-    assert code == 0 and "0 discrepancies" in out
-    monkeypatch.setenv("ODDMULT_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        main(["verify", "theorems", "--limit", "100"])
+    for argv in (["density", "bogus-class"], ["verify", "theorems", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_verification_failure_maps_to_exit_1(monkeypatch, capsys):
@@ -155,10 +161,12 @@ def test_parser_rejects_missing_subcommand():
 
 
 def test_module_entry_point():
+    # run beside the imported package, so no install or PYTHONPATH is needed
     proc = subprocess.run(
         [sys.executable, "-m", "oddmult", "a-value", "9"],
         capture_output=True,
         text=True,
+        cwd=Path(oddmult.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "16"
