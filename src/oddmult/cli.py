@@ -44,10 +44,10 @@ def _parity_line(n: int, parity_bit: int) -> tuple[str, bool]:
 
 def _cmd_parity(args) -> int:
     lo, hi = args.range
-    parity = a_parity_series(hi + 1)
+    bits = a_parity_series(hi + 1).extract(1, lo).to_bit_array().tolist()
     ok = True
-    for n in range(lo, hi + 1):
-        line, agrees = _parity_line(n, parity[n])
+    for n, bit in zip(range(lo, hi + 1), bits):
+        line, agrees = _parity_line(n, bit)
         print(line)
         ok = ok and agrees
     return 0 if ok else 1

@@ -103,12 +103,14 @@ def density_8m7(limit_m: int, cross_check_samples: int = 1000) -> DensityReport:
         sample = sorted(
             random.Random(_SAMPLE_SEED).sample(range(limit_m), min(cross_check_samples, limit_m))
         )
-        extracted = dissection_by_extraction("8m+7", limit_m)
-        for m in sample:
-            if series[m] != extracted[m]:
-                raise RuntimeError(
-                    f"dissection mismatch at m={m}: closed form {series[m]}, extraction {extracted[m]}"
-                )
+        closed = series.to_bit_array()[sample]
+        extracted = dissection_by_extraction("8m+7", limit_m).to_bit_array()[sample]
+        mismatches = np.flatnonzero(closed != extracted)
+        if mismatches.size:
+            i = mismatches[0]
+            raise RuntimeError(
+                f"dissection mismatch at m={sample[i]}: closed form {closed[i]}, extraction {extracted[i]}"
+            )
         checked = len(sample)
 
     return DensityReport("8m+7", tuple(marks), marks[-1].density, checked)

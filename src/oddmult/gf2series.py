@@ -4,9 +4,12 @@ A series is stored as a single arbitrary-precision integer whose bit k is
 the coefficient of q^k, together with an explicit truncation length: the
 series is known for degrees 0 .. trunc_len-1 and every higher bit is zero.
 Python ints give us word-packed coefficients for free, so addition is a
-single XOR, multiplication is shift-XOR over the support of the sparser
-operand, and squaring uses the GF(2) Frobenius map (bit spreading) in one
-vectorized pass.
+single XOR and squaring uses the GF(2) Frobenius map (bit spreading) in one
+vectorized pass. Multiplication is shift-XOR over the support of the
+sparser operand. Short series shift Python ints. Long ones are
+word-sliced: the product runs on little-endian uint64 numpy arrays, with
+one bit-shifted copy of the denser operand per residue e mod 64 of the
+sparse exponents e, XORed in place at word offset e // 64.
 
 Series objects are immutable; every operation returns a fresh value, so
 instances can be shared freely across threads.
@@ -34,6 +37,11 @@ del _b, _w, _i
 # Below this size plain int bit-twiddling beats the numpy round-trip.
 _NUMPY_CUTOFF = 4096
 
+# Truncation length from which _mul_bits runs on uint64 words instead of
+# Python-int shifts: a numpy call costs about a microsecond, which an XOR of
+# trunc_len/64 words only repays from here on (see BENCH_4.json).
+_WORD_MUL_CUTOFF = 1 << 16
+
 
 def sparse_support(exponents: Iterable[int]) -> tuple[int, ...]:
     """Validate and normalize a sparse support: distinct degrees, ascending."""
@@ -46,6 +54,18 @@ def sparse_support(exponents: Iterable[int]) -> tuple[int, ...]:
     return support
 
 
+def _words(bits: int, bit_len: int) -> np.ndarray:
+    """Read-only little-endian uint64 words of a bitset below bit bit_len."""
+    return np.frombuffer(bits.to_bytes(8 * ((bit_len + 63) >> 6), "little"), dtype="<u8")
+
+
+def _word_support(words: np.ndarray) -> np.ndarray:
+    """Positions of set bits, ascending, unpacking only the nonzero words."""
+    nonzero = np.flatnonzero(words)
+    bits = np.flatnonzero(np.unpackbits(words[nonzero].view(np.uint8), bitorder="little"))
+    return nonzero[bits >> 6] * 64 + (bits & 63)
+
+
 def _support_of(bits: int, trunc_len: int) -> list[int]:
     """Positions of set bits, ascending."""
     if trunc_len < _NUMPY_CUTOFF:
@@ -55,9 +75,7 @@ def _support_of(bits: int, trunc_len: int) -> list[int]:
             out.append(low.bit_length() - 1)
             bits ^= low
         return out
-    nbytes = (trunc_len + 7) // 8
-    buf = np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.nonzero(np.unpackbits(buf, bitorder="little"))[0].tolist()
+    return _word_support(_words(bits, trunc_len)).tolist()
 
 
 def _spread_bits(bits: int, bit_len: int) -> int:
@@ -76,12 +94,47 @@ def _spread_bits(bits: int, bit_len: int) -> int:
 
 def _mul_bits(a: int, b: int, trunc_len: int) -> int:
     """Truncated carryless product via shift-XOR over the sparser operand."""
+    if max(a.bit_length(), b.bit_length()) > trunc_len:
+        mask = (1 << trunc_len) - 1
+        a, b = a & mask, b & mask
     if a.bit_count() > b.bit_count():
         a, b = b, a
+    if trunc_len >= _WORD_MUL_CUTOFF:
+        return int.from_bytes(_mul_words(a, b, trunc_len).tobytes(), "little")
     acc = 0
     for e in _support_of(a, trunc_len):
         acc ^= b << e
     return acc & ((1 << trunc_len) - 1)
+
+
+def _mul_words(sparse: int, dense: int, trunc_len: int) -> np.ndarray:
+    """_mul_bits on uint64 words: one bit-shifted copy of dense per residue e % 64.
+
+    Every exponent e of sparse then costs one in-place XOR of that copy,
+    moved by e // 64 whole words, into the accumulator, which is returned.
+    Both operands must already be truncated to trunc_len bits.
+    """
+    word_offsets: dict[int, list[int]] = {}
+    for e in _word_support(_words(sparse, trunc_len)).tolist():
+        word_offsets.setdefault(e & 63, []).append(e >> 6)
+    dense_words = _words(dense, trunc_len)
+    nwords = len(dense_words)
+    acc = np.zeros(nwords, dtype="<u8")
+    shifted = np.empty(nwords, dtype="<u8")
+    carry = np.empty(nwords - 1, dtype="<u8")
+    for r, offsets in word_offsets.items():
+        if r:
+            np.left_shift(dense_words, r, out=shifted)
+            np.right_shift(dense_words[:-1], 64 - r, out=carry)
+            shifted[1:] |= carry
+            source = shifted
+        else:
+            source = dense_words
+        for q in offsets:
+            acc[q:] ^= source[: nwords - q]
+    if trunc_len & 63:
+        acc[-1] &= np.uint64((1 << (trunc_len & 63)) - 1)
+    return acc
 
 
 class Gf2Series:
@@ -110,11 +163,10 @@ class Gf2Series:
         Exponents at or beyond the truncation are dropped silently: supports
         such as the pentagonal numbers are naturally infinite.
         """
-        bits = 0
-        for e in sparse_support(exponents):
-            if e < trunc_len:
-                bits |= 1 << e
-        return cls(trunc_len, bits)
+        kept = np.array([e for e in sparse_support(exponents) if e < trunc_len], dtype=np.int64)
+        words = np.zeros((trunc_len + 63) >> 6, dtype="<u8")
+        np.bitwise_or.at(words, kept >> 6, np.left_shift(np.uint64(1), (kept & 63).astype(np.uint64)))
+        return cls(trunc_len, int.from_bytes(words.tobytes(), "little"))
 
     # -- queries ---------------------------------------------------------
 
@@ -150,8 +202,9 @@ class Gf2Series:
         return hash((self.trunc_len, self._bits))
 
     def __repr__(self) -> str:
-        head = self.support()[:8]
-        tail = ", ..." if len(self.support()) > 8 else ""
+        support = self.support()
+        head = support[:8]
+        tail = ", ..." if len(support) > 8 else ""
         return f"Gf2Series(trunc_len={self.trunc_len}, support=[{', '.join(map(str, head))}{tail}])"
 
     def _check_len(self, other: Gf2Series) -> None:

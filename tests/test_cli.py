@@ -44,6 +44,16 @@ def test_a_parity_range(capsys):
     assert "agree=NO" not in out
 
 
+def test_a_parity_range_matches_single_queries(capsys):
+    code, out = run_cli(capsys, "a-parity", "995..1010")
+    assert code == 0
+    singles = "".join(run_cli(capsys, "a-parity", str(n))[1] for n in range(995, 1011))
+    assert out == singles
+    table = oddmult.build_table(1010)
+    for n, line in zip(range(995, 1011), out.splitlines()):
+        assert f"series={'odd' if table.parity(n) else 'even'}" in line
+
+
 def test_a_parity_bad_range():
     with pytest.raises(SystemExit) as exc:
         main(["a-parity", "9..3"])

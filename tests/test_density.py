@@ -1,12 +1,14 @@
 import pytest
 
+import oddmult.density
 from oddmult.density import (
     CENSUS_CLASSES,
     checkpoints_upto,
     density_8m7,
     sparse_odd_census,
 )
-from oddmult.etaq import a_parity_series
+from oddmult.etaq import a_parity_series, dissection_series
+from oddmult.gf2series import Gf2Series
 from oddmult.partition_oracle import build_table
 
 
@@ -37,6 +39,17 @@ def test_density_8m7_deterministic():
     a = density_8m7(2000, cross_check_samples=100)
     b = density_8m7(2000, cross_check_samples=100)
     assert a == b
+
+
+def test_density_8m7_cross_check_reports_first_mismatch(monkeypatch):
+    true = dissection_series("8m+7", 100)
+    flipped = true + Gf2Series.from_support([37, 80], 100)
+    monkeypatch.setattr(oddmult.density, "dissection_series", lambda tag, n: flipped)
+    with pytest.raises(RuntimeError) as exc:
+        density_8m7(100, cross_check_samples=100)
+    assert str(exc.value) == (
+        f"dissection mismatch at m=37: closed form {1 - true[37]}, extraction {true[37]}"
+    )
 
 
 def test_density_8m7_rejects_bad_limit():

@@ -1,9 +1,12 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddmult.etaq import EtaQuotient
-from oddmult.gf2series import Gf2Series, sparse_support
+from oddmult.gf2series import _WORD_MUL_CUTOFF, Gf2Series, _mul_bits, sparse_support
 
 
 def series(trunc, *exponents):
@@ -19,6 +22,20 @@ def ref_mul(a: Gf2Series, b: Gf2Series) -> Gf2Series:
             if i + j < n:
                 out ^= 1 << (i + j)
     return Gf2Series(n, out)
+
+
+def shift_xor_mul(a: int, b: int, n: int) -> int:
+    """The Python-int shift-XOR product over the set bits of a, truncated to n."""
+    acc = 0
+    while a:
+        low = a & -a
+        acc ^= b << (low.bit_length() - 1)
+        a ^= low
+    return acc & ((1 << n) - 1)
+
+
+def bits_of(exponents) -> int:
+    return sum(1 << e for e in set(exponents))
 
 
 # -- construction ------------------------------------------------------------
@@ -42,6 +59,27 @@ def test_from_support_k_3k_minus_2():
 
 def test_from_support_drops_out_of_range():
     assert series(5, 0, 4, 5, 100).support() == [0, 4]
+
+
+@pytest.mark.parametrize("n", [64, 65, 127, 129, 4097, _WORD_MUL_CUTOFF + 1, 100_003])
+def test_from_support_and_support_at_word_edges(n):
+    last_word = n // 64 * 64 if n % 64 else n - 64  # first degree of the last word
+    edges = sorted(e for e in {0, 63, 64, 65, last_word, n - 1} if e < n)
+    s = series(n, *edges, n, n + 1, n + 64, 10**30)
+    assert s.support() == edges
+    assert s == Gf2Series(n, bits_of(edges))
+    assert s.odd_count() == len(edges)
+    with pytest.raises(ValueError):
+        series(n, 0, n - 1, n - 1)
+    with pytest.raises(ValueError):
+        series(n, -1, 64)
+
+
+@pytest.mark.parametrize("n", [100, 4097, 100_003])
+def test_support_of_dense_series(n):
+    s = Gf2Series(n, random.Random(n).getrandbits(n))
+    assert s.support() == np.flatnonzero(s.to_bit_array()).tolist()
+    assert Gf2Series.from_support(s.support(), n) == s
 
 
 def test_sparse_support_validation():
@@ -116,6 +154,63 @@ def test_mul_matches_reference_convolution():
         a = Gf2Series(n, rng.getrandbits(n))
         b = Gf2Series(n, rng.getrandbits(n))
         assert a * b == ref_mul(a, b)
+
+
+WORD_PATH_LENGTHS = [_WORD_MUL_CUTOFF - 1, _WORD_MUL_CUTOFF, _WORD_MUL_CUTOFF + 1, 100_003]
+
+
+@pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
+def test_mul_word_path_matches_shift_xor(n):
+    rng = random.Random(n)
+    sparse = bits_of([0, 63, 64, 65, n - 1] + [rng.randrange(n) for _ in range(60)])
+    dense = rng.getrandbits(n)
+    expected = Gf2Series(n, shift_xor_mul(sparse, dense, n))
+    assert Gf2Series(n, sparse) * Gf2Series(n, dense) == expected
+    assert Gf2Series(n, dense) * Gf2Series(n, sparse) == expected
+    # the top exponent keeps only the constant term of the other operand
+    assert (Gf2Series(n, 1 << (n - 1)) * Gf2Series(n, dense)).support() == [n - 1] * (dense & 1)
+
+
+@pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
+def test_mul_word_path_matches_reference_convolution(n):
+    rng = random.Random(n + 1)
+    a = series(n, 0, n - 1, *rng.sample(range(1, n - 1), 30))
+    b = series(n, 1, 64, *rng.sample(range(65, n), 40))
+    assert a * b == ref_mul(a, b)
+
+
+@pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
+def test_mul_word_path_drops_bits_above_truncation(n):
+    rng = random.Random(n + 2)
+    sparse = bits_of([0, 5, 64, n - 1])
+    dense = rng.getrandbits(n + 200)
+    assert dense >> n
+    assert _mul_bits(sparse, dense, n) == shift_xor_mul(sparse, dense & ((1 << n) - 1), n)
+    assert _mul_bits(dense, sparse, n) == shift_xor_mul(sparse, dense & ((1 << n) - 1), n)
+
+
+@pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
+def test_mul_word_path_zero_operand(n):
+    dense = Gf2Series(n, random.Random(n + 3).getrandbits(n))
+    zero = Gf2Series.zero(n)
+    assert (zero * dense).is_zero() and (dense * zero).is_zero()
+    assert (zero * zero).is_zero()
+
+
+@pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
+def test_mul_word_path_many_exponents_in_one_word(n):
+    rng = random.Random(n + 4)
+    full_word = ((1 << 64) - 1) << 640  # every residue mod 64 once, one word
+    sparse = full_word | bits_of(rng.sample(range(1280, 1344), 20))
+    dense = rng.getrandbits(n)
+    expected = shift_xor_mul(sparse, dense, n)
+    assert (Gf2Series(n, sparse) * Gf2Series(n, dense))._bits == expected
+
+
+def test_inverse_through_word_path():
+    n = _WORD_MUL_CUTOFF + 1
+    f1_cubed = EtaQuotient.of({1: 3}).eval(n)
+    assert f1_cubed * f1_cubed.inverse() == Gf2Series.one(n)
 
 
 # -- square ------------------------------------------------------------------
@@ -195,6 +290,11 @@ def test_odd_count_prefix():
     assert s.odd_count() == 4
     assert s.odd_count(upto=4) == 2
     assert s.odd_count(upto=100) == 4
+
+
+def test_repr_lists_first_eight_degrees():
+    assert repr(series(20, 1, 3)) == "Gf2Series(trunc_len=20, support=[1, 3])"
+    assert repr(series(20, *range(10))) == "Gf2Series(trunc_len=20, support=[0, 1, 2, 3, 4, 5, 6, 7, ...])"
 
 
 def test_equality_and_hash():
