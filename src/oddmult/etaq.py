@@ -16,7 +16,6 @@ series itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .gf2series import Gf2Series
 
@@ -137,10 +136,19 @@ DISSECTION_CLASSES: dict[str, tuple[int, int, EtaQuotient]] = {
 }
 
 
-@lru_cache(maxsize=4)
+# The longest parity series built so far. Coefficient n does not depend on
+# the truncation, so every shorter request is served by truncating this one.
+_longest_parity: Gf2Series | None = None
+
+
 def a_parity_series(trunc_len: int) -> Gf2Series:
     """Coefficient n is a(n) mod 2, for n < trunc_len."""
-    return A_PARITY_QUOTIENT.eval(trunc_len)
+    global _longest_parity
+    if _longest_parity is None or trunc_len > _longest_parity.trunc_len:
+        _longest_parity = A_PARITY_QUOTIENT.eval(trunc_len)
+    if trunc_len == _longest_parity.trunc_len:
+        return _longest_parity
+    return _longest_parity.truncate(trunc_len)
 
 
 def _dissection_entry(class_tag: str) -> tuple[int, int, EtaQuotient]:

@@ -149,11 +149,39 @@ def test_stdout_deterministic(capsys):
     assert first == second
 
 
-def test_usage_error_exit_code():
-    for argv in (["density", "bogus-class"], ["verify", "theorems", "--threads", "2"]):
+def no_series(trunc_len):
+    raise AssertionError(f"a series of {trunc_len} coefficients was built")
+
+
+def test_usage_error_exit_code(monkeypatch):
+    # a refused a-parity range must stop before any series is built
+    monkeypatch.setattr("oddmult.cli.a_parity_series", no_series)
+    for argv in (
+        ["density", "bogus-class"],
+        ["verify", "theorems", "--threads", "2"],
+        ["a-parity", "80000000"],
+        ["a-parity", "5..80000000"],
+        ["a-parity", "10**12"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_a_parity_refusal_is_one_line(monkeypatch, capsys):
+    monkeypatch.setattr("oddmult.cli.a_parity_series", no_series)
+    with pytest.raises(SystemExit) as exc:
+        main(["a-parity", "1000000000000"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "oddmult: error: a-parity supports 0 <= n < 80000000"
+
+
+def test_a_parity_accepts_last_index_below_limit(monkeypatch):
+    # the boundary itself: only the range check runs, the series is not built
+    seen = []
+    monkeypatch.setattr("oddmult.cli._cmd_parity", lambda args: seen.append(args.range) or 0)
+    assert main(["a-parity", "79999990..79999999"]) == 0
+    assert seen == [(79999990, 79999999)]
 
 
 def test_verification_failure_maps_to_exit_1(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 import pytest
 
+from oddmult import etaq
 from oddmult.etaq import (
+    A_PARITY_QUOTIENT,
     DISSECTION_CLASSES,
     EtaQuotient,
     a_parity_series,
@@ -121,3 +123,34 @@ def test_parity_series_cached_value_is_consistent():
     # same truncation twice: identical object is fine, equal value is required
     assert a_parity_series(128) == a_parity_series(128)
     assert isinstance(a_parity_series(128), Gf2Series)
+
+
+@pytest.mark.parametrize("first, then", [(5000, 1234), (1234, 5000), (777, 777), (4097, 64)])
+def test_parity_series_after_another_length_matches_fresh_eval(monkeypatch, first, then):
+    monkeypatch.setattr(etaq, "_longest_parity", None)
+    a_parity_series(first)
+    got = a_parity_series(then)
+    fresh = A_PARITY_QUOTIENT.eval(then)
+    assert got.trunc_len == fresh.trunc_len == then
+    assert got._bits == fresh._bits
+
+
+def test_parity_series_builds_only_past_the_longest(monkeypatch):
+    built = []
+
+    class CountingQuotient:
+        def eval(self, trunc_len):
+            built.append(trunc_len)
+            return A_PARITY_QUOTIENT.eval(trunc_len)
+
+    monkeypatch.setattr(etaq, "_longest_parity", None)
+    monkeypatch.setattr(etaq, "A_PARITY_QUOTIENT", CountingQuotient())
+    for n in (300, 100, 2000, 2000, 5, 1999, 4096, 1, 300):
+        assert a_parity_series(n) == A_PARITY_QUOTIENT.eval(n), n
+    assert built == [300, 2000, 4096]
+
+
+def test_parity_series_rejects_empty_truncation_after_a_build():
+    a_parity_series(64)
+    with pytest.raises(ValueError):
+        a_parity_series(0)
