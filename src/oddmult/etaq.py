@@ -2,9 +2,11 @@
 
 An eta-quotient is a product of factors f_r = prod_{i>=1} (1 - q^{r*i})
 with signed integer exponents. Modulo 2 each f_r is the pentagonal-number
-series dilated by r (Euler), and f_1^3 is the triangular-number series
-(Jacobi), so every factor has a square-root-sized support and evaluation
-costs O(N * sqrt(N)) bit operations at truncation N.
+series dilated by r (Euler), f_r^3 is the triangular-number series dilated
+by r (Jacobi), and the Frobenius map gives f_r^2 = f_2r. So every quotient
+is evaluated by one plan: a dilated copy of the single cached inverse
+P = 1/f_1, times a few factors of square-root-sized support, at O(N * sqrt(N))
+bit operations for truncation N and with no product of two dense series.
 
 The parity of a(n), the number of partitions of n whose parts all appear
 with odd multiplicity, is the coefficient series of f_3 / f_1^3. Its 2-,
@@ -15,9 +17,10 @@ series itself.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .gf2series import Gf2Series
+from .gf2series import Gf2Series, inverse_of_product
 
 __all__ = [
     "EtaQuotient",
@@ -86,9 +89,6 @@ class EtaQuotient:
             merged[scale] = merged.get(scale, 0) + exponent
         return cls(tuple(sorted((r, e) for r, e in merged.items() if e != 0)))
 
-    def __mul__(self, other: EtaQuotient) -> EtaQuotient:
-        return EtaQuotient.of(list(self.factors) + list(other.factors))
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"
@@ -100,25 +100,86 @@ class EtaQuotient:
         return text
 
     def eval(self, trunc_len: int) -> Gf2Series:
-        """Evaluate to a truncated GF(2) series.
+        """Evaluate to a truncated GF(2) series by one plan, exact mod 2.
 
-        Positive powers go by repeated squaring on the binary expansion of
-        the exponent; a negative total gets one inverse at the end. Every
-        f_r has constant term 1, so the denominator is always invertible.
+        Mod 2, f_r^2 = f_2r. So f_r^e is the product of f_(r*2^j) over the
+        set bits j of e, and 1/f_r^e = f_r^(2^k - e) * P(q^(r*2^k)) with
+        P = 1/f_1 and 2^k the smallest power of two >= e. A pair f_s f_2s
+        = f_s^3 is one triangular factor T(q^s) (Jacobi). The dilated P is
+        the dense accumulator and every other factor is sparse, so each
+        product costs O(sqrt(N) * N/64) word operations and no two dense
+        series are ever multiplied. A denominator left with two scales or
+        more is inverted by Newton lifting against its sparse factors.
         """
         if trunc_len < 1:
             raise ValueError("trunc_len must be >= 1")
-        numerator = Gf2Series.one(trunc_len)
-        denominator = Gf2Series.one(trunc_len)
+        numerator: Counter[int] = Counter()
+        denominator: Counter[int] = Counter()
         for scale, exponent in self.factors:
-            power = _eta_factor(scale, trunc_len).pow(abs(exponent))
             if exponent > 0:
-                numerator = numerator * power
+                numerator[scale] += exponent
             else:
-                denominator = denominator * power
-        if denominator == Gf2Series.one(trunc_len):
-            return numerator
-        return numerator * denominator.inverse()
+                k = (-exponent - 1).bit_length()  # smallest 2^k >= -exponent
+                numerator[scale] += (1 << k) + exponent
+                denominator[scale << k] += 1
+        inverted = _binary_scales(denominator)
+        if len(inverted) == 1:
+            scale = inverted[0]
+            acc = _inverse_f1(-(-trunc_len // scale)).dilate(scale, trunc_len)
+        elif inverted:
+            acc = inverse_of_product(_sparse_factors(inverted, trunc_len))
+        else:
+            acc = Gf2Series.one(trunc_len)
+        for factor in _sparse_factors(_binary_scales(numerator), trunc_len):
+            acc = acc * factor
+        return acc
+
+
+def _binary_scales(counts: Counter[int]) -> list[int]:
+    """Ascending scales s whose f_s multiply to prod f_r^counts[r] mod 2.
+
+    Like binary addition: f_s^2 = f_2s carries each pair one scale up.
+    """
+    counts = counts.copy()
+    scales = []
+    while counts:
+        scale = min(counts)
+        count = counts.pop(scale)
+        if count & 1:
+            scales.append(scale)
+        if count > 1:
+            counts[2 * scale] += count // 2
+    return scales
+
+
+def _sparse_factors(scales: list[int], trunc_len: int) -> list[Gf2Series]:
+    """One sparse series per f_s of the ascending scales, pairing f_s f_2s as T(q^s)."""
+    left = set(scales)
+    out = []
+    for scale in scales:
+        if scale not in left:
+            continue
+        left.discard(scale)
+        if 2 * scale in left:
+            left.discard(2 * scale)
+            out.append(Gf2Series.from_support(triangular_exponents(trunc_len, scale), trunc_len))
+        else:
+            out.append(_eta_factor(scale, trunc_len))
+    return out
+
+
+# The longest P = 1/f_1 built so far. Like the parity series below it is
+# prefix-stable, so every shorter request is served by truncating this one.
+_longest_inverse: Gf2Series | None = None
+
+
+def _inverse_f1(trunc_len: int) -> Gf2Series:
+    global _longest_inverse
+    if _longest_inverse is None or trunc_len > _longest_inverse.trunc_len:
+        _longest_inverse = _eta_factor(1, trunc_len).inverse()
+    if trunc_len == _longest_inverse.trunc_len:
+        return _longest_inverse
+    return _longest_inverse.truncate(trunc_len)
 
 
 # The parity generating function: sum a(n) q^n = f_3 / f_1^3 (mod 2).

@@ -9,7 +9,10 @@ vectorized pass. Multiplication is shift-XOR over the support of the
 sparser operand. Short series shift Python ints. Long ones are
 word-sliced: the product runs on little-endian uint64 numpy arrays, with
 one bit-shifted copy of the denser operand per residue e mod 64 of the
-sparse exponents e, XORed in place at word offset e // 64.
+sparse exponents e, XORed in place at word offset e // 64. Dilation
+f(q) -> f(q^d) scatters bytes with strided numpy ORs, and inversion is
+Newton lifting against one factor or against a product of sparse factors
+that is never formed.
 
 Series objects are immutable; every operation returns a fresh value, so
 instances can be shared freely across threads.
@@ -21,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["Gf2Series", "sparse_support"]
+__all__ = ["Gf2Series", "inverse_of_product", "sparse_support"]
 
 # Maps a byte to the 16-bit word with the same bits spread to even positions,
 # i.e. the Frobenius square of the byte viewed as a GF(2) polynomial.
@@ -137,6 +140,31 @@ def _mul_words(sparse: int, dense: int, trunc_len: int) -> np.ndarray:
     return acc
 
 
+def inverse_of_product(factors: list[Gf2Series]) -> Gf2Series:
+    """Inverse of the product of factors, each with constant term 1.
+
+    Newton lifting: if b inverts a to k coefficients then a*b^2 inverts it
+    to 2k. Each step is one Frobenius square plus one multiplication per
+    factor, and the product itself is never formed, so for factors with
+    sparse support of total size s the cost stays O(trunc_len * s) bit
+    operations.
+    """
+    n = factors[0].trunc_len
+    for factor in factors:
+        factors[0]._check_len(factor)
+        if not factor._bits & 1:
+            raise ValueError("constant term is 0: series is not invertible")
+    b = 1
+    prec = 1
+    while prec < n:
+        new_prec = min(2 * prec, n)
+        b = _spread_bits(b, prec) & ((1 << new_prec) - 1)
+        for factor in factors:
+            b = _mul_bits(factor._bits, b, new_prec)
+        prec = new_prec
+    return Gf2Series(n, b)
+
+
 class Gf2Series:
     """A power series over GF(2) truncated to ``trunc_len`` coefficients."""
 
@@ -231,41 +259,29 @@ class Gf2Series:
         keep = (n + 1) // 2  # only degrees < ceil(n/2) survive doubling
         return Gf2Series(n, _spread_bits(self._bits & ((1 << keep) - 1), keep))
 
-    def pow(self, exponent: int) -> Gf2Series:
-        """Non-negative power by squaring; squarings are linear-time here."""
-        if exponent < 0:
-            raise ValueError("negative exponent; use inverse() explicitly")
-        result = Gf2Series.one(self.trunc_len)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base.square()
-        return result
-
     def inverse(self) -> Gf2Series:
-        """Multiplicative inverse of a series with constant term 1.
+        """Multiplicative inverse of a series with constant term 1."""
+        return inverse_of_product([self])
 
-        Newton lifting: if b inverts a to k coefficients then a*b^2 inverts
-        it to 2k. Each step is one Frobenius square plus one multiplication,
-        so for an operand with sparse support of size s the total cost stays
-        O(trunc_len * s) bit operations.
+    def dilate(self, factor: int, trunc_len: int) -> Gf2Series:
+        """The series f(q^factor): coefficient factor*k is this one's coefficient k.
+
+        The result is known below factor * self.trunc_len, so trunc_len may
+        not exceed that. Source byte i lands in the factor bytes from byte
+        factor*i on, so the scatter is eight strided ORs, one per bit of a
+        byte, with no per-coefficient index array.
         """
-        if not self._bits & 1:
-            raise ValueError("constant term is 0: series is not invertible")
-        n = self.trunc_len
-        b = 1
-        prec = 1
-        while prec < n:
-            new_prec = min(2 * prec, n)
-            mask = (1 << new_prec) - 1
-            b_sq = _spread_bits(b, prec) & mask
-            b = _mul_bits(self._bits & mask, b_sq, new_prec)
-            prec = new_prec
-        return Gf2Series(n, b)
+        if factor < 1:
+            raise ValueError("dilation factor must be positive")
+        if trunc_len > factor * self.trunc_len:
+            raise ValueError("cannot extend a truncated series")
+        keep = -(-trunc_len // factor)  # source degrees that land below trunc_len
+        low = self._bits & ((1 << keep) - 1)
+        src = np.frombuffer(low.to_bytes((keep + 7) // 8, "little"), dtype=np.uint8)
+        out = np.zeros(len(src) * factor, dtype=np.uint8)
+        for bit in range(8):
+            out[(factor * bit) >> 3 :: factor] |= ((src >> bit) & 1) << ((factor * bit) & 7)
+        return Gf2Series(trunc_len, int.from_bytes(out.tobytes(), "little"))
 
     def shift(self, k: int) -> Gf2Series:
         """Multiply by the monomial q^k (k >= 0), truncating as usual."""
@@ -291,6 +307,16 @@ class Gf2Series:
         if step == 1:
             return Gf2Series(self.trunc_len - offset, self._bits >> offset)
         out_len = (self.trunc_len - offset + step - 1) // step
-        sliced = self.to_bit_array()[offset::step]
-        packed = np.packbits(sliced, bitorder="little")
-        return Gf2Series(out_len, int.from_bytes(packed.tobytes(), "little"))
+        # Unpack about 2^20 source bits at a time, never the whole series: a
+        # chunk is a multiple of 8 output coefficients, so the packed chunks
+        # join bytewise. A step above 2^17 unpacks 8 * step bits per chunk.
+        span = max(8, (1 << 20) // step // 8 * 8)
+        buf = np.frombuffer(self._bits.to_bytes((self.trunc_len + 7) // 8, "little"), dtype=np.uint8)
+        blocks = []
+        for first in range(0, out_len, span):
+            count = min(span, out_len - first)
+            start = offset + first * step
+            stop = start + (count - 1) * step + 1
+            bits = np.unpackbits(buf[start >> 3 : (stop + 7) >> 3], bitorder="little")
+            blocks.append(np.packbits(bits[start & 7 :: step][:count], bitorder="little"))
+        return Gf2Series(out_len, int.from_bytes(np.concatenate(blocks).tobytes(), "little"))

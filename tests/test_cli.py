@@ -143,6 +143,25 @@ def test_density_csv_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_density_all_builds_the_parity_series_once(monkeypatch, capsys):
+    # the 8m+7 cross-check needs 8 * limit coefficients; the census reads a truncation
+    built = []
+    quotient = oddmult.etaq.A_PARITY_QUOTIENT
+
+    class CountingQuotient:
+        def eval(self, trunc_len):
+            built.append(trunc_len)
+            return quotient.eval(trunc_len)
+
+    monkeypatch.setattr(oddmult.etaq, "_longest_parity", None)
+    monkeypatch.setattr(oddmult.etaq, "A_PARITY_QUOTIENT", CountingQuotient())
+    code, out = run_cli(capsys, "density", "all", "--limit", "5000")
+    assert code == 0
+    assert built == [40000]
+    assert out.splitlines()[0].startswith("class even: X=1000 ")
+    assert out.splitlines()[-1].startswith("class 8m+7: final density ")
+
+
 def test_stdout_deterministic(capsys):
     _, first = run_cli(capsys, "density", "8m3", "--limit", "3000")
     _, second = run_cli(capsys, "density", "8m3", "--limit", "3000")
@@ -162,6 +181,7 @@ def test_usage_error_exit_code(monkeypatch):
         ["a-parity", "80000000"],
         ["a-parity", "5..80000000"],
         ["a-parity", "10**12"],
+        ["congruences", "list", "--p", "10007"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -174,6 +194,26 @@ def test_a_parity_refusal_is_one_line(monkeypatch, capsys):
         main(["a-parity", "1000000000000"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == "oddmult: error: a-parity supports 0 <= n < 80000000"
+
+
+def test_congruences_prime_cap_is_one_line(monkeypatch, capsys):
+    # refused before any family is generated
+    monkeypatch.setattr("oddmult.congruence.generate_12p_family", no_series)
+    monkeypatch.setattr("oddmult.congruence.generate_24p_family", no_series)
+    for prime in ("10007", "1000003"):
+        with pytest.raises(SystemExit) as exc:
+            main(["congruences", "list", "--p", prime])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"oddmult: error: --p supports primes below 10000, got {prime}"
+        )
+
+
+def test_congruences_accepts_last_prime_below_cap(capsys):
+    code, out = run_cli(capsys, "congruences", "list", "--p", "9973")
+    assert code == 0
+    assert out.startswith("a(119676n+13) == 0 (mod 2) (p=9973, r=1)")
+    assert len(out.splitlines()) == 9972
 
 
 def test_a_parity_accepts_last_index_below_limit(monkeypatch):

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from oddmult import etaq
@@ -12,7 +15,7 @@ from oddmult.etaq import (
     pentagonal_exponents,
     triangular_exponents,
 )
-from oddmult.gf2series import Gf2Series
+from oddmult.gf2series import _WORD_MUL_CUTOFF, Gf2Series
 
 # parities of a(0..12); a(8)=9 and a(10)=20 pinned by the exact oracle below
 A_PARITY_HEAD = [1, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0]
@@ -67,7 +70,7 @@ def test_eval_distributes_over_concatenation():
         ({3: 5, 1: -3}, {1: 2}),
         ({1: -1}, {3: 3}),
     ]:
-        combined = EtaQuotient.of(left) * EtaQuotient.of(right)
+        combined = EtaQuotient.of(list(left.items()) + list(right.items()))
         assert combined.eval(600) == EtaQuotient.of(left).eval(600) * EtaQuotient.of(right).eval(600)
 
 
@@ -154,3 +157,157 @@ def test_parity_series_rejects_empty_truncation_after_a_build():
     a_parity_series(64)
     with pytest.raises(ValueError):
         a_parity_series(0)
+
+
+# -- the evaluation plan against the generic evaluation it replaced ----------
+
+
+def reference_eval(quotient, trunc_len):
+    """The generic evaluation: powers by repeated squaring, one inverse at the end."""
+
+    def power(base, exponent):
+        result = Gf2Series.one(trunc_len)
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            base = base.square()
+        return result
+
+    numerator = Gf2Series.one(trunc_len)
+    denominator = Gf2Series.one(trunc_len)
+    for scale, exponent in quotient.factors:
+        factor = Gf2Series.from_support(pentagonal_exponents(trunc_len, scale), trunc_len)
+        if exponent > 0:
+            numerator = numerator * power(factor, exponent)
+        else:
+            denominator = denominator * power(factor, -exponent)
+    return numerator * denominator.inverse()
+
+
+def random_quotients(seed, count, max_scale=24, max_exponent=16):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        factors = [(rng.randint(1, max_scale), rng.randint(-max_exponent, max_exponent))
+                   for _ in range(rng.randint(1, 4))]
+        out.append(EtaQuotient.of(factors))
+    return out
+
+
+def denominator_scales(quotient):
+    """How many dilated inverses P(q^d) the plan would multiply."""
+    counts = Counter()
+    for r, e in quotient.factors:
+        if e < 0:
+            counts[r << (-e - 1).bit_length()] += 1
+    return len(etaq._binary_scales(counts))
+
+
+@pytest.mark.parametrize("trunc_len", [1, 7, 64, 1000, 4099])
+def test_plan_matches_reference_on_random_quotients(monkeypatch, trunc_len):
+    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    for quotient in random_quotients(trunc_len, 40):
+        got = quotient.eval(trunc_len)
+        want = reference_eval(quotient, trunc_len)
+        assert got.trunc_len == want.trunc_len == trunc_len, quotient
+        assert got._bits == want._bits, quotient
+
+
+@pytest.mark.parametrize("trunc_len", [_WORD_MUL_CUTOFF - 1, _WORD_MUL_CUTOFF + 5])
+def test_plan_matches_reference_across_the_word_cutoff(monkeypatch, trunc_len):
+    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    quotients = random_quotients(trunc_len, 12) + [
+        A_PARITY_QUOTIENT,
+        EtaQuotient.of({3: 10, 1: -6}),
+        EtaQuotient.of({1: -3, 5: -1, 2: 1}),  # two denominator scales: Newton fallback
+    ]
+    for quotient in quotients:
+        got = quotient.eval(trunc_len)
+        assert got.trunc_len == trunc_len
+        assert got._bits == reference_eval(quotient, trunc_len)._bits, quotient
+
+
+def test_random_quotients_reach_the_fallback():
+    scale_counts = [denominator_scales(q) for n in (1, 7, 64, 1000, 4099) for q in random_quotients(n, 40)]
+    assert scale_counts.count(0) and scale_counts.count(1) and max(scale_counts) >= 2
+
+
+@pytest.mark.parametrize("factors", [{1: -1, 2: -1}, {1: -3, 3: -2}, {2: -5, 7: -1, 1: 2}, {4: -1, 3: -1, 5: -1}])
+def test_two_denominator_scales_through_newton(monkeypatch, factors):
+    def no_inverse(trunc_len):
+        raise AssertionError("the fallback must not read the cached 1/f1")
+
+    monkeypatch.setattr(etaq, "_inverse_f1", no_inverse)
+    quotient = EtaQuotient.of(factors)
+    for n in (1, 50, 5000):
+        assert quotient.eval(n) == reference_eval(quotient, n), (factors, n)
+
+
+def test_equal_denominator_scales_carry_to_one_inverse(monkeypatch):
+    # 1/f1^3 * 1/f2^2 = f1 * P(q^4)^2 = f1 * P(q^8): one dilated inverse
+    asked = []
+
+    def recording_inverse(trunc_len):
+        asked.append(trunc_len)
+        return etaq._eta_factor(1, trunc_len).inverse()
+
+    monkeypatch.setattr(etaq, "_inverse_f1", recording_inverse)
+    quotient = EtaQuotient.of({1: -3, 2: -2})
+    assert quotient.eval(801) == reference_eval(quotient, 801)
+    assert asked == [101]
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4, 6, 8, 12, 24])
+@pytest.mark.parametrize("trunc_len", [1, 5, 101, 4097, 100_003])
+def test_dilate_matches_scaled_support(factor, trunc_len):
+    source = EtaQuotient.of({1: -1}).eval(-(-trunc_len // factor))
+    got = source.dilate(factor, trunc_len)
+    want = Gf2Series.from_support([factor * e for e in source.support() if factor * e < trunc_len], trunc_len)
+    assert got.trunc_len == trunc_len
+    assert got._bits == want._bits
+
+
+def test_dilate_rejects_extension_and_bad_factor():
+    with pytest.raises(ValueError, match="cannot extend"):
+        Gf2Series.one(10).dilate(3, 31)
+    with pytest.raises(ValueError):
+        Gf2Series.one(10).dilate(0, 10)
+    assert Gf2Series.one(10).dilate(3, 30) == Gf2Series.one(30)
+
+
+@pytest.mark.parametrize("factors, scale", [({1: 3}, 1), ({1: 3, 3: 1}, 1), ({9: 3}, 9), ({3: 7}, 3)])
+def test_jacobi_pair_is_one_triangular_factor(monkeypatch, factors, scale):
+    # f1^3 = f1 f2 = T(q); f1^3 f3 = T(q) f3; f9^3 = T(q^9); f3^7 = f3 f6 f12 = T(q^3) f12
+    calls = []
+
+    def recording_triangular(trunc_len, scale=1):
+        calls.append(scale)
+        return triangular_exponents(trunc_len, scale)
+
+    monkeypatch.setattr(etaq, "triangular_exponents", recording_triangular)
+    quotient = EtaQuotient.of(factors)
+    assert quotient.eval(3000) == reference_eval(quotient, 3000)
+    assert calls == [scale]
+
+
+def test_inverse_slot_builds_only_past_the_longest(monkeypatch):
+    built = []
+    real_factor = etaq._eta_factor
+
+    def counting_factor(scale, trunc_len):
+        if scale == 1:
+            built.append(trunc_len)
+        return real_factor(scale, trunc_len)
+
+    quotient = EtaQuotient.of({5: 1, 1: -1})  # f5 * P(q): the numerator is not f1
+    lengths = (300, 100, 2000, 2000, 5, 1999, 70_000, 1, 300)
+    fresh = {n: reference_eval(quotient, n) for n in set(lengths)}
+    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    monkeypatch.setattr(etaq, "_eta_factor", counting_factor)
+    for n in lengths:
+        got = quotient.eval(n)
+        assert got.trunc_len == n
+        assert got._bits == fresh[n]._bits, n
+    assert built == [300, 2000, 70_000]
+    assert etaq._longest_inverse.trunc_len == 70_000

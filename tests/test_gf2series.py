@@ -277,6 +277,23 @@ def test_extract_decimation():
         s.extract(0, 0)
 
 
+def extract_span(step):
+    """Output coefficients per unpacked chunk of extract, as documented there."""
+    return max(8, (1 << 20) // step // 8 * 8)
+
+
+@pytest.mark.parametrize("step", [2, 3, 8, 24 * 5, (1 << 20) + 7])
+@pytest.mark.parametrize("chunks, delta", [(1, -1), (1, 1), (2, 1)])
+def test_extract_by_chunks_matches_bit_array_slice(step, chunks, delta):
+    n = chunks * extract_span(step) * step + delta
+    s = Gf2Series(n, random.Random(step + delta).getrandbits(n))
+    for offset in (0, step - 1):
+        want = s.to_bit_array()[offset::step]
+        got = s.extract(step, offset)
+        assert got.trunc_len == len(want)
+        assert np.array_equal(got.to_bit_array(), want), (step, offset)
+
+
 def test_getitem_and_iter():
     s = series(5, 1, 3)
     assert [s[i] for i in range(5)] == [0, 1, 0, 1, 0]
