@@ -45,10 +45,6 @@ class ParityVerdict:
     def is_odd(self) -> bool:
         return self.parity is Parity.ODD
 
-    @property
-    def is_even(self) -> bool:
-        return self.parity is Parity.EVEN
-
 
 def _lone_odd_exponent_is_1_mod_4(factorization: Factorization) -> bool:
     # all exponents even except exactly one, which must be 1 mod 4

@@ -1,12 +1,14 @@
 """Command-line frontend: values, parities, verification suites, densities.
 
 Every invocation is deterministic: no timestamps and no machine-dependent
-content. Exit codes: 0 success, 1 verification discrepancy, 2 usage error.
+content. Exit codes: 0 success, 1 verification discrepancy, 2 usage error,
+141 when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -23,6 +25,10 @@ _DENSITY_TAGS = {"even": "even", "4m1": "4m+1", "8m3": "8m+3", "8m7": "8m+7"}
 # a-parity answers n below this. Its parity series is as long as the one that
 # `density 8m7 --limit 10^7` builds (about 19 s and 115 MiB on one core).
 A_PARITY_LIMIT = 8 * 10**7
+
+# verify and density take --limit up to this. `verify identities` and
+# `density 8m7` build the parity series to 8 * limit, the a-parity maximum.
+LIMIT_MAX = A_PARITY_LIMIT // 8
 
 # congruences list --p takes primes below this. Its families grow linearly in
 # p: p = 9973 prints 9972 lines in under a second.
@@ -254,6 +260,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         if getattr(args, "limit", 1) < 1:
             parser.error("--limit must be >= 1")
+        if getattr(args, "limit", 1) > LIMIT_MAX:
+            parser.error(f"--limit supports at most {LIMIT_MAX}, got {args.limit}")
         if getattr(args, "p", None) is not None:
             if args.p >= CONGRUENCE_P_LIMIT:
                 parser.error(f"--p supports primes below {CONGRUENCE_P_LIMIT}, got {args.p}")
@@ -267,7 +275,16 @@ def main(argv: list[str] | None = None) -> int:
         "congruences": _cmd_congruences,
         "density": _cmd_density,
     }
-    return commands[args.subcommand](args)
+    try:
+        status = commands[args.subcommand](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does. Point stdout at
+        # devnull so the interpreter's final flush stays quiet, and exit with
+        # the status a shell gives a process that SIGPIPE killed (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

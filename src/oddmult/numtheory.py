@@ -61,9 +61,6 @@ class Factorization:
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(e for _, e in self.factors)
-
     def __iter__(self):
         return iter(self.factors)
 

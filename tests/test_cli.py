@@ -173,8 +173,9 @@ def no_series(trunc_len):
 
 
 def test_usage_error_exit_code(monkeypatch):
-    # a refused a-parity range must stop before any series is built
-    monkeypatch.setattr("oddmult.cli.a_parity_series", no_series)
+    # a refused a-parity range or --limit must stop before any series or flag array is built
+    for name in ("a_parity_series", "odd_flags", "identity_suite", "density_8m7", "sparse_odd_census"):
+        monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
     for argv in (
         ["density", "bogus-class"],
         ["verify", "theorems", "--threads", "2"],
@@ -182,6 +183,10 @@ def test_usage_error_exit_code(monkeypatch):
         ["a-parity", "5..80000000"],
         ["a-parity", "10**12"],
         ["congruences", "list", "--p", "10007"],
+        ["verify", "identities", "--limit", "10000001"],
+        ["verify", "theorems", "--limit", "10000001"],
+        ["verify", "congruences", "--limit", "10000001"],
+        ["density", "all", "--limit", "10000001"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -194,6 +199,28 @@ def test_a_parity_refusal_is_one_line(monkeypatch, capsys):
         main(["a-parity", "1000000000000"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == "oddmult: error: a-parity supports 0 <= n < 80000000"
+
+
+def test_limit_refusal_is_one_line(monkeypatch, capsys):
+    for name in ("a_parity_series", "odd_flags", "identity_suite"):
+        monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
+    for argv in (["verify", "theorems", "--limit", "10000001"], ["verify", "identities", "--limit", str(10**10)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"oddmult: error: --limit supports at most 10000000, got {argv[-1]}"
+        )
+
+
+def test_limit_accepts_the_cap(monkeypatch):
+    # the boundary itself: only the range check runs, nothing is computed
+    seen = []
+    monkeypatch.setattr("oddmult.cli._cmd_verify", lambda args: seen.append(args.limit) or 0)
+    monkeypatch.setattr("oddmult.cli._cmd_density", lambda args: seen.append(args.limit) or 0)
+    assert main(["verify", "identities", "--limit", "10000000"]) == 0
+    assert main(["density", "8m7", "--limit", "10000000"]) == 0
+    assert seen == [10**7, 10**7]
 
 
 def test_congruences_prime_cap_is_one_line(monkeypatch, capsys):
@@ -248,3 +275,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "16"
+
+
+@pytest.mark.parametrize("argv", [["a-parity", "0..200000"], ["congruences", "list", "--p", "9973"]])
+def test_closed_pipe_exits_quietly(argv):
+    # a reader such as `| head -1` takes one line and closes the pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oddmult", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=Path(oddmult.__file__).parents[1],
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

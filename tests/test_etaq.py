@@ -15,7 +15,7 @@ from oddmult.etaq import (
     pentagonal_exponents,
     triangular_exponents,
 )
-from oddmult.gf2series import _WORD_MUL_CUTOFF, Gf2Series
+from oddmult.gf2series import Gf2Series
 
 # parities of a(0..12); a(8)=9 and a(10)=20 pinned by the exact oracle below
 A_PARITY_HEAD = [1, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0]
@@ -135,7 +135,18 @@ def test_parity_series_after_another_length_matches_fresh_eval(monkeypatch, firs
     got = a_parity_series(then)
     fresh = A_PARITY_QUOTIENT.eval(then)
     assert got.trunc_len == fresh.trunc_len == then
-    assert got._bits == fresh._bits
+    assert got == fresh
+
+
+def test_parity_series_truncation_leaves_the_cached_series_intact(monkeypatch):
+    monkeypatch.setattr(etaq, "_longest_parity", None)
+    longest = a_parity_series(5000)
+    for n in (4999, 4097, 100, 1):  # each clears bits inside a word the cache shares
+        assert a_parity_series(n) == A_PARITY_QUOTIENT.eval(n), n
+    assert a_parity_series(5000) is longest
+    assert longest == A_PARITY_QUOTIENT.eval(5000)
+    with pytest.raises(ValueError, match="read-only"):
+        longest._words[-1] = 0
 
 
 def test_parity_series_builds_only_past_the_longest(monkeypatch):
@@ -171,7 +182,7 @@ def reference_eval(quotient, trunc_len):
             if exponent & 1:
                 result = result * base
             exponent >>= 1
-            base = base.square()
+            base = base.dilate(2, trunc_len)
         return result
 
     numerator = Gf2Series.one(trunc_len)
@@ -211,10 +222,10 @@ def test_plan_matches_reference_on_random_quotients(monkeypatch, trunc_len):
         got = quotient.eval(trunc_len)
         want = reference_eval(quotient, trunc_len)
         assert got.trunc_len == want.trunc_len == trunc_len, quotient
-        assert got._bits == want._bits, quotient
+        assert got == want, quotient
 
 
-@pytest.mark.parametrize("trunc_len", [_WORD_MUL_CUTOFF - 1, _WORD_MUL_CUTOFF + 5])
+@pytest.mark.parametrize("trunc_len", [65535, 65541])
 def test_plan_matches_reference_across_the_word_cutoff(monkeypatch, trunc_len):
     monkeypatch.setattr(etaq, "_longest_inverse", None)
     quotients = random_quotients(trunc_len, 12) + [
@@ -225,7 +236,7 @@ def test_plan_matches_reference_across_the_word_cutoff(monkeypatch, trunc_len):
     for quotient in quotients:
         got = quotient.eval(trunc_len)
         assert got.trunc_len == trunc_len
-        assert got._bits == reference_eval(quotient, trunc_len)._bits, quotient
+        assert got == reference_eval(quotient, trunc_len), quotient
 
 
 def test_random_quotients_reach_the_fallback():
@@ -265,7 +276,7 @@ def test_dilate_matches_scaled_support(factor, trunc_len):
     got = source.dilate(factor, trunc_len)
     want = Gf2Series.from_support([factor * e for e in source.support() if factor * e < trunc_len], trunc_len)
     assert got.trunc_len == trunc_len
-    assert got._bits == want._bits
+    assert got == want
 
 
 def test_dilate_rejects_extension_and_bad_factor():
@@ -308,6 +319,6 @@ def test_inverse_slot_builds_only_past_the_longest(monkeypatch):
     for n in lengths:
         got = quotient.eval(n)
         assert got.trunc_len == n
-        assert got._bits == fresh[n]._bits, n
+        assert got == fresh[n], n
     assert built == [300, 2000, 70_000]
     assert etaq._longest_inverse.trunc_len == 70_000

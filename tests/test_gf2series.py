@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddmult.etaq import EtaQuotient
-from oddmult.gf2series import _WORD_MUL_CUTOFF, Gf2Series, _mul_bits, sparse_support
+from oddmult.gf2series import Gf2Series, sparse_support
 
 
 def series(trunc, *exponents):
@@ -61,7 +61,7 @@ def test_from_support_drops_out_of_range():
     assert series(5, 0, 4, 5, 100).support() == [0, 4]
 
 
-@pytest.mark.parametrize("n", [64, 65, 127, 129, 4097, _WORD_MUL_CUTOFF + 1, 100_003])
+@pytest.mark.parametrize("n", [64, 65, 127, 129, 4097, 65537, 100_003])
 def test_from_support_and_support_at_word_edges(n):
     last_word = n // 64 * 64 if n % 64 else n - 64  # first degree of the last word
     edges = sorted(e for e in {0, 63, 64, 65, last_word, n - 1} if e < n)
@@ -156,7 +156,7 @@ def test_mul_matches_reference_convolution():
         assert a * b == ref_mul(a, b)
 
 
-WORD_PATH_LENGTHS = [_WORD_MUL_CUTOFF - 1, _WORD_MUL_CUTOFF, _WORD_MUL_CUTOFF + 1, 100_003]
+WORD_PATH_LENGTHS = [65535, 65536, 65537, 100_003]
 
 
 @pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
@@ -185,8 +185,12 @@ def test_mul_word_path_drops_bits_above_truncation(n):
     sparse = bits_of([0, 5, 64, n - 1])
     dense = rng.getrandbits(n + 200)
     assert dense >> n
-    assert _mul_bits(sparse, dense, n) == shift_xor_mul(sparse, dense & ((1 << n) - 1), n)
-    assert _mul_bits(dense, sparse, n) == shift_xor_mul(sparse, dense & ((1 << n) - 1), n)
+    # the constructor clears every stored bit at and above n, in the last word too
+    stored = Gf2Series(n, dense)._words
+    assert int.from_bytes(stored.tobytes(), "little") == dense & ((1 << n) - 1)
+    expected = Gf2Series(n, shift_xor_mul(sparse, dense & ((1 << n) - 1), n))
+    assert Gf2Series(n, sparse) * Gf2Series(n, dense) == expected
+    assert Gf2Series(n, dense) * Gf2Series(n, sparse) == expected
 
 
 @pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
@@ -204,30 +208,30 @@ def test_mul_word_path_many_exponents_in_one_word(n):
     sparse = full_word | bits_of(rng.sample(range(1280, 1344), 20))
     dense = rng.getrandbits(n)
     expected = shift_xor_mul(sparse, dense, n)
-    assert (Gf2Series(n, sparse) * Gf2Series(n, dense))._bits == expected
+    assert Gf2Series(n, sparse) * Gf2Series(n, dense) == Gf2Series(n, expected)
 
 
 def test_inverse_through_word_path():
-    n = _WORD_MUL_CUTOFF + 1
+    n = 65537
     f1_cubed = EtaQuotient.of({1: 3}).eval(n)
     assert f1_cubed * f1_cubed.inverse() == Gf2Series.one(n)
 
 
-# -- square ------------------------------------------------------------------
+# -- square: the Frobenius map f(q)^2 = f(q^2) is dilate(2, n) ----------------
 
 
 def test_square_binomial():
-    assert series(4, 0, 1).square() == series(4, 0, 2)
+    assert series(4, 0, 1).dilate(2, 4) == series(4, 0, 2)
 
 
 def test_square_equals_self_product():
     f3 = EtaQuotient.of({3: 1}).eval(40)
-    assert f3.square() == f3 * f3
+    assert f3.dilate(2, 40) == f3 * f3
 
 
 def test_triple_square_is_eighth_power():
     f3 = EtaQuotient.of({3: 1}).eval(200)
-    by_squares = f3.square().square().square()
+    by_squares = f3.dilate(2, 200).dilate(2, 200).dilate(2, 200)
     by_products = Gf2Series.one(200)
     for _ in range(8):
         by_products = by_products * f3
@@ -302,6 +306,37 @@ def test_getitem_and_iter():
         s[5]
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 4097])
+def test_queries_and_shape_at_word_edges(n):
+    bits = random.Random(n + 5).getrandbits(n) | 1 | 1 << (n - 1)
+    s = Gf2Series(n, bits)
+    assert [s[i] for i in range(n)] == [bits >> i & 1 for i in range(n)]
+    for outside in (-1, n):
+        with pytest.raises(IndexError):
+            s[outside]
+    for upto in sorted({0, 1, 32, 63, 64, 65, 96, n - 1, n, n + 1}):
+        assert s.odd_count(upto) == (bits & ((1 << min(upto, n)) - 1)).bit_count(), upto
+    for k in sorted({0, 1, 63, 64, 65, n - 1, n, n + 64}):
+        assert s.shift(k) == Gf2Series(n, bits << k), k
+    for m in sorted({1, 63, 64, 65, n - 1, n} & set(range(1, n + 1))):
+        assert s.truncate(m) == Gf2Series(m, bits), m
+        assert s.truncate(m).odd_count() == (bits & ((1 << m) - 1)).bit_count(), m
+    assert s == Gf2Series(n, bits)  # no operation above wrote into s
+    assert not Gf2Series(n, 1 << (n - 1)).is_zero() and Gf2Series.zero(n).is_zero()
+
+
+def test_stored_words_are_read_only():
+    s = Gf2Series(200, (1 << 200) - 1)
+    t = series(200, 0, 3, 150)
+    for made in (
+        s, t, Gf2Series.one(64), s + t, s * t, t.inverse(), s.dilate(3, 200), s.shift(5),
+        s.truncate(130), s.truncate(128), s.extract(1, 3), s.extract(3, 1),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            made._words[0] = 0
+    assert s == Gf2Series(200, (1 << 200) - 1)
+
+
 def test_odd_count_prefix():
     s = series(10, 0, 3, 7, 9)
     assert s.odd_count() == 4
@@ -341,7 +376,7 @@ def test_ring_axioms(data):
 def test_square_is_self_product(data):
     n = data.draw(st.integers(1, 256))
     a = Gf2Series(n, data.draw(st.integers(0, (1 << n) - 1)))
-    assert a.square() == a * a
+    assert a.dilate(2, n) == a * a
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
