@@ -23,7 +23,7 @@ from .partition_oracle import RECOMMENDED_TABLE_LIMIT, build_table
 _DENSITY_TAGS = {"even": "even", "4m1": "4m+1", "8m3": "8m+3", "8m7": "8m+7"}
 
 # a-parity answers n below this. Its parity series is as long as the one that
-# `density 8m7 --limit 10^7` builds (about 19 s and 115 MiB on one core).
+# `density 8m7 --limit 10^7` builds (about 11 s and 80 MiB on one core).
 A_PARITY_LIMIT = 8 * 10**7
 
 # verify and density take --limit up to this. `verify identities` and

@@ -4,9 +4,11 @@ An eta-quotient is a product of factors f_r = prod_{i>=1} (1 - q^{r*i})
 with signed integer exponents. Modulo 2 each f_r is the pentagonal-number
 series dilated by r (Euler), f_r^3 is the triangular-number series dilated
 by r (Jacobi), and the Frobenius map gives f_r^2 = f_2r. So every quotient
-is evaluated by one plan: a dilated copy of the single cached inverse
-P = 1/f_1, times a few factors of square-root-sized support, at O(N * sqrt(N))
-bit operations for truncation N and with no product of two dense series.
+is evaluated by one plan: the single cached inverse P = 1/f_1, taken at q^s,
+times a few factors of square-root-sized support, at O(N * sqrt(N)) bit
+operations for truncation N and with no product of two dense series. The
+factor with the most terms multiplies the undilated P one residue class
+mod s at a time, so P(q^s) itself is never built.
 
 The parity of a(n), the number of partitions of n whose parts all appear
 with odd multiplicity, is the coefficient series of f_3 / f_1^3. Its 2-,
@@ -20,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .gf2series import Gf2Series, inverse_of_product
+from .gf2series import Gf2Series, _lift_inverse, inverse_of_product
 
 __all__ = [
     "EtaQuotient",
@@ -105,11 +107,14 @@ class EtaQuotient:
         Mod 2, f_r^2 = f_2r. So f_r^e is the product of f_(r*2^j) over the
         set bits j of e, and 1/f_r^e = f_r^(2^k - e) * P(q^(r*2^k)) with
         P = 1/f_1 and 2^k the smallest power of two >= e. A pair f_s f_2s
-        = f_s^3 is one triangular factor T(q^s) (Jacobi). The dilated P is
-        the dense accumulator and every other factor is sparse, so each
-        product costs O(sqrt(N) * N/64) word operations and no two dense
-        series are ever multiplied. A denominator left with two scales or
-        more is inverted by Newton lifting against its sparse factors.
+        = f_s^3 is one triangular factor T(q^s) (Jacobi). The factor with
+        the most terms multiplies P(q^s) class by class mod s against the
+        undilated P (Gf2Series.mul_dilated), at |F| * N/(64*s) word XORs.
+        That product is the dense accumulator and every other factor is
+        sparse, so each product costs O(sqrt(N) * N/64) word operations and
+        no two dense series are ever multiplied. A denominator left with
+        two scales or more is inverted by Newton lifting against its sparse
+        factors.
         """
         if trunc_len < 1:
             raise ValueError("trunc_len must be >= 1")
@@ -122,16 +127,21 @@ class EtaQuotient:
                 k = (-exponent - 1).bit_length()  # smallest 2^k >= -exponent
                 numerator[scale] += (1 << k) + exponent
                 denominator[scale << k] += 1
+        # ascending by number of terms, so pop() takes the largest
+        supports = sorted(_sparse_supports(_binary_scales(numerator), trunc_len), key=len)
+        first = Gf2Series.from_support(supports.pop() if supports else [0], trunc_len)
         inverted = _binary_scales(denominator)
         if len(inverted) == 1:
             scale = inverted[0]
-            acc = _inverse_f1(-(-trunc_len // scale)).dilate(scale, trunc_len)
+            acc = _inverse_f1(-(-trunc_len // scale)).mul_dilated(first, scale)
         elif inverted:
-            acc = inverse_of_product(_sparse_factors(inverted, trunc_len))
+            factors = [Gf2Series.from_support(s, trunc_len) for s in _sparse_supports(inverted, trunc_len)]
+            acc = inverse_of_product(factors).mul_sparse(first)
         else:
-            acc = Gf2Series.one(trunc_len)
-        for factor in _sparse_factors(_binary_scales(numerator), trunc_len):
-            acc = acc * factor
+            acc = first
+        del first  # a series-sized buffer that the remaining products need not hold
+        for support in supports:
+            acc = acc.mul_sparse(Gf2Series.from_support(support, trunc_len))
         return acc
 
 
@@ -152,8 +162,9 @@ def _binary_scales(counts: Counter[int]) -> list[int]:
     return scales
 
 
-def _sparse_factors(scales: list[int], trunc_len: int) -> list[Gf2Series]:
-    """One sparse series per f_s of the ascending scales, pairing f_s f_2s as T(q^s)."""
+def _sparse_supports(scales: list[int], trunc_len: int) -> list[list[int]]:
+    """The exponents of one sparse series per f_s of the ascending scales,
+    pairing f_s f_2s as T(q^s)."""
     left = set(scales)
     out = []
     for scale in scales:
@@ -162,21 +173,23 @@ def _sparse_factors(scales: list[int], trunc_len: int) -> list[Gf2Series]:
         left.discard(scale)
         if 2 * scale in left:
             left.discard(2 * scale)
-            out.append(Gf2Series.from_support(triangular_exponents(trunc_len, scale), trunc_len))
+            out.append(triangular_exponents(trunc_len, scale))
         else:
-            out.append(_eta_factor(scale, trunc_len))
+            out.append(pentagonal_exponents(trunc_len, scale))
     return out
 
 
 # The longest P = 1/f_1 built so far. Like the parity series below it is
-# prefix-stable, so every shorter request is served by truncating this one.
+# prefix-stable, so every shorter request is served by truncating this one,
+# and a longer one continues Newton lifting from it.
 _longest_inverse: Gf2Series | None = None
 
 
 def _inverse_f1(trunc_len: int) -> Gf2Series:
     global _longest_inverse
     if _longest_inverse is None or trunc_len > _longest_inverse.trunc_len:
-        _longest_inverse = _eta_factor(1, trunc_len).inverse()
+        start = Gf2Series.one(1) if _longest_inverse is None else _longest_inverse
+        _longest_inverse = _lift_inverse([_eta_factor(1, trunc_len)], start)
     if trunc_len == _longest_inverse.trunc_len:
         return _longest_inverse
     return _longest_inverse.truncate(trunc_len)

@@ -7,9 +7,11 @@ zero. Every operation works on these words: addition is one XOR, and
 multiplication builds one bit-shifted copy of the denser operand per
 residue e mod 64 of the sparser operand's exponents e and XORs it in place
 at word offset e // 64. Dilation f(q) -> f(q^d) scatters bytes with strided
-numpy ORs, so the Frobenius square f(q)^2 = f(q^2) is dilate(2, ...), and
-inversion is Newton lifting against one factor or against a product of
-sparse factors that is never formed.
+numpy ORs, so the Frobenius square f(q)^2 = f(q^2) is dilate(2, ...). A
+sparse F times f(q^d) is computed one residue class of F's exponents mod d
+at a time against the undilated f, and each partial product is scattered
+into one output. Inversion is Newton lifting against one factor or against
+a product of sparse factors that is never formed.
 
 Series objects are immutable: every operation returns a fresh value, and
 the word arrays are read-only, so instances can be shared freely, across
@@ -80,6 +82,21 @@ def _mul_words(sparse: np.ndarray, dense: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _scatter(words: np.ndarray, factor: int, offset: int, out: np.ndarray) -> None:
+    """OR bit k of words into bit factor*k + offset of the byte array out.
+
+    Source byte i lands in the factor bytes from byte factor*i on, so the
+    scatter is eight strided ORs, one per bit of a byte, with no
+    per-coefficient index array. Bits that land past the end of out are
+    dropped.
+    """
+    src = words.view(np.uint8)
+    for bit in range(8):
+        first = factor * bit + offset
+        dest = out[first >> 3 :: factor][: len(src)]
+        dest |= ((src[: len(dest)] >> bit) & 1) << (first & 7)
+
+
 def inverse_of_product(factors: list[Gf2Series]) -> Gf2Series:
     """Inverse of the product of factors, each with constant term 1.
 
@@ -89,13 +106,20 @@ def inverse_of_product(factors: list[Gf2Series]) -> Gf2Series:
     for factors with sparse support of total size s the cost stays
     O(trunc_len * s) bit operations.
     """
-    n = factors[0].trunc_len
     for factor in factors:
         factors[0]._check_len(factor)
         if not factor[0]:
             raise ValueError("constant term is 0: series is not invertible")
-    b = Gf2Series.one(1)
-    while b.trunc_len < n:
+    return _lift_inverse(factors, Gf2Series.one(1))
+
+
+def _lift_inverse(factors: list[Gf2Series], b: Gf2Series) -> Gf2Series:
+    """Newton-lift b, the inverse of the product of factors to b.trunc_len
+    coefficients, to the factors' common length."""
+    n = factors[0].trunc_len
+    # ceil(log2(n / k)) doublings from k coefficients: a loop that stopped
+    # advancing would return a short series, never run forever
+    for _ in range((-(-n // b.trunc_len) - 1).bit_length()):
         new_prec = min(2 * b.trunc_len, n)
         b = b.dilate(2, new_prec)
         for factor in factors:
@@ -205,9 +229,17 @@ class Gf2Series:
 
     def __mul__(self, other: Gf2Series) -> Gf2Series:
         """Truncated product; the operand with fewer terms drives the XOR loop."""
-        self._check_len(other)
         sparse, dense = (self, other) if self.odd_count() <= other.odd_count() else (other, self)
-        return Gf2Series._of_words(self.trunc_len, _mul_words(sparse._words, dense._words))
+        return dense.mul_sparse(sparse)
+
+    def mul_sparse(self, sparse: Gf2Series) -> Gf2Series:
+        """Truncated product in which the terms of sparse drive the XOR loop.
+
+        Neither operand's terms are counted, so a caller that knows which
+        factor is sparse skips the bit counts that the * operator makes.
+        """
+        self._check_len(sparse)
+        return Gf2Series._of_words(self.trunc_len, _mul_words(sparse._words, self._words))
 
     def inverse(self) -> Gf2Series:
         """Multiplicative inverse of a series with constant term 1."""
@@ -217,22 +249,43 @@ class Gf2Series:
         """The series f(q^factor): coefficient factor*k is this one's coefficient k.
 
         The result is known below factor * self.trunc_len, so trunc_len may
-        not exceed that. Source byte i lands in the factor bytes from byte
-        factor*i on, so the scatter is eight strided ORs, one per bit of a
-        byte, with no per-coefficient index array. Source bits that land at
-        or above trunc_len are cleared with the rest of the last word.
+        not exceed that. Source bits that land at or above trunc_len are
+        cleared with the rest of the last word.
         """
+        self._check_dilation(factor, trunc_len)
+        keep = -(-trunc_len // factor)  # source degrees that land below trunc_len
+        out = np.zeros(8 * _nwords(trunc_len), dtype=np.uint8)
+        _scatter(self._words[: _nwords(keep)], factor, 0, out)
+        return Gf2Series._of_words(trunc_len, out.view("<u8"))
+
+    def mul_dilated(self, sparse: Gf2Series, factor: int) -> Gf2Series:
+        """The product sparse(q) * f(q^factor), truncated to sparse.trunc_len.
+
+        Write sparse = sum_{j<factor} q^j F_j(q^factor). Each F_j multiplies
+        this series undilated, to ceil((trunc_len - j) / factor) terms, and
+        coefficient m of that product is scattered to degree factor*m + j.
+        So the XOR loop runs over trunc_len / factor bits per term of
+        sparse, and no dilated copy of this series is built. Dilation is
+        the case sparse = 1, with one class.
+        """
+        trunc_len = sparse.trunc_len
+        self._check_dilation(factor, trunc_len)
+        support = _word_support(sparse._words)
+        out = np.zeros(8 * _nwords(trunc_len), dtype=np.uint8)
+        for j in range(min(factor, trunc_len)):
+            part = support[support % factor == j] // factor
+            if len(part):
+                n = -(-(trunc_len - j) // factor)
+                part_words = Gf2Series.from_support(part.tolist(), n)._words
+                # Bits of the product at and above n land at or above trunc_len.
+                _scatter(_mul_words(part_words, self._words[: _nwords(n)]), factor, j, out)
+        return Gf2Series._of_words(trunc_len, out.view("<u8"))
+
+    def _check_dilation(self, factor: int, trunc_len: int) -> None:
         if factor < 1:
             raise ValueError("dilation factor must be positive")
         if trunc_len > factor * self.trunc_len:
             raise ValueError("cannot extend a truncated series")
-        keep = -(-trunc_len // factor)  # source degrees that land below trunc_len
-        src = self._words.view(np.uint8)[: (keep + 7) >> 3]
-        out = np.zeros(8 * _nwords(trunc_len), dtype=np.uint8)
-        for bit in range(8):
-            dest = out[(factor * bit) >> 3 :: factor][: len(src)]
-            dest |= ((src[: len(dest)] >> bit) & 1) << ((factor * bit) & 7)
-        return Gf2Series._of_words(trunc_len, out.view("<u8"))
 
     def shift(self, k: int) -> Gf2Series:
         """Multiply by the monomial q^k (k >= 0), truncating as usual."""

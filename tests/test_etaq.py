@@ -322,3 +322,71 @@ def test_inverse_slot_builds_only_past_the_longest(monkeypatch):
         assert got == fresh[n], n
     assert built == [300, 2000, 70_000]
     assert etaq._longest_inverse.trunc_len == 70_000
+
+
+def test_longer_inverse_continues_newton_from_the_cached_one(monkeypatch, newton_steps):
+    lengths = (1, 63, 64, 65, 4097, 100_003)
+    fresh = {n: etaq._eta_factor(1, n).inverse() for n in lengths}
+    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    start = 1
+    for n in lengths:
+        steps, bound = newton_steps(start, n)
+        got = etaq._inverse_f1(n)
+        assert got == fresh[n], n
+        assert len(steps) == bound, (start, n, steps)
+        if steps:
+            assert steps[0] == min(2 * start, n)
+        start = n
+    assert etaq._longest_inverse is got
+
+
+@pytest.mark.parametrize("quotient", [A_PARITY_QUOTIENT] + [q for _, _, q in DISSECTION_CLASSES.values()], ids=str)
+def test_plan_products_count_no_bits_and_build_no_dilated_copy(monkeypatch, quotient):
+    n = 100_003
+    etaq._inverse_f1(n)  # Newton lifting, which dilates and counts, runs before the spies
+
+    def forbidden(*args):
+        raise AssertionError("the plan's products must not count bits or dilate P")
+
+    monkeypatch.setattr(Gf2Series, "odd_count", forbidden)
+    monkeypatch.setattr(Gf2Series, "dilate", forbidden)
+    got = quotient.eval(n)
+    monkeypatch.undo()
+    assert got == reference_eval(quotient, n)
+
+
+@pytest.mark.parametrize("trunc_len", [2**16 - 5, 2**16 + 5])
+def test_package_quotients_match_reference(monkeypatch, trunc_len):
+    asked = set()
+    real_eval = EtaQuotient.eval
+
+    def recording_eval(self, n):
+        asked.add(self)
+        return real_eval(self, n)
+
+    monkeypatch.setattr(EtaQuotient, "eval", recording_eval)
+    identity_suite(trunc_len)
+    monkeypatch.undo()
+    assert len(asked) == 20
+    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    for quotient in sorted(asked | {q for _, _, q in DISSECTION_CLASSES.values()}, key=str):
+        got = quotient.eval(trunc_len)
+        assert got.trunc_len == trunc_len
+        assert got == reference_eval(quotient, trunc_len), str(quotient)
+
+
+@pytest.mark.parametrize("factors", [{3: 1, 1: -3}, {3: 5, 1: -3}, {1: 1, 3: 1, 6: 1, 5: -1}])
+def test_split_takes_the_factor_with_most_terms(monkeypatch, factors):
+    # f3/f1^3 = f1 f3 P(q^4); f3^5/f1^3 = f1 f3 f12 P(q^4); f1 f3 f6/f5 = f1 T(q^3) P(q^5)
+    n = 5000
+    split = []
+    real_mul_dilated = Gf2Series.mul_dilated
+
+    def recording(self, sparse, factor):
+        split.append(sparse)
+        return real_mul_dilated(self, sparse, factor)
+
+    monkeypatch.setattr(Gf2Series, "mul_dilated", recording)
+    quotient = EtaQuotient.of(factors)
+    assert quotient.eval(n) == reference_eval(quotient, n)
+    assert split == [Gf2Series.from_support(pentagonal_exponents(n), n)]

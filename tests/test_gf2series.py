@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddmult.etaq import EtaQuotient
+from oddmult.etaq import EtaQuotient, pentagonal_exponents, triangular_exponents
 from oddmult.gf2series import Gf2Series, sparse_support
 
 
@@ -253,6 +253,59 @@ def test_inverse_geometric_series():
 def test_inverse_requires_unit_constant_term():
     with pytest.raises(ValueError, match="not invertible"):
         series(6, 1).inverse()
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 4097, 100_003])
+def test_newton_lifting_doubles_every_step(newton_steps, n):
+    f1 = EtaQuotient.of({1: 1}).eval(n)
+    steps, bound = newton_steps(1, n)
+    inverse = f1.inverse()
+    assert len(steps) == bound
+    assert f1 * inverse == Gf2Series.one(n)
+
+
+# -- sparse times dilated, one residue class at a time -----------------------
+
+
+SPLIT_CASES = [
+    (s, n)
+    for s in (1, 2, 3, 4, 6, 8, 24)
+    for n in sorted({1, s - 1, 63, 64, 65, 4097, 65_541, 100_003} - {0})
+]
+
+
+@pytest.mark.parametrize("s, n", SPLIT_CASES)
+def test_mul_dilated_matches_product_with_dilated_copy(s, n):
+    dense = EtaQuotient.of({1: -1}).eval(-(-n // s) + 70)  # longer than needed
+    sparse_factors = {
+        "1": [0],  # plain dilation, one class
+        "f1": pentagonal_exponents(n),
+        "f3": pentagonal_exponents(n, 3),  # empty classes under s = 3, 6, 24
+        "f24": pentagonal_exponents(n, 24),  # empty classes under every s here
+        "q^(s-1) T(q^2)": [s - 1 + e for e in triangular_exponents(n - s + 1, 2)],
+    }
+    for name, exponents in sparse_factors.items():
+        sparse = Gf2Series.from_support(exponents, n)
+        got = dense.mul_dilated(sparse, s)
+        assert got.trunc_len == n
+        assert got == sparse * dense.dilate(s, n), (name, s, n)
+        assert got == dense.truncate(-(-n // s)).mul_dilated(sparse, s), (name, s, n)
+
+
+def test_mul_dilated_rejects_extension_and_bad_factor():
+    with pytest.raises(ValueError, match="cannot extend"):
+        Gf2Series.one(10).mul_dilated(Gf2Series.one(31), 3)
+    with pytest.raises(ValueError):
+        Gf2Series.one(10).mul_dilated(Gf2Series.one(10), 0)
+    assert Gf2Series.one(10).mul_dilated(series(30, 1, 29), 3) == series(30, 1, 29)
+
+
+def test_mul_sparse_drives_by_its_argument():
+    dense = EtaQuotient.of({1: -1}).eval(4097)
+    sparse = EtaQuotient.of({5: 1}).eval(4097)
+    assert dense.mul_sparse(sparse) == sparse * dense == sparse.mul_sparse(dense)
+    with pytest.raises(ValueError, match="mismatch"):
+        dense.mul_sparse(sparse.truncate(4096))
 
 
 # -- shape operations --------------------------------------------------------
