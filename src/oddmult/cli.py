@@ -8,6 +8,7 @@ content. Exit codes: 0 success, 1 verification discrepancy, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -23,11 +24,12 @@ from .partition_oracle import RECOMMENDED_TABLE_LIMIT, build_table
 _DENSITY_TAGS = {"even": "even", "4m1": "4m+1", "8m3": "8m+3", "8m7": "8m+7"}
 
 # a-parity answers n below this. Its parity series is as long as the one that
-# `density 8m7 --limit 10^7` builds (about 11 s and 80 MiB on one core).
+# `verify identities --limit 10^7` builds for its extraction checks.
 A_PARITY_LIMIT = 8 * 10**7
 
-# verify and density take --limit up to this. `verify identities` and
-# `density 8m7` build the parity series to 8 * limit, the a-parity maximum.
+# verify and density take --limit up to this. `verify identities` builds the
+# parity series to 8 * limit, the a-parity maximum, and `density 8m7` reads
+# coefficients up to that degree.
 LIMIT_MAX = A_PARITY_LIMIT // 8
 
 # congruences list --p takes primes below this. Its families grow linearly in
@@ -162,12 +164,26 @@ def _write_csv_block(fh, class_tag: str, series_name: str, limit: int, checkpoin
 
 
 def _cmd_density(args) -> int:
+    """args.csv is None or the file that main opened before any work."""
+    with args.csv or contextlib.nullcontext():
+        status, blocks = _density_report(args)
+        if args.csv:
+            for block in blocks:
+                _write_csv_block(args.csv, *block)
+    if args.csv:
+        print(f"wrote {args.csv.name}")
+    return status
+
+
+def _density_report(args) -> tuple[int, list]:
+    """Print the density lines; return the exit status and the CSV blocks."""
     wanted = list(_DENSITY_TAGS) if args.cls == "all" else [args.cls]
     blocks = []
     status = 0
 
     # The 8m+7 report is computed first: its cross-check builds the longest
-    # parity series, and the census then reads a truncation of it.
+    # cached 1/f_1 (to 2 * limit), and the census's parity series then reads
+    # a truncation of it.
     report = density_8m7(args.limit) if "8m7" in wanted else None
     census_tags = [t for t in wanted if t != "8m7"]
     if census_tags:
@@ -190,13 +206,7 @@ def _cmd_density(args) -> int:
         print(f"class 8m+7: final density {report.final_density:.9f} "
               f"(cross-checked {report.cross_checked} indices against extraction)")
         blocks.append(("8m+7", "f3^8 / f1^3", args.limit, report.checkpoints))
-
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            for block in blocks:
-                _write_csv_block(fh, *block)
-        print(f"wrote {args.csv}")
-    return status
+    return status, blocks
 
 
 # -- parser ----------------------------------------------------------------
@@ -267,6 +277,13 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"--p supports primes below {CONGRUENCE_P_LIMIT}, got {args.p}")
             if args.p < 3 or not is_prime(args.p):
                 parser.error(f"--p must be an odd prime, got {args.p}")
+        if getattr(args, "csv", None) is not None:
+            # opened last among the checks, so nothing is written for a refused
+            # command, and before any work, so an unwritable path costs none
+            try:
+                args.csv = open(args.csv, "w", encoding="utf-8")
+            except OSError as exc:
+                parser.error(f"cannot write --csv {args.csv}: {exc.strerror}")
 
     commands = {
         "a-value": _cmd_value,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characterize import odd_flags
-from .etaq import a_parity_series, dissection_by_extraction, dissection_series
+from .etaq import a_parity_at, a_parity_series, dissection_series
 
 __all__ = [
     "DensityCheckpoint",
@@ -86,37 +86,32 @@ def density_8m7(limit_m: int, cross_check_samples: int = 1000) -> DensityReport:
     """Running odd-density of the first limit_m coefficients of f_3^8 / f_1^3.
 
     Coefficient m is a(8m+7) mod 2. A deterministic sample of indices is
-    cross-checked against 8-step extraction from the full parity series;
-    disagreement would mean a kernel inconsistency and raises. Sampling is
-    seeded, so identical calls give identical reports.
+    cross-checked against a(8m+7) read from f_3 / f_1^3 = f_1 * (f_3 / f_4)
+    at those degrees alone (a_parity_at), which uses no dissection
+    identity; disagreement would mean a kernel inconsistency and raises.
+    Sampling is seeded, so identical calls give identical reports.
     """
     if limit_m < 1:
         raise ValueError("limit_m must be >= 1")
-    # The extraction goes first: it builds the longest parity series, and with
-    # it the cached 1/f_1 that the closed form then reads a truncation of.
-    extracted = dissection_by_extraction("8m+7", limit_m) if cross_check_samples > 0 else None
+    count = max(0, min(cross_check_samples, limit_m))
+    sample = sorted(random.Random(_SAMPLE_SEED).sample(range(limit_m), count))
+    # The cross-check goes first: it builds the longest cached 1/f_1 (to
+    # about 2 * limit_m), which the closed form then reads a truncation of.
+    extracted = a_parity_at([8 * m + 7 for m in sample])
     series = dissection_series("8m+7", limit_m)
     marks = []
     for x in checkpoints_upto(limit_m):
         odd = series.odd_count(upto=x)
         marks.append(DensityCheckpoint(x, odd, odd / x))
 
-    checked = 0
-    if extracted is not None:
-        sample = sorted(
-            random.Random(_SAMPLE_SEED).sample(range(limit_m), min(cross_check_samples, limit_m))
+    closed = series.sparse_product_at([0], sample)
+    mismatches = np.flatnonzero(closed != extracted)
+    if mismatches.size:
+        i = mismatches[0]
+        raise RuntimeError(
+            f"dissection mismatch at m={sample[i]}: closed form {closed[i]}, extraction {extracted[i]}"
         )
-        closed = series.to_bit_array()[sample]
-        decimated = extracted.to_bit_array()[sample]
-        mismatches = np.flatnonzero(closed != decimated)
-        if mismatches.size:
-            i = mismatches[0]
-            raise RuntimeError(
-                f"dissection mismatch at m={sample[i]}: closed form {closed[i]}, extraction {decimated[i]}"
-            )
-        checked = len(sample)
-
-    return DensityReport("8m+7", tuple(marks), marks[-1].density, checked)
+    return DensityReport("8m+7", tuple(marks), marks[-1].density, len(sample))
 
 
 def sparse_odd_census(limit_n: int) -> list[CensusResult]:

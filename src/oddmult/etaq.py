@@ -8,27 +8,34 @@ is evaluated by one plan: the single cached inverse P = 1/f_1, taken at q^s,
 times a few factors of square-root-sized support, at O(N * sqrt(N)) bit
 operations for truncation N and with no product of two dense series. The
 factor with the most terms multiplies the undilated P one residue class
-mod s at a time, so P(q^s) itself is never built.
+mod s at a time, so P(q^s) itself is never built. P is built the same way:
+mod 2, 1/f_1 = f_1^3 / f_4 = T(q) * P(q^4), so P to N coefficients is one
+such product against P to N/4.
 
 The parity of a(n), the number of partitions of n whose parts all appear
 with odd multiplicity, is the coefficient series of f_3 / f_1^3. Its 2-,
 4- and 8-dissections are also available in closed form, and every closed
 form is cross-checkable against coefficient extraction from the parity
-series itself.
+series itself. A few scattered a(n) are read without the parity series as
+coefficients of f_1 * (f_3 / f_4) (a_parity_at).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
-from .gf2series import Gf2Series, _lift_inverse, inverse_of_product
+import numpy as np
+
+from .gf2series import Gf2Series, inverse_of_product
 
 __all__ = [
     "EtaQuotient",
     "pentagonal_exponents",
     "triangular_exponents",
     "a_parity_series",
+    "a_parity_at",
     "dissection_series",
     "dissection_by_extraction",
     "identity_suite",
@@ -129,19 +136,18 @@ class EtaQuotient:
                 denominator[scale << k] += 1
         # ascending by number of terms, so pop() takes the largest
         supports = sorted(_sparse_supports(_binary_scales(numerator), trunc_len), key=len)
-        first = Gf2Series.from_support(supports.pop() if supports else [0], trunc_len)
+        first = supports.pop() if supports else [0]
         inverted = _binary_scales(denominator)
         if len(inverted) == 1:
             scale = inverted[0]
-            acc = _inverse_f1(-(-trunc_len // scale)).mul_dilated(first, scale)
+            acc = _inverse_f1(-(-trunc_len // scale)).mul_dilated(first, scale, trunc_len)
         elif inverted:
             factors = [Gf2Series.from_support(s, trunc_len) for s in _sparse_supports(inverted, trunc_len)]
             acc = inverse_of_product(factors).mul_sparse(first)
         else:
-            acc = first
-        del first  # a series-sized buffer that the remaining products need not hold
+            acc = Gf2Series.from_support(first, trunc_len)
         for support in supports:
-            acc = acc.mul_sparse(Gf2Series.from_support(support, trunc_len))
+            acc = acc.mul_sparse(support)
         return acc
 
 
@@ -180,16 +186,25 @@ def _sparse_supports(scales: list[int], trunc_len: int) -> list[list[int]]:
 
 
 # The longest P = 1/f_1 built so far. Like the parity series below it is
-# prefix-stable, so every shorter request is served by truncating this one,
-# and a longer one continues Newton lifting from it.
+# prefix-stable, so every shorter request is served by truncating this one.
 _longest_inverse: Gf2Series | None = None
 
 
 def _inverse_f1(trunc_len: int) -> Gf2Series:
+    """P = 1/f_1 to trunc_len coefficients.
+
+    Mod 2, f_1^4 = f_4, so 1/f_1 = f_1^3 / f_4 = T(q) * P(q^4) with Jacobi's
+    triangular T = f_1^3. P to n > 1 coefficients is therefore one
+    class-split product of T against P to ceil(n/4), which is read from
+    the cached P when that is long enough; P = 1 at n = 1.
+    """
     global _longest_inverse
     if _longest_inverse is None or trunc_len > _longest_inverse.trunc_len:
-        start = Gf2Series.one(1) if _longest_inverse is None else _longest_inverse
-        _longest_inverse = _lift_inverse([_eta_factor(1, trunc_len)], start)
+        if trunc_len == 1:
+            _longest_inverse = Gf2Series.one(1)
+        else:
+            inner = _inverse_f1(-(-trunc_len // 4))
+            _longest_inverse = inner.mul_dilated(triangular_exponents(trunc_len), 4, trunc_len)
     if trunc_len == _longest_inverse.trunc_len:
         return _longest_inverse
     return _longest_inverse.truncate(trunc_len)
@@ -223,6 +238,23 @@ def a_parity_series(trunc_len: int) -> Gf2Series:
     if trunc_len == _longest_parity.trunc_len:
         return _longest_parity
     return _longest_parity.truncate(trunc_len)
+
+
+# f_3 / f_4 = f_3 * P(q^4); the parity series is f_1 times it, as f_1^4 = f_4.
+_F3_OVER_F4 = EtaQuotient.of({3: 1, 4: -1})
+
+
+def a_parity_at(degrees: Iterable[int]) -> np.ndarray:
+    """a(n) mod 2 for each n in degrees, as uint8 0/1.
+
+    Mod 2, f_3 / f_1^3 = f_1 * (f_3 / f_4). So only H = f_3 / f_4 is
+    evaluated, to the largest degree, and a(n) is the XOR of coefficients
+    n - e of H over the pentagonal e <= n, read for the listed n alone.
+    No dissection identity is used, so this checks the closed forms.
+    """
+    degrees = np.asarray(degrees, dtype=np.int64)
+    trunc_len = int(degrees.max()) + 1 if len(degrees) else 1
+    return _F3_OVER_F4.eval(trunc_len).sparse_product_at(pentagonal_exponents(trunc_len), degrees)
 
 
 def _dissection_entry(class_tag: str) -> tuple[int, int, EtaQuotient]:

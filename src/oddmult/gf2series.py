@@ -10,8 +10,11 @@ at word offset e // 64. Dilation f(q) -> f(q^d) scatters bytes with strided
 numpy ORs, so the Frobenius square f(q)^2 = f(q^2) is dilate(2, ...). A
 sparse F times f(q^d) is computed one residue class of F's exponents mod d
 at a time against the undilated f, and each partial product is scattered
-into one output. Inversion is Newton lifting against one factor or against
-a product of sparse factors that is never formed.
+into one output. A few coefficients of a sparse F times f can be read
+without forming the product (sparse_product_at). Sparse factors are passed
+as exponent lists, never as full-length series. Inversion is Newton lifting
+against one factor or against a product of sparse factors that is never
+formed.
 
 Series objects are immutable: every operation returns a fresh value, and
 the word arrays are read-only, so instances can be shared freely, across
@@ -28,6 +31,10 @@ __all__ = ["Gf2Series", "inverse_of_product", "sparse_support"]
 
 # Number of set bits of each byte value.
 _BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+# Bytes sparse_product_at gathers per chunk of degrees; each chunk's byte
+# indices take eight times as much.
+_GATHER = 1 << 14
 
 
 def sparse_support(exponents: Iterable[int]) -> tuple[int, ...]:
@@ -55,17 +62,24 @@ def _word_support(words: np.ndarray) -> np.ndarray:
     return nonzero[bits >> 6] * 64 + (bits & 63)
 
 
-def _mul_words(sparse: np.ndarray, dense: np.ndarray) -> np.ndarray:
-    """Carryless product of two equal-length word arrays, cut to that length.
+def _exponent_array(exponents: Iterable[int]) -> np.ndarray:
+    """The exponents of a sparse factor sum_e q^e, validated, as int64."""
+    return np.array(sparse_support(exponents), dtype=np.int64)
 
-    One bit-shifted copy of dense is built per residue e % 64 of the set
-    bits e of sparse; every e then costs one in-place XOR of that copy,
-    moved by e // 64 whole words, into the accumulator, which is returned.
+
+def _mul_words(exponents: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """Carryless product of sum_e q^e and the words dense, cut to their length.
+
+    One bit-shifted copy of dense is built per residue e % 64 of the
+    non-negative exponents; every e then costs one in-place XOR of that
+    copy, moved by e // 64 whole words, into the accumulator, which is
+    returned. Exponents past the last word add nothing.
     """
-    word_offsets: dict[int, list[int]] = {}
-    for e in _word_support(sparse).tolist():
-        word_offsets.setdefault(e & 63, []).append(e >> 6)
     nwords = len(dense)
+    word_offsets: dict[int, list[int]] = {}
+    for e in exponents.tolist():
+        if e >> 6 < nwords:
+            word_offsets.setdefault(e & 63, []).append(e >> 6)
     acc = np.zeros(nwords, dtype="<u8")
     shifted = np.empty(nwords, dtype="<u8")
     carry = np.empty(nwords - 1, dtype="<u8")
@@ -110,16 +124,11 @@ def inverse_of_product(factors: list[Gf2Series]) -> Gf2Series:
         factors[0]._check_len(factor)
         if not factor[0]:
             raise ValueError("constant term is 0: series is not invertible")
-    return _lift_inverse(factors, Gf2Series.one(1))
-
-
-def _lift_inverse(factors: list[Gf2Series], b: Gf2Series) -> Gf2Series:
-    """Newton-lift b, the inverse of the product of factors to b.trunc_len
-    coefficients, to the factors' common length."""
     n = factors[0].trunc_len
-    # ceil(log2(n / k)) doublings from k coefficients: a loop that stopped
+    b = Gf2Series.one(1)
+    # ceil(log2(n)) doublings from one coefficient: a loop that stopped
     # advancing would return a short series, never run forever
-    for _ in range((-(-n // b.trunc_len) - 1).bit_length()):
+    for _ in range((n - 1).bit_length()):
         new_prec = min(2 * b.trunc_len, n)
         b = b.dilate(2, new_prec)
         for factor in factors:
@@ -229,17 +238,19 @@ class Gf2Series:
 
     def __mul__(self, other: Gf2Series) -> Gf2Series:
         """Truncated product; the operand with fewer terms drives the XOR loop."""
+        self._check_len(other)
         sparse, dense = (self, other) if self.odd_count() <= other.odd_count() else (other, self)
-        return dense.mul_sparse(sparse)
+        return Gf2Series._of_words(self.trunc_len, _mul_words(_word_support(sparse._words), dense._words))
 
-    def mul_sparse(self, sparse: Gf2Series) -> Gf2Series:
-        """Truncated product in which the terms of sparse drive the XOR loop.
+    def mul_sparse(self, exponents: Iterable[int]) -> Gf2Series:
+        """The product (sum_e q^e) * self, truncated to this series' length.
 
-        Neither operand's terms are counted, so a caller that knows which
-        factor is sparse skips the bit counts that the * operator makes.
+        The exponents drive the XOR loop, and neither a series of them is
+        built nor any bit counted, so a caller that holds a sparse factor
+        as its exponent list skips both. Exponents at or past the
+        truncation are dropped.
         """
-        self._check_len(sparse)
-        return Gf2Series._of_words(self.trunc_len, _mul_words(sparse._words, self._words))
+        return Gf2Series._of_words(self.trunc_len, _mul_words(_exponent_array(exponents), self._words))
 
     def inverse(self) -> Gf2Series:
         """Multiplicative inverse of a series with constant term 1."""
@@ -258,28 +269,53 @@ class Gf2Series:
         _scatter(self._words[: _nwords(keep)], factor, 0, out)
         return Gf2Series._of_words(trunc_len, out.view("<u8"))
 
-    def mul_dilated(self, sparse: Gf2Series, factor: int) -> Gf2Series:
-        """The product sparse(q) * f(q^factor), truncated to sparse.trunc_len.
+    def mul_dilated(self, exponents: Iterable[int], factor: int, trunc_len: int) -> Gf2Series:
+        """The product (sum_e q^e) * f(q^factor), truncated to trunc_len.
 
-        Write sparse = sum_{j<factor} q^j F_j(q^factor). Each F_j multiplies
-        this series undilated, to ceil((trunc_len - j) / factor) terms, and
-        coefficient m of that product is scattered to degree factor*m + j.
-        So the XOR loop runs over trunc_len / factor bits per term of
-        sparse, and no dilated copy of this series is built. Dilation is
-        the case sparse = 1, with one class.
+        Write the sparse factor as sum_{j<factor} q^j F_j(q^factor). Each
+        F_j multiplies this series undilated, to ceil((trunc_len - j) /
+        factor) terms, and coefficient m of that product is scattered to
+        degree factor*m + j. So the XOR loop runs over trunc_len / factor
+        bits per exponent, and no dilated copy of this series is built.
+        Dilation is the case exponents = [0], with one class.
         """
-        trunc_len = sparse.trunc_len
         self._check_dilation(factor, trunc_len)
-        support = _word_support(sparse._words)
+        support = _exponent_array(exponents)
         out = np.zeros(8 * _nwords(trunc_len), dtype=np.uint8)
         for j in range(min(factor, trunc_len)):
             part = support[support % factor == j] // factor
             if len(part):
                 n = -(-(trunc_len - j) // factor)
-                part_words = Gf2Series.from_support(part.tolist(), n)._words
                 # Bits of the product at and above n land at or above trunc_len.
-                _scatter(_mul_words(part_words, self._words[: _nwords(n)]), factor, j, out)
+                _scatter(_mul_words(part, self._words[: _nwords(n)]), factor, j, out)
         return Gf2Series._of_words(trunc_len, out.view("<u8"))
+
+    def sparse_product_at(self, exponents: Iterable[int], degrees: Iterable[int]) -> np.ndarray:
+        """Coefficient n of (sum_e q^e) * self for each n in degrees, as uint8 0/1.
+
+        Only those coefficients are read: exponent e <= n adds bit n - e of
+        this series. The exponents e = 8k + r of one residue r mod 8 read
+        bit (n - r) & 7 of the bytes ((n - r) >> 3) - k, so each residue
+        XORs whole bytes and shifts once per degree. Degrees go in chunks
+        of about _GATHER gathered bytes, so the temporaries stay that small
+        however many degrees and exponents there are.
+        """
+        support = _exponent_array(exponents)
+        degrees = np.asarray(degrees, dtype=np.int64)
+        if len(degrees) and not 0 <= degrees.min() <= degrees.max() < self.trunc_len:
+            raise ValueError(f"degrees must lie in 0..{self.trunc_len - 1}")
+        src = self._words.view(np.uint8)
+        out = np.zeros(len(degrees), dtype=np.uint8)
+        for r in range(8):
+            k = support[(support & 7) == r] >> 3
+            span = _GATHER // max(len(k), 1) + 1
+            for first in range(0, len(degrees) if len(k) else 0, span):
+                d = degrees[first : first + span] - r
+                byte = (d >> 3)[:, None] - k  # negative where e > n
+                gathered = np.where(byte >= 0, src.take(byte, mode="clip"), 0)
+                bits = np.bitwise_xor.reduce(gathered, axis=1) >> (d & 7).astype(np.uint8)
+                out[first : first + span] ^= bits & 1
+        return out
 
     def _check_dilation(self, factor: int, trunc_len: int) -> None:
         if factor < 1:
@@ -291,7 +327,7 @@ class Gf2Series:
         """Multiply by the monomial q^k (k >= 0), truncating as usual."""
         if k < 0:
             raise ValueError("shift distance must be non-negative")
-        return self * Gf2Series.from_support([k], self.trunc_len)
+        return self.mul_sparse([k])
 
     def truncate(self, new_len: int) -> Gf2Series:
         if new_len > self.trunc_len:

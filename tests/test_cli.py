@@ -144,22 +144,50 @@ def test_density_csv_deterministic(tmp_path, capsys):
 
 
 def test_density_all_builds_the_parity_series_once(monkeypatch, capsys):
-    # the 8m+7 cross-check needs 8 * limit coefficients; the census reads a truncation
-    built = []
+    # the census builds the parity series to the limit; the 8m+7 cross-check
+    # reads its 1000 coefficients, up to degree 8 * limit, without it
+    built, sampled = [], []
     quotient = oddmult.etaq.A_PARITY_QUOTIENT
+    real_parity_at = oddmult.density.a_parity_at
 
     class CountingQuotient:
         def eval(self, trunc_len):
             built.append(trunc_len)
             return quotient.eval(trunc_len)
 
+    def recording_parity_at(degrees):
+        sampled.append(list(degrees))
+        return real_parity_at(degrees)
+
     monkeypatch.setattr(oddmult.etaq, "_longest_parity", None)
     monkeypatch.setattr(oddmult.etaq, "A_PARITY_QUOTIENT", CountingQuotient())
+    monkeypatch.setattr(oddmult.density, "a_parity_at", recording_parity_at)
     code, out = run_cli(capsys, "density", "all", "--limit", "5000")
     assert code == 0
-    assert built == [40000]
+    assert built == [5000]
+    assert len(sampled) == 1 and len(set(sampled[0])) == 1000
+    assert all(n % 8 == 7 and n < 40000 for n in sampled[0])
     assert out.splitlines()[0].startswith("class even: X=1000 ")
     assert out.splitlines()[-1].startswith("class 8m+7: final density ")
+
+
+def test_density_refuses_an_unwritable_csv_before_computing(monkeypatch, capsys, tmp_path):
+    for name in ("density_8m7", "sparse_odd_census"):
+        monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "even", "--limit", "1000", "--csv", str(target)])
+        assert exc.value.code == 2
+        reason = "No such file or directory" if target != tmp_path else "Is a directory"
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"oddmult: error: cannot write --csv {target}: {reason}"
+        )
+    # a refused --limit writes no file
+    target = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "all", "--limit", "10000001", "--csv", str(target)])
+    assert exc.value.code == 2
+    assert not target.exists()
 
 
 def test_stdout_deterministic(capsys):

@@ -3,11 +3,12 @@ from collections import Counter
 
 import pytest
 
-from oddmult import etaq
+from oddmult import etaq, gf2series
 from oddmult.etaq import (
     A_PARITY_QUOTIENT,
     DISSECTION_CLASSES,
     EtaQuotient,
+    a_parity_at,
     a_parity_series,
     dissection_by_extraction,
     dissection_series,
@@ -120,6 +121,21 @@ def test_identity_suite_small():
 def test_identity_names_are_distinct():
     names = [name for name, _, _ in identity_suite(16)]
     assert len(names) == len(set(names)) == 8
+
+
+@pytest.mark.parametrize("limit", [1, 2, 7, 8, 9, 100, 5000, 2**16 + 3])
+def test_a_parity_at_matches_extraction(limit):
+    # the 8m+7 cross-check of density_8m7: its own sample, plus both ends
+    m = sorted(set(random.Random(0x0DD).sample(range(limit), min(1000, limit))) | {0, limit - 1})
+    extracted = a_parity_series(8 * limit).extract(8, 7).to_bit_array()
+    got = a_parity_at([8 * i + 7 for i in m])
+    assert got.tolist() == extracted[m].tolist()
+
+
+def test_a_parity_at_reads_any_degrees(oracle_2000):
+    degrees = [2000, 0, 1, 7, 8, 1999, 64, 63, 5, 5]
+    assert a_parity_at(degrees).tolist() == [oracle_2000.parity(n) for n in degrees]
+    assert a_parity_at([]).shape == (0,)
 
 
 def test_parity_series_cached_value_is_consistent():
@@ -303,40 +319,53 @@ def test_jacobi_pair_is_one_triangular_factor(monkeypatch, factors, scale):
 
 
 def test_inverse_slot_builds_only_past_the_longest(monkeypatch):
+    # P to n is T(q) P(q^4) against P to ceil(n/4), so each request that
+    # passes the longest P builds T at each level above the longest, innermost first
     built = []
-    real_factor = etaq._eta_factor
 
-    def counting_factor(scale, trunc_len):
-        if scale == 1:
-            built.append(trunc_len)
-        return real_factor(scale, trunc_len)
+    def recording_triangular(trunc_len, scale=1):
+        built.append(trunc_len)
+        return triangular_exponents(trunc_len, scale)
 
-    quotient = EtaQuotient.of({5: 1, 1: -1})  # f5 * P(q): the numerator is not f1
+    quotient = EtaQuotient.of({5: 1, 1: -1})  # f5 * P(q): no triangular factor of its own
     lengths = (300, 100, 2000, 2000, 5, 1999, 70_000, 1, 300)
     fresh = {n: reference_eval(quotient, n) for n in set(lengths)}
     monkeypatch.setattr(etaq, "_longest_inverse", None)
-    monkeypatch.setattr(etaq, "_eta_factor", counting_factor)
+    monkeypatch.setattr(etaq, "triangular_exponents", recording_triangular)
     for n in lengths:
         got = quotient.eval(n)
         assert got.trunc_len == n
         assert got == fresh[n], n
-    assert built == [300, 2000, 70_000]
+    assert built == [2, 5, 19, 75, 300, 500, 2000, 4375, 17_500, 70_000]
     assert etaq._longest_inverse.trunc_len == 70_000
 
 
-def test_longer_inverse_continues_newton_from_the_cached_one(monkeypatch, newton_steps):
-    lengths = (1, 63, 64, 65, 4097, 100_003)
+def test_longer_inverse_recurses_down_to_the_cached_one(monkeypatch):
+    # 1/f1 = f1^3 / f4 = T(q) P(q^4): P to n is one class-split product of T
+    # against P to ceil(n/4), recursing until the cached P is long enough
+    lengths = (*range(1, 10), 63, 64, 65, 4097, 100_003)
     fresh = {n: etaq._eta_factor(1, n).inverse() for n in lengths}
+    products = []
+    real_mul_dilated = Gf2Series.mul_dilated
+
+    def recording(self, exponents, factor, trunc_len):
+        assert list(exponents) == triangular_exponents(trunc_len) and factor == 4
+        products.append((self.trunc_len, trunc_len))
+        return real_mul_dilated(self, exponents, factor, trunc_len)
+
     monkeypatch.setattr(etaq, "_longest_inverse", None)
-    start = 1
+    monkeypatch.setattr(Gf2Series, "mul_dilated", recording)
+    longest = 1
     for n in lengths:
-        steps, bound = newton_steps(start, n)
+        products.clear()
         got = etaq._inverse_f1(n)
         assert got == fresh[n], n
-        assert len(steps) == bound, (start, n, steps)
-        if steps:
-            assert steps[0] == min(2 * start, n)
-        start = n
+        levels = []
+        while n > longest:
+            levels.append((-(-n // 4), n))
+            n = -(-n // 4)
+        assert products == levels[::-1]
+        longest = max(longest, got.trunc_len)
     assert etaq._longest_inverse is got
 
 
@@ -350,6 +379,8 @@ def test_plan_products_count_no_bits_and_build_no_dilated_copy(monkeypatch, quot
 
     monkeypatch.setattr(Gf2Series, "odd_count", forbidden)
     monkeypatch.setattr(Gf2Series, "dilate", forbidden)
+    # sparse factors reach the kernel as exponents, never as series to unpack
+    monkeypatch.setattr(gf2series, "_word_support", forbidden)
     got = quotient.eval(n)
     monkeypatch.undo()
     assert got == reference_eval(quotient, n)
@@ -379,14 +410,15 @@ def test_package_quotients_match_reference(monkeypatch, trunc_len):
 def test_split_takes_the_factor_with_most_terms(monkeypatch, factors):
     # f3/f1^3 = f1 f3 P(q^4); f3^5/f1^3 = f1 f3 f12 P(q^4); f1 f3 f6/f5 = f1 T(q^3) P(q^5)
     n = 5000
+    etaq._inverse_f1(n)  # P is itself built by mul_dilated; build it before the spy
     split = []
     real_mul_dilated = Gf2Series.mul_dilated
 
-    def recording(self, sparse, factor):
-        split.append(sparse)
-        return real_mul_dilated(self, sparse, factor)
+    def recording(self, exponents, factor, trunc_len):
+        split.append(list(exponents))
+        return real_mul_dilated(self, exponents, factor, trunc_len)
 
     monkeypatch.setattr(Gf2Series, "mul_dilated", recording)
     quotient = EtaQuotient.of(factors)
     assert quotient.eval(n) == reference_eval(quotient, n)
-    assert split == [Gf2Series.from_support(pentagonal_exponents(n), n)]
+    assert split == [pentagonal_exponents(n)]

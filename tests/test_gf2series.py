@@ -286,26 +286,71 @@ def test_mul_dilated_matches_product_with_dilated_copy(s, n):
     }
     for name, exponents in sparse_factors.items():
         sparse = Gf2Series.from_support(exponents, n)
-        got = dense.mul_dilated(sparse, s)
+        got = dense.mul_dilated(exponents, s, n)
         assert got.trunc_len == n
         assert got == sparse * dense.dilate(s, n), (name, s, n)
-        assert got == dense.truncate(-(-n // s)).mul_dilated(sparse, s), (name, s, n)
+        assert got == dense.truncate(-(-n // s)).mul_dilated(exponents, s, n), (name, s, n)
+        assert got == dense.mul_dilated(exponents + [n, n + s + 1], s, n), (name, s, n)
 
 
 def test_mul_dilated_rejects_extension_and_bad_factor():
     with pytest.raises(ValueError, match="cannot extend"):
-        Gf2Series.one(10).mul_dilated(Gf2Series.one(31), 3)
+        Gf2Series.one(10).mul_dilated([0], 3, 31)
     with pytest.raises(ValueError):
-        Gf2Series.one(10).mul_dilated(Gf2Series.one(10), 0)
-    assert Gf2Series.one(10).mul_dilated(series(30, 1, 29), 3) == series(30, 1, 29)
+        Gf2Series.one(10).mul_dilated([0], 0, 10)
+    with pytest.raises(ValueError, match="non-negative"):
+        Gf2Series.one(10).mul_dilated([-3, 1], 3, 30)
+    assert Gf2Series.one(10).mul_dilated([1, 29], 3, 30) == series(30, 1, 29)
 
 
 def test_mul_sparse_drives_by_its_argument():
     dense = EtaQuotient.of({1: -1}).eval(4097)
     sparse = EtaQuotient.of({5: 1}).eval(4097)
-    assert dense.mul_sparse(sparse) == sparse * dense == sparse.mul_sparse(dense)
-    with pytest.raises(ValueError, match="mismatch"):
-        dense.mul_sparse(sparse.truncate(4096))
+    assert dense.mul_sparse(sparse.support()) == sparse * dense == sparse.mul_sparse(dense.support())
+    # exponents at or past the truncation add nothing
+    assert dense.mul_sparse(sparse.support() + [4097, 4160, 5000, 10**6]) == sparse * dense
+    with pytest.raises(ValueError, match="duplicate"):
+        dense.mul_sparse([5, 5])
+
+
+# -- coefficients of a sparse product, read without forming it ---------------
+
+
+def sampled_reference(dense, exponents, degrees):
+    product = Gf2Series.from_support([e for e in exponents if e < dense.trunc_len], dense.trunc_len) * dense
+    return np.array([product[n] for n in degrees], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 4097, 100_003])
+@pytest.mark.parametrize("gather", [1, 1 << 14])
+def test_sparse_product_at_matches_the_product(monkeypatch, n, gather):
+    monkeypatch.setattr("oddmult.gf2series._GATHER", gather)  # 1: one degree per chunk
+    dense = EtaQuotient.of({3: 1, 4: -1}).eval(n)
+    rng = random.Random(n)
+    edges = {0, 7, 8, 9, 63, 64, 65, n - 9, n - 8, n - 1}
+    degrees = sorted(d for d in edges if 0 <= d < n) + [rng.randrange(n) for _ in range(300)]
+    exponent_sets = {
+        "1": [0],
+        "f1": pentagonal_exponents(n),
+        # every residue mod 8, exponents above most degrees, and past the truncation
+        "mixed": sorted({0, 1, 5, 7, 8, 15, 62, 63, 64, 65, 71, n - 2, n - 1, n, n + 3} - {-1, -2}),
+        "none": [],
+    }
+    for name, exponents in exponent_sets.items():
+        got = dense.sparse_product_at(exponents, degrees)
+        assert got.dtype == np.uint8 and got.shape == (len(degrees),)
+        assert np.array_equal(got, sampled_reference(dense, exponents, degrees)), (name, n)
+    assert dense.sparse_product_at([0], degrees).tolist() == [dense[d] for d in degrees]
+    assert dense.sparse_product_at([0, 1], []).shape == (0,)
+
+
+def test_sparse_product_at_rejects_bad_degrees_and_exponents():
+    dense = EtaQuotient.of({1: -1}).eval(100)
+    for degrees in ([100], [-1], [3, 100]):
+        with pytest.raises(ValueError, match="0..99"):
+            dense.sparse_product_at([0], degrees)
+    with pytest.raises(ValueError, match="non-negative"):
+        dense.sparse_product_at([-1], [5])
 
 
 # -- shape operations --------------------------------------------------------
