@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -31,6 +32,10 @@ A_PARITY_LIMIT = 8 * 10**7
 # parity series to 8 * limit, the a-parity maximum, and `density 8m7` reads
 # coefficients up to that degree.
 LIMIT_MAX = A_PARITY_LIMIT // 8
+
+# a-parity prints a range this many degrees at a time, each chunk's bits read
+# straight from the series, so its memory does not grow with the range.
+PARITY_CHUNK = 1 << 16
 
 # congruences list --p takes primes below this. Its families grow linearly in
 # p: p = 9973 prints 9972 lines in under a second.
@@ -60,12 +65,14 @@ def _parity_line(n: int, parity_bit: int) -> tuple[str, bool]:
 
 def _cmd_parity(args) -> int:
     lo, hi = args.range
-    bits = a_parity_series(hi + 1).extract(1, lo).to_bit_array().tolist()
+    series = a_parity_series(hi + 1)
     ok = True
-    for n, bit in zip(range(lo, hi + 1), bits):
-        line, agrees = _parity_line(n, bit)
-        print(line)
-        ok = ok and agrees
+    for start in range(lo, hi + 1, PARITY_CHUNK):
+        degrees = np.arange(start, min(start + PARITY_CHUNK, hi + 1))
+        for n, bit in zip(degrees.tolist(), series.sparse_product_at([0], degrees).tolist()):
+            line, agrees = _parity_line(n, bit)
+            print(line)
+            ok = ok and agrees
     return 0 if ok else 1
 
 
@@ -213,17 +220,24 @@ def _density_report(args) -> tuple[int, list]:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
-    if lo < 0 or hi < lo:
+    """Parse "N" or "A..B" with 0 <= A <= B; ValueError "bad range" otherwise."""
+    parts = text.split("..")
+    try:
+        lo, hi = int(parts[0]), int(parts[-1])
+    except ValueError:
+        raise ValueError(f"bad range {text!r}") from None
+    if len(parts) > 2 or lo < 0 or hi < lo:
         raise ValueError(f"bad range {text!r}")
     return lo, hi
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The oddmult parser, built on the first call and shared after it.
+
+    main may be called many times in one process; building the argparse tree
+    each time cost more than most queries it parsed.
+    """
     parser = argparse.ArgumentParser(
         prog="oddmult",
         description="Parity of a(n), the number of partitions of n whose parts "

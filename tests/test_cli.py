@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import oddmult
+from oddmult import cli
 from oddmult.characterize import odd_flags
 from oddmult.cli import build_parser, main
 
@@ -54,10 +56,35 @@ def test_a_parity_range_matches_single_queries(capsys):
         assert f"series={'odd' if table.parity(n) else 'even'}" in line
 
 
-def test_a_parity_bad_range():
-    with pytest.raises(SystemExit) as exc:
-        main(["a-parity", "9..3"])
-    assert exc.value.code == 2
+@pytest.mark.parametrize("chunk", [1, 5, 15, 16])
+def test_a_parity_range_straddling_chunks_matches_single_queries(monkeypatch, capsys, chunk):
+    # 995..1010 is 16 degrees: chunks of 5 end at 999, 1004 and 1009, a chunk
+    # of 15 leaves one line for the second, and one of 16 holds them all
+    monkeypatch.setattr(cli, "PARITY_CHUNK", chunk)
+    code, out = run_cli(capsys, "a-parity", "995..1010")
+    assert code == 0
+    assert out == "".join(run_cli(capsys, "a-parity", str(n))[1] for n in range(995, 1011))
+
+
+def test_a_parity_range_across_the_real_chunk_boundary(capsys):
+    # lo..lo + PARITY_CHUNK is one full chunk and a second of one line
+    lo = 3
+    hi = lo + cli.PARITY_CHUNK
+    code, out = run_cli(capsys, "a-parity", f"{lo}..{hi}")
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    assert len(lines) == hi - lo + 1
+    for n in (lo, lo + 1, hi - 2, hi - 1, hi):
+        assert lines[n - lo] == run_cli(capsys, "a-parity", str(n))[1]
+
+
+def test_a_parity_bad_range(monkeypatch, capsys):
+    monkeypatch.setattr("oddmult.cli.a_parity_series", no_series)
+    for text in ("9..3", "5..x", "x", "1..2..3", "", "..5", "5..", "-1", "10**12"):
+        with pytest.raises(SystemExit) as exc:
+            main(["a-parity", text])
+        assert exc.value.code == 2, text
+        assert capsys.readouterr().err.splitlines()[-1] == f"oddmult: error: bad range '{text}'"
 
 
 def test_verify_identities(capsys):
@@ -287,6 +314,10 @@ def test_verification_failure_maps_to_exit_1(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_parser_rejects_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([])
@@ -323,3 +354,35 @@ def test_closed_pipe_exits_quietly(argv):
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+def test_mixed_calls_in_one_process_match_fresh_processes(monkeypatch, capsys, tmp_path):
+    # one process serves every command, a refusal included, with the same
+    # exit code, stdout, stderr and CSV bytes as a fresh process per command
+    argvs = [
+        ["a-value", "300"],
+        ["a-parity", "100..140"],
+        ["a-parity", "5..x"],
+        ["density", "even", "--limit", "1000", "--csv", "out.csv"],
+        ["verify", "theorems", "--limit", "1000"],
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    in_process = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    env = {**os.environ, "PYTHONPATH": str(Path(oddmult.__file__).parents[1])}
+    for argv, result in zip(argvs, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddmult", *argv], capture_output=True, text=True, cwd=fresh, env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == result, argv
+    assert in_process[2][0] == 2
+    assert (here / "out.csv").read_bytes() == (fresh / "out.csv").read_bytes()
