@@ -38,19 +38,14 @@ from .etaq import (
 )
 from .gf2series import Gf2Series, sparse_support
 from .numtheory import (
-    DivisorClassCounts,
     Factorization,
     count_reps_c2_plus_2d2,
     count_reps_two_squares_constrained,
-    divisor_classes_mod8,
     factorize,
     is_prime,
-    is_quadratic_residue,
     is_square,
     is_three_times_square,
     legendre_symbol,
-    r2,
-    sigma0,
 )
 from .partition_oracle import (
     ENUMERATION_LIMIT,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .etaq import a_parity_series
 from .gf2series import Gf2Series
 from .numtheory import is_prime, legendre_symbol
 
@@ -105,31 +104,30 @@ def generate_24p_family(p: int) -> list[CongruenceFamily]:
     return families
 
 
-def all_families(
-    ps_12: tuple[int, ...] = (5, 7, 11), ps_24: tuple[int, ...] = (3, 5, 7, 11)
-) -> list[CongruenceFamily]:
-    """Fixed families plus both generated schemes for the given primes."""
+# The primes whose generated families all_families lists.
+PRIMES_12P = (5, 7, 11)
+PRIMES_24P = (3, 5, 7, 11)
+
+
+def all_families() -> list[CongruenceFamily]:
+    """Fixed families plus both generated schemes for PRIMES_12P and PRIMES_24P."""
     out = list(fixed_families())
-    for p in ps_12:
+    for p in PRIMES_12P:
         out.extend(generate_12p_family(p))
-    for p in ps_24:
+    for p in PRIMES_24P:
         out.extend(generate_24p_family(p))
     return out
 
 
-def verify_family(
-    family: CongruenceFamily, bound: int, parity: Gf2Series | None = None
-) -> FamilyVerification:
+def verify_family(family: CongruenceFamily, bound: int, parity: Gf2Series) -> FamilyVerification:
     """Check a(An+B) even for every An+B < bound against the parity series.
 
-    A counterexample is reported, not raised; pass a precomputed series
-    (trunc_len >= bound) to amortize it over many families.
+    A counterexample is reported, not raised. The parity series (trunc_len
+    >= bound) is passed in so that one build serves many families.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if parity is None:
-        parity = a_parity_series(bound)
-    elif parity.trunc_len < bound:
+    if parity.trunc_len < bound:
         raise ValueError("parity series shorter than requested bound")
     if family.residue >= bound:
         return FamilyVerification(family, bound, 0, None)

@@ -3,18 +3,14 @@
 A series is known for degrees 0 .. trunc_len-1 and is stored as a
 read-only array of little-endian uint64 words whose bit k (bit k & 63 of
 word k >> 6) is the coefficient of q^k; every bit at or above trunc_len is
-zero. Every operation works on these words: addition is one XOR, and
-multiplication builds one bit-shifted copy of the denser operand per
-residue e mod 64 of the sparser operand's exponents e and XORs it in place
-at word offset e // 64. Dilation f(q) -> f(q^d) scatters bytes with strided
-numpy ORs, so the Frobenius square f(q)^2 = f(q^2) is dilate(2, ...). A
-sparse F times f(q^d) is computed one residue class of F's exponents mod d
-at a time against the undilated f, and each partial product is scattered
-into one output. A few coefficients of a sparse F times f can be read
-without forming the product (sparse_product_at). Sparse factors are passed
-as exponent lists, never as full-length series. Inversion is Newton lifting
-against one factor or against a product of sparse factors that is never
-formed.
+zero. Every operation works on these words: addition is one XOR, and a
+sparse factor sum_e q^e, given by its exponents, multiplies a series by
+one bit-shifted copy of the series per residue e mod 64, XORed in place at
+word offset e // 64. A sparse F times f(q^d) is computed one residue class
+of F's exponents mod d at a time against the undilated f, and each partial
+product is scattered into one output by strided byte ORs. A few
+coefficients of a sparse F times f can be read without forming the product
+(sparse_product_at). No product of two dense series is ever formed.
 
 Series objects are immutable: every operation returns a fresh value, and
 the word arrays are read-only, so instances can be shared freely, across
@@ -27,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["Gf2Series", "inverse_of_product", "sparse_support"]
+__all__ = ["Gf2Series", "sparse_support"]
 
 # Number of set bits of each byte value.
 _BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -111,31 +107,6 @@ def _scatter(words: np.ndarray, factor: int, offset: int, out: np.ndarray) -> No
         dest |= ((src[: len(dest)] >> bit) & 1) << (first & 7)
 
 
-def inverse_of_product(factors: list[Gf2Series]) -> Gf2Series:
-    """Inverse of the product of factors, each with constant term 1.
-
-    Newton lifting: if b inverts a to k coefficients then a*b^2 inverts it
-    to 2k. Each step is one Frobenius square (a dilation by 2) plus one
-    multiplication per factor, and the product itself is never formed, so
-    for factors with sparse support of total size s the cost stays
-    O(trunc_len * s) bit operations.
-    """
-    for factor in factors:
-        factors[0]._check_len(factor)
-        if not factor[0]:
-            raise ValueError("constant term is 0: series is not invertible")
-    n = factors[0].trunc_len
-    b = Gf2Series.one(1)
-    # ceil(log2(n)) doublings from one coefficient: a loop that stopped
-    # advancing would return a short series, never run forever
-    for _ in range((n - 1).bit_length()):
-        new_prec = min(2 * b.trunc_len, n)
-        b = b.dilate(2, new_prec)
-        for factor in factors:
-            b = factor.truncate(new_prec) * b
-    return b
-
-
 class Gf2Series:
     """A power series over GF(2) truncated to ``trunc_len`` coefficients."""
 
@@ -160,10 +131,6 @@ class Gf2Series:
         series.trunc_len = trunc_len
         series._words = words
         return series
-
-    @classmethod
-    def zero(cls, trunc_len: int) -> Gf2Series:
-        return cls(trunc_len, 0)
 
     @classmethod
     def one(cls, trunc_len: int) -> Gf2Series:
@@ -213,34 +180,20 @@ class Gf2Series:
             return NotImplemented
         return self.trunc_len == other.trunc_len and np.array_equal(self._words, other._words)
 
-    def __hash__(self) -> int:
-        return hash((self.trunc_len, self._words.tobytes()))
-
     def __repr__(self) -> str:
         support = self.support()
         head = support[:8]
         tail = ", ..." if len(support) > 8 else ""
         return f"Gf2Series(trunc_len={self.trunc_len}, support=[{', '.join(map(str, head))}{tail}])"
 
-    def _check_len(self, other: Gf2Series) -> None:
-        if self.trunc_len != other.trunc_len:
-            raise ValueError(
-                f"truncation length mismatch: {self.trunc_len} != {other.trunc_len}"
-            )
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: Gf2Series) -> Gf2Series:
-        self._check_len(other)
+        if self.trunc_len != other.trunc_len:
+            raise ValueError(f"truncation length mismatch: {self.trunc_len} != {other.trunc_len}")
         return Gf2Series._of_words(self.trunc_len, self._words ^ other._words)
 
     __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other: Gf2Series) -> Gf2Series:
-        """Truncated product; the operand with fewer terms drives the XOR loop."""
-        self._check_len(other)
-        sparse, dense = (self, other) if self.odd_count() <= other.odd_count() else (other, self)
-        return Gf2Series._of_words(self.trunc_len, _mul_words(_word_support(sparse._words), dense._words))
 
     def mul_sparse(self, exponents: Iterable[int]) -> Gf2Series:
         """The product (sum_e q^e) * self, truncated to this series' length.
@@ -252,23 +205,6 @@ class Gf2Series:
         """
         return Gf2Series._of_words(self.trunc_len, _mul_words(_exponent_array(exponents), self._words))
 
-    def inverse(self) -> Gf2Series:
-        """Multiplicative inverse of a series with constant term 1."""
-        return inverse_of_product([self])
-
-    def dilate(self, factor: int, trunc_len: int) -> Gf2Series:
-        """The series f(q^factor): coefficient factor*k is this one's coefficient k.
-
-        The result is known below factor * self.trunc_len, so trunc_len may
-        not exceed that. Source bits that land at or above trunc_len are
-        cleared with the rest of the last word.
-        """
-        self._check_dilation(factor, trunc_len)
-        keep = -(-trunc_len // factor)  # source degrees that land below trunc_len
-        out = np.zeros(8 * _nwords(trunc_len), dtype=np.uint8)
-        _scatter(self._words[: _nwords(keep)], factor, 0, out)
-        return Gf2Series._of_words(trunc_len, out.view("<u8"))
-
     def mul_dilated(self, exponents: Iterable[int], factor: int, trunc_len: int) -> Gf2Series:
         """The product (sum_e q^e) * f(q^factor), truncated to trunc_len.
 
@@ -277,9 +213,12 @@ class Gf2Series:
         factor) terms, and coefficient m of that product is scattered to
         degree factor*m + j. So the XOR loop runs over trunc_len / factor
         bits per exponent, and no dilated copy of this series is built.
-        Dilation is the case exponents = [0], with one class.
+        Dilation f(q) -> f(q^factor) is the case exponents = [0].
         """
-        self._check_dilation(factor, trunc_len)
+        if factor < 1:
+            raise ValueError("dilation factor must be positive")
+        if trunc_len > factor * self.trunc_len:
+            raise ValueError("cannot extend a truncated series")
         support = _exponent_array(exponents)
         out = np.zeros(8 * _nwords(trunc_len), dtype=np.uint8)
         for j in range(min(factor, trunc_len)):
@@ -316,12 +255,6 @@ class Gf2Series:
                 bits = np.bitwise_xor.reduce(gathered, axis=1) >> (d & 7).astype(np.uint8)
                 out[first : first + span] ^= bits & 1
         return out
-
-    def _check_dilation(self, factor: int, trunc_len: int) -> None:
-        if factor < 1:
-            raise ValueError("dilation factor must be positive")
-        if trunc_len > factor * self.trunc_len:
-            raise ValueError("cannot extend a truncated series")
 
     def shift(self, k: int) -> Gf2Series:
         """Multiply by the monomial q^k (k >= 0), truncating as usual."""

@@ -1,10 +1,11 @@
-"""Integer factorization, divisor statistics, and quadratic-form counters.
+"""Integer factorization, square tests, quadratic-form counters, residues.
 
 Factorization is trial division for small inputs and deterministic
 Miller-Rabin plus Brent's variant of Pollard rho beyond, valid for the
-whole supported range n <= 2^63. The representation counters for
-c^2 + d^2 and c^2 + 2 d^2 are deliberate brute-force oracles: iterate one
-variable, test the residual for squareness.
+whole supported range n <= 2^63. The two representation counters, for
+(2a+1)^2 + (6b-1)^2 and c^2 + 2 d^2, count the theta-product forms of
+a(4m+1) and a(8m+3) by brute force: iterate one variable, test the
+residual for squareness.
 """
 
 from __future__ import annotations
@@ -17,22 +18,13 @@ import numpy as np
 
 __all__ = [
     "Factorization",
-    "DivisorClassCounts",
     "factorize",
     "is_prime",
     "is_square",
     "is_three_times_square",
-    "sigma0",
-    "divisors",
-    "divisor_classes_mod8",
     "count_reps_two_squares_constrained",
-    "r2",
-    "r2_bruteforce",
-    "r2_from_divisors",
     "count_reps_c2_plus_2d2",
-    "signed_reps_c2_plus_2d2",
     "legendre_symbol",
-    "is_quadratic_residue",
 ]
 
 MAX_INPUT = 2**63
@@ -164,50 +156,6 @@ def is_three_times_square(n: int) -> bool:
     return n % 3 == 0 and is_square(n // 3)
 
 
-def sigma0(factorization: Factorization) -> int:
-    """Number of positive divisors: prod (e_i + 1)."""
-    count = 1
-    for _, e in factorization:
-        count *= e + 1
-    return count
-
-
-def divisors(factorization: Factorization) -> list[int]:
-    """All positive divisors, ascending."""
-    out = [1]
-    for p, e in factorization:
-        powers = [p**k for k in range(e + 1)]
-        out = [d * pw for d in out for pw in powers]
-    return sorted(out)
-
-
-@dataclass(frozen=True)
-class DivisorClassCounts:
-    """Divisor counts of an odd integer split by residue mod 8."""
-
-    d1: int
-    d3: int
-    d5: int
-    d7: int
-
-    @property
-    def total(self) -> int:
-        return self.d1 + self.d3 + self.d5 + self.d7
-
-    @property
-    def dirichlet_weight(self) -> int:
-        return self.d1 + self.d3 - self.d5 - self.d7
-
-
-def divisor_classes_mod8(n: int) -> DivisorClassCounts:
-    if n < 1 or n % 2 == 0:
-        raise ValueError("divisor classes mod 8 are defined here for odd n >= 1")
-    counts = [0, 0, 0, 0]
-    for d in divisors(factorize(n)):
-        counts[(d % 8) >> 1] += 1  # residues 1,3,5,7 -> slots 0,1,2,3
-    return DivisorClassCounts(*counts)
-
-
 def count_reps_two_squares_constrained(n: int) -> int:
     """Representations n = (2a+1)^2 + (6b-1)^2 with a >= 0, b in Z.
 
@@ -228,42 +176,6 @@ def count_reps_two_squares_constrained(n: int) -> int:
     return count
 
 
-def r2_bruteforce(n: int) -> int:
-    """Ordered integer pairs (c, d) with c^2 + d^2 = n, by scanning c >= 0."""
-    count = 0
-    for c in range(isqrt(n) + 1):
-        rest = n - c * c
-        s = isqrt(rest)
-        if s * s == rest:
-            count += (1 if c == 0 else 2) * (1 if s == 0 else 2)
-    return count
-
-
-def r2_from_divisors(n: int) -> int:
-    """Classical divisor formula: 4 * (d_{1,4}(n) - d_{3,4}(n))."""
-    total = 4
-    for p, e in factorize(n):
-        if p == 2:
-            continue
-        if p % 4 == 1:
-            total *= e + 1
-        elif e % 2 == 1:
-            return 0
-    return total
-
-
-_R2_BRUTE_LIMIT = 10**8
-
-
-def r2(n: int) -> int:
-    """r_2(n): brute force up to 1e8, divisor formula beyond."""
-    if n < 1:
-        raise ValueError("r2 requires n >= 1")
-    if n <= _R2_BRUTE_LIMIT:
-        return r2_bruteforce(n)
-    return r2_from_divisors(n)
-
-
 def count_reps_c2_plus_2d2(n: int, d_coprime_to_3: bool = False) -> int:
     """Positive pairs (c, d) with c^2 + 2 d^2 = n, optionally with 3 not | d."""
     if n < 1:
@@ -280,19 +192,6 @@ def count_reps_c2_plus_2d2(n: int, d_coprime_to_3: bool = False) -> int:
     return count
 
 
-def signed_reps_c2_plus_2d2(n: int) -> int:
-    """All integer pairs (c, d) with c^2 + 2 d^2 = n, signs and zeros included."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    count = 0
-    for d in range(isqrt(n // 2) + 1):
-        rest = n - 2 * d * d
-        s = isqrt(rest)
-        if s * s == rest:
-            count += (1 if d == 0 else 2) * (1 if s == 0 else 2)
-    return count
-
-
 def legendre_symbol(a: int, p: int) -> int:
     """Three-way residue class of a mod an odd prime p: 1, -1, or 0.
 
@@ -306,7 +205,3 @@ def legendre_symbol(a: int, p: int) -> int:
         return 0
     e = pow(a, (p - 1) // 2, p)
     return 1 if e == 1 else -1
-
-
-def is_quadratic_residue(a: int, p: int) -> bool:
-    return legendre_symbol(a, p) == 1

@@ -1,0 +1,85 @@
+"""Exact number-theoretic oracles that only the tests use.
+
+Divisor classes mod 8 and brute-force representation counts of c^2 + d^2
+and c^2 + 2 d^2, for criterion 5 (the Dirichlet formula and the eightfold
+relation) and their own checks. The package keeps only the counters its
+parity proofs name (numtheory.count_reps_*).
+"""
+
+from dataclasses import dataclass
+from math import isqrt
+
+from oddmult.numtheory import Factorization, factorize
+
+
+def divisors(factorization: Factorization) -> list[int]:
+    """All positive divisors, ascending."""
+    out = [1]
+    for p, e in factorization:
+        powers = [p**k for k in range(e + 1)]
+        out = [d * pw for d in out for pw in powers]
+    return sorted(out)
+
+
+@dataclass(frozen=True)
+class DivisorClassCounts:
+    """Divisor counts of an odd integer split by residue mod 8."""
+
+    d1: int
+    d3: int
+    d5: int
+    d7: int
+
+    @property
+    def total(self) -> int:
+        return self.d1 + self.d3 + self.d5 + self.d7
+
+    @property
+    def dirichlet_weight(self) -> int:
+        return self.d1 + self.d3 - self.d5 - self.d7
+
+
+def divisor_classes_mod8(n: int) -> DivisorClassCounts:
+    if n < 1 or n % 2 == 0:
+        raise ValueError("divisor classes mod 8 are defined here for odd n >= 1")
+    counts = [0, 0, 0, 0]
+    for d in divisors(factorize(n)):
+        counts[(d % 8) >> 1] += 1  # residues 1,3,5,7 -> slots 0,1,2,3
+    return DivisorClassCounts(*counts)
+
+
+def r2_bruteforce(n: int) -> int:
+    """Ordered integer pairs (c, d) with c^2 + d^2 = n, by scanning c >= 0."""
+    count = 0
+    for c in range(isqrt(n) + 1):
+        rest = n - c * c
+        s = isqrt(rest)
+        if s * s == rest:
+            count += (1 if c == 0 else 2) * (1 if s == 0 else 2)
+    return count
+
+
+def r2_from_divisors(n: int) -> int:
+    """Classical divisor formula: 4 * (d_{1,4}(n) - d_{3,4}(n))."""
+    total = 4
+    for p, e in factorize(n):
+        if p == 2:
+            continue
+        if p % 4 == 1:
+            total *= e + 1
+        elif e % 2 == 1:
+            return 0
+    return total
+
+
+def signed_reps_c2_plus_2d2(n: int) -> int:
+    """All integer pairs (c, d) with c^2 + 2 d^2 = n, signs and zeros included."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    count = 0
+    for d in range(isqrt(n // 2) + 1):
+        rest = n - 2 * d * d
+        s = isqrt(rest)
+        if s * s == rest:
+            count += (1 if d == 0 else 2) * (1 if s == 0 else 2)
+    return count

@@ -20,13 +20,9 @@ from oddmult.characterize import Parity, predict_parity
 from oddmult.congruence import all_families, fixed_families, generate_12p_family, generate_24p_family, verify_family
 from oddmult.density import density_8m7, sparse_odd_census
 from oddmult.etaq import a_parity_series, identity_suite
-from oddmult.numtheory import (
-    count_reps_two_squares_constrained,
-    divisor_classes_mod8,
-    r2,
-    signed_reps_c2_plus_2d2,
-)
+from oddmult.numtheory import count_reps_two_squares_constrained
 from oddmult.partition_oracle import ENUMERATION_LIMIT, build_table, enumerate_partitions, qualifying_partitions
+from oracles import divisor_classes_mod8, r2_bruteforce, signed_reps_c2_plus_2d2
 
 
 def report(number, ok: bool, detail: str) -> None:
@@ -137,7 +133,7 @@ def test_criterion_5_dirichlet_formula():
         if m % 3 != 1:
             continue
         n = 8 * m + 2
-        if r2(n) != 8 * count_reps_two_squares_constrained(n):
+        if r2_bruteforce(n) != 8 * count_reps_two_squares_constrained(n):
             eightfold_bad.append(m)
 
     ok = not divisor_bad and not eightfold_bad

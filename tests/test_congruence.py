@@ -84,7 +84,7 @@ def test_wrong_family_is_caught(parity_10k):
 def test_verify_family_argument_checks(parity_10k):
     family = fixed_families()[0]
     with pytest.raises(ValueError):
-        verify_family(family, 0)
+        verify_family(family, 0, parity_10k)
     with pytest.raises(ValueError, match="shorter"):
         verify_family(family, 20_000, parity_10k)
 

@@ -1,8 +1,10 @@
 import random
+import re
 from collections import Counter
 
 import pytest
 
+from conftest import ref_eta, ref_inverse, ref_mul, reference_eval
 from oddmult import etaq, gf2series
 from oddmult.etaq import (
     A_PARITY_QUOTIENT,
@@ -72,7 +74,8 @@ def test_eval_distributes_over_concatenation():
         ({1: -1}, {3: 3}),
     ]:
         combined = EtaQuotient.of(list(left.items()) + list(right.items()))
-        assert combined.eval(600) == EtaQuotient.of(left).eval(600) * EtaQuotient.of(right).eval(600)
+        right_exponents = EtaQuotient.of(right).eval(600).support()
+        assert combined.eval(600) == EtaQuotient.of(left).eval(600).mul_sparse(right_exponents)
 
 
 def test_a_parity_head_matches_oracle(oracle_2000):
@@ -186,30 +189,26 @@ def test_parity_series_rejects_empty_truncation_after_a_build():
         a_parity_series(0)
 
 
-# -- the evaluation plan against the generic evaluation it replaced ----------
+# -- the evaluation plan against the Python-int reference ---------------------
 
 
-def reference_eval(quotient, trunc_len):
-    """The generic evaluation: powers by repeated squaring, one inverse at the end."""
+def reference(quotient, trunc_len):
+    """reference_eval of tests/conftest.py as a series, to compare with eval."""
+    return Gf2Series(trunc_len, reference_eval(quotient, trunc_len))
 
-    def power(base, exponent):
-        result = Gf2Series.one(trunc_len)
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            base = base.dilate(2, trunc_len)
-        return result
 
-    numerator = Gf2Series.one(trunc_len)
-    denominator = Gf2Series.one(trunc_len)
-    for scale, exponent in quotient.factors:
-        factor = Gf2Series.from_support(pentagonal_exponents(trunc_len, scale), trunc_len)
-        if exponent > 0:
-            numerator = numerator * power(factor, exponent)
-        else:
-            denominator = denominator * power(factor, -exponent)
-    return numerator * denominator.inverse()
+def test_reference_matches_the_definition(oracle_2000):
+    # the reference's parity series against the exact a(n), its f1 against
+    # the product (1 + q)(1 + q^2)... itself, and its inverse against f1
+    bits = reference_eval(A_PARITY_QUOTIENT, 2001)
+    assert [bits >> n & 1 for n in range(2001)] == [oracle_2000.parity(n) for n in range(2001)]
+    product = 1
+    for i in range(1, 300):
+        product = ref_mul(product, 1 | 1 << i, 300)
+    assert ref_eta(1, 300) == product
+    for n in (1, 2, 64, 4099):
+        f1 = ref_eta(1, n)
+        assert ref_mul(ref_inverse([f1], n), f1, n) == 1, n
 
 
 def random_quotients(seed, count, max_scale=24, max_exponent=16):
@@ -235,61 +234,71 @@ def denominator_scales(quotient):
 def test_plan_matches_reference_on_random_quotients(monkeypatch, trunc_len):
     monkeypatch.setattr(etaq, "_longest_inverse", None)
     for quotient in random_quotients(trunc_len, 40):
+        if denominator_scales(quotient) > 1:
+            with pytest.raises(ValueError, match=re.escape(str(quotient))):
+                quotient.eval(trunc_len)
+            continue
         got = quotient.eval(trunc_len)
-        want = reference_eval(quotient, trunc_len)
-        assert got.trunc_len == want.trunc_len == trunc_len, quotient
-        assert got == want, quotient
+        assert got.trunc_len == trunc_len, quotient
+        assert got == reference(quotient, trunc_len), quotient
 
 
 @pytest.mark.parametrize("trunc_len", [65535, 65541])
 def test_plan_matches_reference_across_the_word_cutoff(monkeypatch, trunc_len):
     monkeypatch.setattr(etaq, "_longest_inverse", None)
-    quotients = random_quotients(trunc_len, 12) + [
+    quotients = [q for q in random_quotients(trunc_len, 12) if denominator_scales(q) <= 1] + [
         A_PARITY_QUOTIENT,
         EtaQuotient.of({3: 10, 1: -6}),
-        EtaQuotient.of({1: -3, 5: -1, 2: 1}),  # two denominator scales: Newton fallback
     ]
     for quotient in quotients:
         got = quotient.eval(trunc_len)
         assert got.trunc_len == trunc_len
-        assert got == reference_eval(quotient, trunc_len), quotient
+        assert got == reference(quotient, trunc_len), quotient
 
 
 def test_random_quotients_reach_the_fallback():
+    # the random quotients reach both plans (no denominator, one scale) and the refusal
     scale_counts = [denominator_scales(q) for n in (1, 7, 64, 1000, 4099) for q in random_quotients(n, 40)]
     assert scale_counts.count(0) and scale_counts.count(1) and max(scale_counts) >= 2
 
 
-@pytest.mark.parametrize("factors", [{1: -1, 2: -1}, {1: -3, 3: -2}, {2: -5, 7: -1, 1: 2}, {4: -1, 3: -1, 5: -1}])
-def test_two_denominator_scales_through_newton(monkeypatch, factors):
+@pytest.mark.parametrize(
+    "factors",
+    [{1: -1, 2: -1}, {1: -3, 3: -2}, {2: -5, 7: -1, 1: 2}, {4: -1, 3: -1, 5: -1}, {1: -1, 5: -1}, {1: -3, 5: -1, 2: 1}],
+)
+def test_two_denominator_scales_are_refused(monkeypatch, factors):
     def no_inverse(trunc_len):
-        raise AssertionError("the fallback must not read the cached 1/f1")
+        raise AssertionError("a refused quotient must not build the cached 1/f1")
 
     monkeypatch.setattr(etaq, "_inverse_f1", no_inverse)
     quotient = EtaQuotient.of(factors)
+    assert denominator_scales(quotient) >= 2
     for n in (1, 50, 5000):
-        assert quotient.eval(n) == reference_eval(quotient, n), (factors, n)
+        with pytest.raises(ValueError, match=re.escape(f"cannot evaluate {quotient}: its denominator keeps")):
+            quotient.eval(n)
 
 
 def test_equal_denominator_scales_carry_to_one_inverse(monkeypatch):
     # 1/f1^3 * 1/f2^2 = f1 * P(q^4)^2 = f1 * P(q^8): one dilated inverse
     asked = []
+    real_inverse = etaq._inverse_f1
 
     def recording_inverse(trunc_len):
         asked.append(trunc_len)
-        return etaq._eta_factor(1, trunc_len).inverse()
+        return real_inverse(trunc_len)
 
     monkeypatch.setattr(etaq, "_inverse_f1", recording_inverse)
     quotient = EtaQuotient.of({1: -3, 2: -2})
-    assert quotient.eval(801) == reference_eval(quotient, 801)
+    assert quotient.eval(801) == reference(quotient, 801)
     assert asked == [101]
 
 
 @pytest.mark.parametrize("factor", [1, 2, 3, 4, 6, 8, 12, 24])
 @pytest.mark.parametrize("trunc_len", [1, 5, 101, 4097, 100_003])
 def test_dilate_matches_scaled_support(factor, trunc_len):
+    # dilation f(q) -> f(q^factor) is mul_dilated with the exponent list [0]
     source = EtaQuotient.of({1: -1}).eval(-(-trunc_len // factor))
-    got = source.dilate(factor, trunc_len)
+    got = source.mul_dilated([0], factor, trunc_len)
     want = Gf2Series.from_support([factor * e for e in source.support() if factor * e < trunc_len], trunc_len)
     assert got.trunc_len == trunc_len
     assert got == want
@@ -297,10 +306,10 @@ def test_dilate_matches_scaled_support(factor, trunc_len):
 
 def test_dilate_rejects_extension_and_bad_factor():
     with pytest.raises(ValueError, match="cannot extend"):
-        Gf2Series.one(10).dilate(3, 31)
+        Gf2Series.one(10).mul_dilated([0], 3, 31)
     with pytest.raises(ValueError):
-        Gf2Series.one(10).dilate(0, 10)
-    assert Gf2Series.one(10).dilate(3, 30) == Gf2Series.one(30)
+        Gf2Series.one(10).mul_dilated([0], 0, 10)
+    assert Gf2Series.one(10).mul_dilated([0], 3, 30) == Gf2Series.one(30)
 
 
 @pytest.mark.parametrize("factors, scale", [({1: 3}, 1), ({1: 3, 3: 1}, 1), ({9: 3}, 9), ({3: 7}, 3)])
@@ -314,7 +323,7 @@ def test_jacobi_pair_is_one_triangular_factor(monkeypatch, factors, scale):
 
     monkeypatch.setattr(etaq, "triangular_exponents", recording_triangular)
     quotient = EtaQuotient.of(factors)
-    assert quotient.eval(3000) == reference_eval(quotient, 3000)
+    assert quotient.eval(3000) == reference(quotient, 3000)
     assert calls == [scale]
 
 
@@ -329,7 +338,7 @@ def test_inverse_slot_builds_only_past_the_longest(monkeypatch):
 
     quotient = EtaQuotient.of({5: 1, 1: -1})  # f5 * P(q): no triangular factor of its own
     lengths = (300, 100, 2000, 2000, 5, 1999, 70_000, 1, 300)
-    fresh = {n: reference_eval(quotient, n) for n in set(lengths)}
+    fresh = {n: reference(quotient, n) for n in set(lengths)}
     monkeypatch.setattr(etaq, "_longest_inverse", None)
     monkeypatch.setattr(etaq, "triangular_exponents", recording_triangular)
     for n in lengths:
@@ -344,7 +353,7 @@ def test_longer_inverse_recurses_down_to_the_cached_one(monkeypatch):
     # 1/f1 = f1^3 / f4 = T(q) P(q^4): P to n is one class-split product of T
     # against P to ceil(n/4), recursing until the cached P is long enough
     lengths = (*range(1, 10), 63, 64, 65, 4097, 100_003)
-    fresh = {n: etaq._eta_factor(1, n).inverse() for n in lengths}
+    fresh = {n: Gf2Series(n, ref_inverse([ref_eta(1, n)], n)) for n in lengths}
     products = []
     real_mul_dilated = Gf2Series.mul_dilated
 
@@ -372,18 +381,16 @@ def test_longer_inverse_recurses_down_to_the_cached_one(monkeypatch):
 @pytest.mark.parametrize("quotient", [A_PARITY_QUOTIENT] + [q for _, _, q in DISSECTION_CLASSES.values()], ids=str)
 def test_plan_products_count_no_bits_and_build_no_dilated_copy(monkeypatch, quotient):
     n = 100_003
-    etaq._inverse_f1(n)  # Newton lifting, which dilates and counts, runs before the spies
 
     def forbidden(*args):
-        raise AssertionError("the plan's products must not count bits or dilate P")
+        raise AssertionError("the plan's products must not count bits")
 
     monkeypatch.setattr(Gf2Series, "odd_count", forbidden)
-    monkeypatch.setattr(Gf2Series, "dilate", forbidden)
     # sparse factors reach the kernel as exponents, never as series to unpack
     monkeypatch.setattr(gf2series, "_word_support", forbidden)
     got = quotient.eval(n)
     monkeypatch.undo()
-    assert got == reference_eval(quotient, n)
+    assert got == reference(quotient, n)
 
 
 @pytest.mark.parametrize("trunc_len", [2**16 - 5, 2**16 + 5])
@@ -398,12 +405,12 @@ def test_package_quotients_match_reference(monkeypatch, trunc_len):
     monkeypatch.setattr(EtaQuotient, "eval", recording_eval)
     identity_suite(trunc_len)
     monkeypatch.undo()
-    assert len(asked) == 20
+    assert len(asked) == 22
     monkeypatch.setattr(etaq, "_longest_inverse", None)
     for quotient in sorted(asked | {q for _, _, q in DISSECTION_CLASSES.values()}, key=str):
         got = quotient.eval(trunc_len)
         assert got.trunc_len == trunc_len
-        assert got == reference_eval(quotient, trunc_len), str(quotient)
+        assert got == reference(quotient, trunc_len), str(quotient)
 
 
 @pytest.mark.parametrize("factors", [{3: 1, 1: -3}, {3: 5, 1: -3}, {1: 1, 3: 1, 6: 1, 5: -1}])
@@ -420,5 +427,5 @@ def test_split_takes_the_factor_with_most_terms(monkeypatch, factors):
 
     monkeypatch.setattr(Gf2Series, "mul_dilated", recording)
     quotient = EtaQuotient.of(factors)
-    assert quotient.eval(n) == reference_eval(quotient, n)
+    assert quotient.eval(n) == reference(quotient, n)
     assert split == [pentagonal_exponents(n)]

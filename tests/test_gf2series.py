@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
+from conftest import ref_dilate, ref_eta, ref_inverse, ref_mul, set_bits
 from oddmult.etaq import EtaQuotient, pentagonal_exponents, triangular_exponents
 from oddmult.gf2series import Gf2Series, sparse_support
 
@@ -13,7 +15,7 @@ def series(trunc, *exponents):
     return Gf2Series.from_support(exponents, trunc)
 
 
-def ref_mul(a: Gf2Series, b: Gf2Series) -> Gf2Series:
+def convolution(a: Gf2Series, b: Gf2Series) -> Gf2Series:
     """Independent quadratic convolution, bit by bit."""
     n = a.trunc_len
     out = 0
@@ -24,18 +26,18 @@ def ref_mul(a: Gf2Series, b: Gf2Series) -> Gf2Series:
     return Gf2Series(n, out)
 
 
-def shift_xor_mul(a: int, b: int, n: int) -> int:
-    """The Python-int shift-XOR product over the set bits of a, truncated to n."""
-    acc = 0
-    while a:
-        low = a & -a
-        acc ^= b << (low.bit_length() - 1)
-        a ^= low
-    return acc & ((1 << n) - 1)
-
-
 def bits_of(exponents) -> int:
     return sum(1 << e for e in set(exponents))
+
+
+def to_int(s: Gf2Series) -> int:
+    """The coefficients of s as one Python int, bit k for q^k."""
+    return int.from_bytes(np.packbits(s.to_bit_array(), bitorder="little").tobytes(), "little")
+
+
+def times(a: Gf2Series, b: Gf2Series) -> Gf2Series:
+    """a * b through the kernel, a's support as the sparse factor."""
+    return b.mul_sparse(a.support())
 
 
 # -- construction ------------------------------------------------------------
@@ -120,40 +122,36 @@ def test_add_length_mismatch():
         series(4, 0) + series(5, 0)
 
 
-# -- mul ---------------------------------------------------------------------
+# -- sparse times dense: mul_sparse --------------------------------------------
 
 
 def test_mul_frobenius_on_binomial():
     one_q = series(4, 0, 1)
-    assert one_q * one_q == series(4, 0, 2)
+    assert one_q.mul_sparse([0, 1]) == series(4, 0, 2)
 
 
 def test_mul_inverse_is_one():
-    f1 = EtaQuotient.of({1: 1}).eval(64)
-    assert f1 * f1.inverse() == Gf2Series.one(64)
+    # the plan's P = 1/f1 times f1, and P against the reference inverse
+    p = EtaQuotient.of({1: -1}).eval(64)
+    assert p.mul_sparse(pentagonal_exponents(64)) == Gf2Series.one(64)
+    assert p == Gf2Series(64, ref_inverse([ref_eta(1, 64)], 64))
 
 
 def test_mul_eq22_identity():
     # f1^3 f3^3 = f1^12 + q f3^12 at truncation 50
-    lhs = EtaQuotient.of({1: 3}).eval(50) * EtaQuotient.of({3: 3}).eval(50)
+    lhs = EtaQuotient.of({1: 3}).eval(50).mul_sparse(triangular_exponents(50, 3))
     rhs = EtaQuotient.of({1: 12}).eval(50) + EtaQuotient.of({3: 12}).eval(50).shift(1)
     assert lhs == rhs
 
 
-def test_mul_length_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        series(4, 0) * series(5, 0)
-
-
 def test_mul_matches_reference_convolution():
-    import random
-
     rng = random.Random(20260810)
     for _ in range(200):
         n = rng.randrange(1, 80)
         a = Gf2Series(n, rng.getrandbits(n))
         b = Gf2Series(n, rng.getrandbits(n))
-        assert a * b == ref_mul(a, b)
+        assert times(a, b) == convolution(a, b)
+        assert times(b, a) == convolution(a, b)
 
 
 WORD_PATH_LENGTHS = [65535, 65536, 65537, 100_003]
@@ -164,11 +162,11 @@ def test_mul_word_path_matches_shift_xor(n):
     rng = random.Random(n)
     sparse = bits_of([0, 63, 64, 65, n - 1] + [rng.randrange(n) for _ in range(60)])
     dense = rng.getrandbits(n)
-    expected = Gf2Series(n, shift_xor_mul(sparse, dense, n))
-    assert Gf2Series(n, sparse) * Gf2Series(n, dense) == expected
-    assert Gf2Series(n, dense) * Gf2Series(n, sparse) == expected
+    expected = Gf2Series(n, ref_mul(sparse, dense, n))
+    assert Gf2Series(n, dense).mul_sparse(set_bits(sparse)) == expected
+    assert Gf2Series(n, sparse).mul_sparse(set_bits(dense)) == expected
     # the top exponent keeps only the constant term of the other operand
-    assert (Gf2Series(n, 1 << (n - 1)) * Gf2Series(n, dense)).support() == [n - 1] * (dense & 1)
+    assert Gf2Series(n, dense).mul_sparse([n - 1]).support() == [n - 1] * (dense & 1)
 
 
 @pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
@@ -176,7 +174,8 @@ def test_mul_word_path_matches_reference_convolution(n):
     rng = random.Random(n + 1)
     a = series(n, 0, n - 1, *rng.sample(range(1, n - 1), 30))
     b = series(n, 1, 64, *rng.sample(range(65, n), 40))
-    assert a * b == ref_mul(a, b)
+    assert times(a, b) == convolution(a, b)
+    assert times(b, a) == convolution(a, b)
 
 
 @pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
@@ -188,17 +187,17 @@ def test_mul_word_path_drops_bits_above_truncation(n):
     # the constructor clears every stored bit at and above n, in the last word too
     stored = Gf2Series(n, dense)._words
     assert int.from_bytes(stored.tobytes(), "little") == dense & ((1 << n) - 1)
-    expected = Gf2Series(n, shift_xor_mul(sparse, dense & ((1 << n) - 1), n))
-    assert Gf2Series(n, sparse) * Gf2Series(n, dense) == expected
-    assert Gf2Series(n, dense) * Gf2Series(n, sparse) == expected
+    expected = Gf2Series(n, ref_mul(sparse, dense & ((1 << n) - 1), n))
+    assert Gf2Series(n, dense).mul_sparse(set_bits(sparse)) == expected
+    assert Gf2Series(n, sparse).mul_sparse(set_bits(dense & ((1 << n) - 1))) == expected
 
 
 @pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
 def test_mul_word_path_zero_operand(n):
     dense = Gf2Series(n, random.Random(n + 3).getrandbits(n))
-    zero = Gf2Series.zero(n)
-    assert (zero * dense).is_zero() and (dense * zero).is_zero()
-    assert (zero * zero).is_zero()
+    zero = Gf2Series(n)
+    assert dense.mul_sparse([]).is_zero() and zero.mul_sparse(dense.support()).is_zero()
+    assert zero.mul_sparse([]).is_zero()
 
 
 @pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
@@ -207,61 +206,75 @@ def test_mul_word_path_many_exponents_in_one_word(n):
     full_word = ((1 << 64) - 1) << 640  # every residue mod 64 once, one word
     sparse = full_word | bits_of(rng.sample(range(1280, 1344), 20))
     dense = rng.getrandbits(n)
-    expected = shift_xor_mul(sparse, dense, n)
-    assert Gf2Series(n, sparse) * Gf2Series(n, dense) == Gf2Series(n, expected)
+    expected = ref_mul(sparse, dense, n)
+    assert Gf2Series(n, dense).mul_sparse(set_bits(sparse)) == Gf2Series(n, expected)
 
 
 def test_inverse_through_word_path():
+    # 1/f1^3 = f1 P(q^4) by the plan, times f1^3 = T(q)
     n = 65537
-    f1_cubed = EtaQuotient.of({1: 3}).eval(n)
-    assert f1_cubed * f1_cubed.inverse() == Gf2Series.one(n)
+    inverse = EtaQuotient.of({1: -3}).eval(n)
+    assert inverse.mul_sparse(triangular_exponents(n)) == Gf2Series.one(n)
 
 
-# -- square: the Frobenius map f(q)^2 = f(q^2) is dilate(2, n) ----------------
+# -- square: the Frobenius map f(q)^2 = f(q^2) is mul_dilated([0], 2, n) -----
 
 
 def test_square_binomial():
-    assert series(4, 0, 1).dilate(2, 4) == series(4, 0, 2)
+    assert series(4, 0, 1).mul_dilated([0], 2, 4) == series(4, 0, 2)
 
 
 def test_square_equals_self_product():
     f3 = EtaQuotient.of({3: 1}).eval(40)
-    assert f3.dilate(2, 40) == f3 * f3
+    assert f3.mul_dilated([0], 2, 40) == times(f3, f3)
 
 
 def test_triple_square_is_eighth_power():
     f3 = EtaQuotient.of({3: 1}).eval(200)
-    by_squares = f3.dilate(2, 200).dilate(2, 200).dilate(2, 200)
+    by_squares = f3
+    for _ in range(3):
+        by_squares = by_squares.mul_dilated([0], 2, 200)
     by_products = Gf2Series.one(200)
     for _ in range(8):
-        by_products = by_products * f3
+        by_products = times(f3, by_products)
     assert by_squares == by_products
 
 
-# -- inverse -----------------------------------------------------------------
+# -- the Python-int reference of tests/conftest.py ---------------------------
 
 
 def test_inverse_of_one():
-    assert Gf2Series.one(6).inverse() == Gf2Series.one(6)
+    assert ref_inverse([1], 6) == 1
+    assert ref_inverse([], 6) == 1
 
 
 def test_inverse_geometric_series():
-    inv = series(6, 0, 1).inverse()
-    assert inv.support() == [0, 1, 2, 3, 4, 5]
+    # 1/(1+q) = 1 + q + q^2 + ...
+    assert set_bits(ref_inverse([0b11], 6)) == [0, 1, 2, 3, 4, 5]
 
 
 def test_inverse_requires_unit_constant_term():
     with pytest.raises(ValueError, match="not invertible"):
-        series(6, 1).inverse()
+        ref_inverse([0b10], 6)
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 4097, 100_003])
-def test_newton_lifting_doubles_every_step(newton_steps, n):
-    f1 = EtaQuotient.of({1: 1}).eval(n)
-    steps, bound = newton_steps(1, n)
-    inverse = f1.inverse()
-    assert len(steps) == bound
-    assert f1 * inverse == Gf2Series.one(n)
+def test_newton_lifting_doubles_every_step(monkeypatch, n):
+    # the reference inverse lifts 1 -> n coefficients in ceil(log2(n))
+    # doublings, one dilation by 2 each, and agrees with the plan's 1/f1
+    steps = []
+    real_dilate = conftest.ref_dilate
+
+    def counting_dilate(a, d, k):
+        steps.append(k)
+        return real_dilate(a, d, k)
+
+    monkeypatch.setattr(conftest, "ref_dilate", counting_dilate)
+    f1 = ref_eta(1, n)
+    inverse = ref_inverse([f1], n)
+    assert steps == [min(2**i, n) for i in range(1, (n - 1).bit_length() + 1)]
+    assert ref_mul(f1, inverse, n) == 1
+    assert EtaQuotient.of({1: -1}).eval(n) == Gf2Series(n, inverse)
 
 
 # -- sparse times dilated, one residue class at a time -----------------------
@@ -285,10 +298,9 @@ def test_mul_dilated_matches_product_with_dilated_copy(s, n):
         "q^(s-1) T(q^2)": [s - 1 + e for e in triangular_exponents(n - s + 1, 2)],
     }
     for name, exponents in sparse_factors.items():
-        sparse = Gf2Series.from_support(exponents, n)
         got = dense.mul_dilated(exponents, s, n)
         assert got.trunc_len == n
-        assert got == sparse * dense.dilate(s, n), (name, s, n)
+        assert got == Gf2Series(n, ref_mul(bits_of(exponents), ref_dilate(to_int(dense), s, n), n)), (name, s, n)
         assert got == dense.truncate(-(-n // s)).mul_dilated(exponents, s, n), (name, s, n)
         assert got == dense.mul_dilated(exponents + [n, n + s + 1], s, n), (name, s, n)
 
@@ -306,9 +318,10 @@ def test_mul_dilated_rejects_extension_and_bad_factor():
 def test_mul_sparse_drives_by_its_argument():
     dense = EtaQuotient.of({1: -1}).eval(4097)
     sparse = EtaQuotient.of({5: 1}).eval(4097)
-    assert dense.mul_sparse(sparse.support()) == sparse * dense == sparse.mul_sparse(dense.support())
+    product = Gf2Series(4097, ref_mul(to_int(sparse), to_int(dense), 4097))
+    assert dense.mul_sparse(sparse.support()) == product == sparse.mul_sparse(dense.support())
     # exponents at or past the truncation add nothing
-    assert dense.mul_sparse(sparse.support() + [4097, 4160, 5000, 10**6]) == sparse * dense
+    assert dense.mul_sparse(sparse.support() + [4097, 4160, 5000, 10**6]) == product
     with pytest.raises(ValueError, match="duplicate"):
         dense.mul_sparse([5, 5])
 
@@ -317,8 +330,8 @@ def test_mul_sparse_drives_by_its_argument():
 
 
 def sampled_reference(dense, exponents, degrees):
-    product = Gf2Series.from_support([e for e in exponents if e < dense.trunc_len], dense.trunc_len) * dense
-    return np.array([product[n] for n in degrees], dtype=np.uint8)
+    product = ref_mul(bits_of(exponents), to_int(dense), dense.trunc_len)
+    return np.array([product >> n & 1 for n in degrees], dtype=np.uint8)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 4097, 100_003])
@@ -420,14 +433,14 @@ def test_queries_and_shape_at_word_edges(n):
         assert s.truncate(m) == Gf2Series(m, bits), m
         assert s.truncate(m).odd_count() == (bits & ((1 << m) - 1)).bit_count(), m
     assert s == Gf2Series(n, bits)  # no operation above wrote into s
-    assert not Gf2Series(n, 1 << (n - 1)).is_zero() and Gf2Series.zero(n).is_zero()
+    assert not Gf2Series(n, 1 << (n - 1)).is_zero() and Gf2Series(n).is_zero()
 
 
 def test_stored_words_are_read_only():
     s = Gf2Series(200, (1 << 200) - 1)
     t = series(200, 0, 3, 150)
     for made in (
-        s, t, Gf2Series.one(64), s + t, s * t, t.inverse(), s.dilate(3, 200), s.shift(5),
+        s, t, Gf2Series.one(64), s + t, s.mul_sparse([0, 3]), s.mul_dilated([0, 5], 3, 200), s.shift(5),
         s.truncate(130), s.truncate(128), s.extract(1, 3), s.extract(3, 1),
     ):
         with pytest.raises(ValueError, match="read-only"):
@@ -450,7 +463,8 @@ def test_repr_lists_first_eight_degrees():
 def test_equality_and_hash():
     assert series(5, 1) == series(5, 1)
     assert series(5, 1) != series(6, 1)
-    assert hash(series(5, 1)) == hash(series(5, 1))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(series(5, 1))
 
 
 # -- algebraic laws ----------------------------------------------------------
@@ -464,22 +478,26 @@ def test_ring_axioms(data):
     a = Gf2Series(n, data.draw(bits))
     b = Gf2Series(n, data.draw(bits))
     c = Gf2Series(n, data.draw(bits))
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert times(a, b) == times(b, a) == Gf2Series(n, ref_mul(to_int(a), to_int(b), n))
+    assert times(times(a, b), c) == times(a, times(b, c))
+    assert times(a, b + c) == times(a, b) + times(a, c)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_square_is_self_product(data):
     n = data.draw(st.integers(1, 256))
-    a = Gf2Series(n, data.draw(st.integers(0, (1 << n) - 1)))
-    assert a.dilate(2, n) == a * a
+    bits = data.draw(st.integers(0, (1 << n) - 1))
+    a = Gf2Series(n, bits)
+    assert a.mul_dilated([0], 2, n) == times(a, a) == Gf2Series(n, ref_dilate(bits, 2, n))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_inverse_round_trip(data):
+    # the reference inverse, checked by the reference product and by the kernel
     n = data.draw(st.integers(1, 256))
-    a = Gf2Series(n, data.draw(st.integers(0, (1 << n) - 1)) | 1)
-    assert a * a.inverse() == Gf2Series.one(n)
+    a = data.draw(st.integers(0, (1 << n) - 1)) | 1
+    inverse = ref_inverse([a], n)
+    assert ref_mul(a, inverse, n) == 1
+    assert Gf2Series(n, a).mul_sparse(set_bits(inverse)) == Gf2Series.one(n)

@@ -6,20 +6,13 @@ from oddmult.numtheory import (
     MAX_INPUT,
     count_reps_c2_plus_2d2,
     count_reps_two_squares_constrained,
-    divisor_classes_mod8,
-    divisors,
     factorize,
     is_prime,
-    is_quadratic_residue,
     is_square,
     is_three_times_square,
     legendre_symbol,
-    r2,
-    r2_bruteforce,
-    r2_from_divisors,
-    signed_reps_c2_plus_2d2,
-    sigma0,
 )
+from oracles import divisor_classes_mod8, divisors, r2_bruteforce, r2_from_divisors, signed_reps_c2_plus_2d2
 
 
 def naive_factorize(n):
@@ -107,22 +100,7 @@ def test_is_three_times_square():
     assert not is_three_times_square(25)
 
 
-# -- divisors ----------------------------------------------------------------
-
-
-def test_sigma0_examples():
-    assert sigma0(factorize(1)) == 1
-    assert sigma0(factorize(45)) == 6
-
-
-def test_sigma0_matches_brute_force():
-    rng = random.Random(3)
-    for n in (rng.randrange(1, 10**6) for _ in range(200)):
-        brute = sum(1 for d in range(1, n + 1) if n % d == 0) if n <= 2000 else None
-        fact = factorize(n)
-        assert sigma0(fact) == len(divisors(fact))
-        if brute is not None:
-            assert sigma0(fact) == brute
+# -- the test oracles of tests/oracles.py -------------------------------------
 
 
 def test_divisors_of_360():
@@ -168,11 +146,9 @@ def test_constrained_count_vanishes_for_m_2_mod_3():
 
 
 def test_r2_examples():
-    assert r2(1) == 4
-    assert r2(10) == 8
-    assert r2(25) == 12
-    with pytest.raises(ValueError):
-        r2(0)
+    assert r2_bruteforce(1) == r2_from_divisors(1) == 4
+    assert r2_bruteforce(10) == r2_from_divisors(10) == 8
+    assert r2_bruteforce(25) == r2_from_divisors(25) == 12
 
 
 def test_r2_formula_matches_bruteforce():
@@ -188,7 +164,7 @@ def test_r2_eightfold_relation_small():
     # side divisible by 3, so ordered signed pairs come in groups of 8
     for m in range(1, 3000, 3):
         n = 8 * m + 2
-        assert r2(n) == 8 * count_reps_two_squares_constrained(n), m
+        assert r2_bruteforce(n) == 8 * count_reps_two_squares_constrained(n), m
 
 
 def test_c2_plus_2d2_examples():
@@ -214,8 +190,6 @@ def test_legendre_examples():
     assert legendre_symbol(3, 5) == -1  # squares mod 5 are {0, 1, 4}
     assert legendre_symbol(4, 7) == 1
     assert legendre_symbol(10, 5) == 0
-    assert is_quadratic_residue(4, 7)
-    assert not is_quadratic_residue(3, 5)
 
 
 def test_legendre_rejects_non_odd_primes():
