@@ -47,8 +47,6 @@ class CongruenceFamily:
 
 @dataclass(frozen=True)
 class FamilyVerification:
-    family: CongruenceFamily
-    bound: int
     checked: int
     counterexample: int | None
 
@@ -130,9 +128,9 @@ def verify_family(family: CongruenceFamily, bound: int, parity: Gf2Series) -> Fa
     if parity.trunc_len < bound:
         raise ValueError("parity series shorter than requested bound")
     if family.residue >= bound:
-        return FamilyVerification(family, bound, 0, None)
+        return FamilyVerification(0, None)
     members = parity.truncate(bound).extract(family.modulus, family.residue)
     odd = members.support()
     if odd:
-        return FamilyVerification(family, bound, odd[0], family.modulus * odd[0] + family.residue)
-    return FamilyVerification(family, bound, members.trunc_len, None)
+        return FamilyVerification(odd[0], family.modulus * odd[0] + family.residue)
+    return FamilyVerification(members.trunc_len, None)

@@ -3,15 +3,18 @@
 An eta-quotient is a product of factors f_r = prod_{i>=1} (1 - q^{r*i})
 with signed integer exponents. Modulo 2 each f_r is the pentagonal-number
 series dilated by r (Euler), f_r^3 is the triangular-number series dilated
-by r (Jacobi), and the Frobenius map gives f_r^2 = f_2r. So a quotient is
-evaluated by one plan: the single cached inverse P = 1/f_1, taken at q^s,
-times a few factors of square-root-sized support, at O(N * sqrt(N)) bit
-operations for truncation N and with no product of two dense series. A
-denominator that would need P at two scales is refused. The factor with
-the most terms multiplies the undilated P one residue class mod s at a
-time, so P(q^s) itself is never built. P is built the same way:
-mod 2, 1/f_1 = f_1^3 / f_4 = T(q) * P(q^4), so P to N coefficients is one
-such product against P to N/4.
+by r (Jacobi), and the Frobenius map gives f_r^2 = f_2r. So f_r is a power
+of f_s for the odd part s of r, and a quotient folds into one signed
+exponent per odd scale: its normal form. That form is evaluated by one
+plan: the single cached inverse P = 1/f_1, taken at q^t, times a few
+factors of square-root-sized support, at O(N * sqrt(N)) bit operations
+for truncation N and with no product of two dense series. A quotient in
+which two odd scales keep a negative exponent, such as 1/(f1 f5), would
+need P at two scales and is refused. The factor with the most terms
+multiplies the undilated P one residue class mod t at a time, so P(q^t)
+itself is never built. P is built the same way: mod 2, 1/f_1 = f_1^3 /
+f_4 = T(q) * P(q^4), so P to N coefficients is one such product against
+P to N/4.
 
 The parity of a(n), the number of partitions of n whose parts all appear
 with odd multiplicity, is the coefficient series of f_3 / f_1^3. Its 2-,
@@ -23,7 +26,6 @@ coefficients of f_1 * (f_3 / f_4) (a_parity_at).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -107,77 +109,55 @@ class EtaQuotient:
     def eval(self, trunc_len: int) -> Gf2Series:
         """Evaluate to a truncated GF(2) series by one plan, exact mod 2.
 
-        Mod 2, f_r^2 = f_2r. So f_r^e is the product of f_(r*2^j) over the
-        set bits j of e, and 1/f_r^e = f_r^(2^k - e) * P(q^(r*2^k)) with
-        P = 1/f_1 and 2^k the smallest power of two >= e. A pair f_s f_2s
-        = f_s^3 is one triangular factor T(q^s) (Jacobi). The factor with
-        the most terms multiplies P(q^s) class by class mod s against the
-        undilated P (Gf2Series.mul_dilated), at |F| * N/(64*s) word XORs.
-        That product is the dense accumulator and every other factor is
-        sparse, so each product costs O(sqrt(N) * N/64) word operations and
-        no two dense series are ever multiplied. A denominator left with
-        two scales or more is refused with a ValueError; no quotient of the
-        package has one.
+        Mod 2, f_r^2 = f_2r, so f_r = f_s^(r/s) for the odd part s of r, and
+        the quotient folds into one signed exponent E_s per odd scale s. A
+        negative E_s is lifted by the smallest 2^k >= -E_s: 1/f_s^-E_s =
+        f_s^(E_s + 2^k) * P(q^(s*2^k)) with P = 1/f_1. The set bits j of the
+        lifted E_s, lowest first, give the sparse factors: two adjacent bits
+        j, j+1 are one triangular T(q^t) = f_t f_2t = f_t^3 at t = s*2^j
+        (Jacobi), a lone bit the pentagonal f_t. The factor with the most
+        terms multiplies P(q^t) class by class mod t against the undilated
+        P (Gf2Series.mul_dilated), at |F| * N/(64*t) word XORs. That
+        product is the dense accumulator and every other factor is sparse,
+        so each product costs O(sqrt(N) * N/64) word operations and no two
+        dense series are ever multiplied. A quotient is refused with a
+        ValueError exactly when two different odd scales keep a negative
+        exponent, such as 1/(f1 f5); 1/(f1 f2) = f1 P(q^4) evaluates.
         """
         if trunc_len < 1:
             raise ValueError("trunc_len must be >= 1")
-        numerator: Counter[int] = Counter()
-        denominator: Counter[int] = Counter()
+        folded: dict[int, int] = {}  # odd scale s -> E_s
         for scale, exponent in self.factors:
-            if exponent > 0:
-                numerator[scale] += exponent
-            else:
+            twos = scale & -scale
+            folded[scale // twos] = folded.get(scale // twos, 0) + twos * exponent
+        negative = sum(e < 0 for e in folded.values())
+        if negative > 1:
+            raise ValueError(f"cannot evaluate {self}: its denominator keeps {negative} odd scales, the plan inverts one")
+        inverted = None
+        sparse = []  # (scale, exponents) of each sparse factor
+        for scale, exponent in folded.items():
+            if exponent < 0:
                 k = (-exponent - 1).bit_length()  # smallest 2^k >= -exponent
-                numerator[scale] += (1 << k) + exponent
-                denominator[scale << k] += 1
-        inverted = _binary_scales(denominator)
-        if len(inverted) > 1:
-            raise ValueError(f"cannot evaluate {self}: its denominator keeps {len(inverted)} scales, the plan inverts one")
-        # ascending by number of terms, so pop() takes the largest
-        supports = sorted(_sparse_supports(_binary_scales(numerator), trunc_len), key=len)
-        first = supports.pop() if supports else [0]
+                inverted = scale << k
+                exponent += 1 << k
+            while exponent:
+                if exponent & 3 == 3:
+                    sparse.append((scale, triangular_exponents(trunc_len, scale)))
+                    exponent, scale = exponent >> 2, scale << 2
+                else:
+                    if exponent & 1:
+                        sparse.append((scale, pentagonal_exponents(trunc_len, scale)))
+                    exponent, scale = exponent >> 1, scale << 1
+        # ascending by (number of terms, scale), so pop() takes the largest
+        sparse.sort(key=lambda factor: (len(factor[1]), factor[0]))
+        first = sparse.pop()[1] if sparse else [0]
         if inverted:
-            scale = inverted[0]
-            acc = _inverse_f1(-(-trunc_len // scale)).mul_dilated(first, scale, trunc_len)
+            acc = _inverse_f1(-(-trunc_len // inverted)).mul_dilated(first, inverted, trunc_len)
         else:
             acc = Gf2Series.from_support(first, trunc_len)
-        for support in supports:
-            acc = acc.mul_sparse(support)
+        for _, exponents in sparse:
+            acc = acc.mul_sparse(exponents)
         return acc
-
-
-def _binary_scales(counts: Counter[int]) -> list[int]:
-    """Ascending scales s whose f_s multiply to prod f_r^counts[r] mod 2.
-
-    Like binary addition: f_s^2 = f_2s carries each pair one scale up.
-    """
-    counts = counts.copy()
-    scales = []
-    while counts:
-        scale = min(counts)
-        count = counts.pop(scale)
-        if count & 1:
-            scales.append(scale)
-        if count > 1:
-            counts[2 * scale] += count // 2
-    return scales
-
-
-def _sparse_supports(scales: list[int], trunc_len: int) -> list[list[int]]:
-    """The exponents of one sparse series per f_s of the ascending scales,
-    pairing f_s f_2s as T(q^s)."""
-    left = set(scales)
-    out = []
-    for scale in scales:
-        if scale not in left:
-            continue
-        left.discard(scale)
-        if 2 * scale in left:
-            left.discard(2 * scale)
-            out.append(triangular_exponents(trunc_len, scale))
-        else:
-            out.append(pentagonal_exponents(trunc_len, scale))
-    return out
 
 
 # The longest P = 1/f_1 built so far. Like the parity series below it is
@@ -200,8 +180,6 @@ def _inverse_f1(trunc_len: int) -> Gf2Series:
         else:
             inner = _inverse_f1(-(-trunc_len // 4))
             _longest_inverse = inner.mul_dilated(triangular_exponents(trunc_len), 4, trunc_len)
-    if trunc_len == _longest_inverse.trunc_len:
-        return _longest_inverse
     return _longest_inverse.truncate(trunc_len)
 
 
@@ -230,8 +208,6 @@ def a_parity_series(trunc_len: int) -> Gf2Series:
     global _longest_parity
     if _longest_parity is None or trunc_len > _longest_parity.trunc_len:
         _longest_parity = A_PARITY_QUOTIENT.eval(trunc_len)
-    if trunc_len == _longest_parity.trunc_len:
-        return _longest_parity
     return _longest_parity.truncate(trunc_len)
 
 

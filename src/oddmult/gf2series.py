@@ -273,25 +273,20 @@ class Gf2Series:
         """Decimate: coefficient m of the result is coefficient step*m+offset.
 
         The result keeps every source degree below trunc_len, so its length
-        is ceil((trunc_len - offset) / step).
+        is ceil((trunc_len - offset) / step). It mirrors _scatter: output
+        bit 8i + b is source bit step*(8i + b) + offset, so bit b of every
+        output byte is one strided byte read of the source, eight reads in
+        all, with no array of bits.
         """
         if step < 1:
             raise ValueError("step must be >= 1")
         if not 0 <= offset < self.trunc_len:
             raise ValueError(f"offset {offset} outside 0..{self.trunc_len - 1}")
         out_len = (self.trunc_len - offset + step - 1) // step
-        # Unpack about 2^20 source bits at a time, never the whole series: a
-        # chunk is a multiple of 8 output coefficients, so each packed chunk
-        # fills whole bytes of the output. A step above 2^17 unpacks 8 * step
-        # bits per chunk.
-        span = max(8, (1 << 20) // step // 8 * 8)
         src = self._words.view(np.uint8)
         out = np.zeros(8 * _nwords(out_len), dtype=np.uint8)
-        for first in range(0, out_len, span):
-            count = min(span, out_len - first)
-            start = offset + first * step
-            stop = start + (count - 1) * step + 1
-            bits = np.unpackbits(src[start >> 3 : (stop + 7) >> 3], bitorder="little")
-            packed = np.packbits(bits[start & 7 :: step][:count], bitorder="little")
-            out[first >> 3 : (first >> 3) + len(packed)] = packed
+        for bit in range(8):
+            first = step * bit + offset
+            read = src[first >> 3 :: step][: len(out)]
+            out[: len(read)] |= ((read >> (first & 7)) & 1) << bit
         return Gf2Series._of_words(out_len, out.view("<u8"))

@@ -222,12 +222,15 @@ def random_quotients(seed, count, max_scale=24, max_exponent=16):
 
 
 def denominator_scales(quotient):
-    """How many dilated inverses P(q^d) the plan would multiply."""
-    counts = Counter()
+    """How many odd scales keep a negative exponent once every f_r is folded
+    into f_s^(r/s), s the odd part of r (mod 2, f_r^2 = f_2r)."""
+    folded = Counter()
     for r, e in quotient.factors:
-        if e < 0:
-            counts[r << (-e - 1).bit_length()] += 1
-    return len(etaq._binary_scales(counts))
+        s = r
+        while s % 2 == 0:
+            s //= 2
+        folded[s] += e * (r // s)
+    return sum(e < 0 for e in folded.values())
 
 
 @pytest.mark.parametrize("trunc_len", [1, 7, 64, 1000, 4099])
@@ -257,14 +260,14 @@ def test_plan_matches_reference_across_the_word_cutoff(monkeypatch, trunc_len):
 
 
 def test_random_quotients_reach_the_fallback():
-    # the random quotients reach both plans (no denominator, one scale) and the refusal
+    # the random quotients reach both plans (no denominator, one odd scale) and the refusal
     scale_counts = [denominator_scales(q) for n in (1, 7, 64, 1000, 4099) for q in random_quotients(n, 40)]
     assert scale_counts.count(0) and scale_counts.count(1) and max(scale_counts) >= 2
 
 
 @pytest.mark.parametrize(
     "factors",
-    [{1: -1, 2: -1}, {1: -3, 3: -2}, {2: -5, 7: -1, 1: 2}, {4: -1, 3: -1, 5: -1}, {1: -1, 5: -1}, {1: -3, 5: -1, 2: 1}],
+    [{1: -3, 3: -2}, {2: -5, 7: -1, 1: 2}, {4: -1, 3: -1, 5: -1}, {1: -1, 5: -1}, {1: -3, 5: -1, 2: 1}, {2: -1, 6: -1}],
 )
 def test_two_denominator_scales_are_refused(monkeypatch, factors):
     def no_inverse(trunc_len):
@@ -278,8 +281,43 @@ def test_two_denominator_scales_are_refused(monkeypatch, factors):
             quotient.eval(n)
 
 
+@pytest.mark.parametrize("factors", [{1: -1, 2: -1}, {1: 1, 2: -1}, {1: -3, 2: -2}, {2: -3, 1: -1, 4: 1}])
+def test_one_odd_scale_in_the_denominator_evaluates(monkeypatch, factors):
+    # 1/(f1 f2) = 1/f1^3 = f1 P(q^4); f1/f2 = 1/f1 = P; 1/(f1^3 f2^2) = 1/f1^7 = f1 P(q^8);
+    # f4/(f1 f2^3) = 1/f1^3
+    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    quotient = EtaQuotient.of(factors)
+    assert denominator_scales(quotient) == 1
+    for n in (1, 63, 64, 65, 5001):
+        got = quotient.eval(n)
+        assert got.trunc_len == n
+        assert got == reference(quotient, n), n
+
+
+def test_f1_over_f2_is_the_inverse_alone(monkeypatch):
+    # f1/f2 = 1/f1: the plan multiplies P by the unit and by no sparse factor
+    n = 5001
+    inverse = etaq._inverse_f1(n)
+    products = []
+    real_mul_dilated = Gf2Series.mul_dilated
+
+    def recording(self, exponents, factor, trunc_len):
+        products.append((list(exponents), factor))
+        return real_mul_dilated(self, exponents, factor, trunc_len)
+
+    def forbidden(*args):
+        raise AssertionError("1/f1 has no sparse factor")
+
+    monkeypatch.setattr(Gf2Series, "mul_dilated", recording)
+    monkeypatch.setattr(Gf2Series, "mul_sparse", forbidden)
+    monkeypatch.setattr(etaq, "pentagonal_exponents", forbidden)
+    monkeypatch.setattr(etaq, "triangular_exponents", forbidden)
+    assert EtaQuotient.of({1: 1, 2: -1}).eval(n) == inverse
+    assert products == [([0], 1)]
+
+
 def test_equal_denominator_scales_carry_to_one_inverse(monkeypatch):
-    # 1/f1^3 * 1/f2^2 = f1 * P(q^4)^2 = f1 * P(q^8): one dilated inverse
+    # 1/(f1^3 f2^2) = 1/f1^7 = f1 * P(q^8): one dilated inverse
     asked = []
     real_inverse = etaq._inverse_f1
 
@@ -413,9 +451,20 @@ def test_package_quotients_match_reference(monkeypatch, trunc_len):
         assert got == reference(quotient, trunc_len), str(quotient)
 
 
-@pytest.mark.parametrize("factors", [{3: 1, 1: -3}, {3: 5, 1: -3}, {1: 1, 3: 1, 6: 1, 5: -1}])
-def test_split_takes_the_factor_with_most_terms(monkeypatch, factors):
-    # f3/f1^3 = f1 f3 P(q^4); f3^5/f1^3 = f1 f3 f12 P(q^4); f1 f3 f6/f5 = f1 T(q^3) P(q^5)
+@pytest.mark.parametrize(
+    "factors, scale",
+    [
+        ({3: 1, 1: -3}, 1),
+        ({3: 5, 1: -3}, 1),
+        ({1: 1, 3: 1, 6: 1, 5: -1}, 1),
+        (dict(etaq._F3_OVER_F4.factors), 3),
+        (dict(DISSECTION_CLASSES["8m+7"][2].factors), 1),
+    ],
+    ids=["factors0", "factors1", "factors2", "f3_over_f4", "8m+7"],
+)
+def test_split_takes_the_factor_with_most_terms(monkeypatch, factors, scale):
+    # f3/f1^3 = f1 f3 P(q^4); f3^5/f1^3 = f1 f3 f12 P(q^4); f1 f3 f6/f5 = f1 T(q^3) P(q^5);
+    # f3/f4 = f3 P(q^4); f3^8/f1^3 = f1 f24 P(q^4)
     n = 5000
     etaq._inverse_f1(n)  # P is itself built by mul_dilated; build it before the spy
     split = []
@@ -428,4 +477,4 @@ def test_split_takes_the_factor_with_most_terms(monkeypatch, factors):
     monkeypatch.setattr(Gf2Series, "mul_dilated", recording)
     quotient = EtaQuotient.of(factors)
     assert quotient.eval(n) == reference(quotient, n)
-    assert split == [pentagonal_exponents(n)]
+    assert split == [pentagonal_exponents(n, scale)]

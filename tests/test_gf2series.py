@@ -393,7 +393,7 @@ def test_extract_decimation():
 
 
 def extract_span(step):
-    """Output coefficients per unpacked chunk of extract, as documented there."""
+    """A multiple of 8 output coefficients, about 2^20 source bits long."""
     return max(8, (1 << 20) // step // 8 * 8)
 
 
