@@ -11,7 +11,7 @@ experiments (`density`). The `oddmult` CLI exposes all of it.
 from .characterize import (
     Parity,
     ParityVerdict,
-    odd_flags,
+    odd_flag_windows,
     parity_4m1,
     parity_8m3,
     parity_even_index,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characterize import odd_flags
+from .characterize import odd_flag_windows
 from .etaq import a_parity_at, a_parity_series, dissection_series
 
 __all__ = [
@@ -117,27 +117,35 @@ def density_8m7(limit_m: int, cross_check_samples: int = 1000) -> DensityReport:
 def sparse_odd_census(limit_n: int) -> list[CensusResult]:
     """Count odd a(n) in each characterized class for n < limit_n, two ways.
 
-    The predicate route reads the class members out of odd_flags, the
-    characterizations evaluated over the whole range at once; the series
-    route decimates the parity series. The counts must agree exactly at
-    every checkpoint; densities are odd members over members scanned.
+    The predicate route counts the class members in each window of
+    odd_flag_windows, the characterizations evaluated without factorizing;
+    the series route decimates the parity series. The counts must agree
+    exactly at every checkpoint; densities are odd members over members
+    scanned.
     """
     if limit_n < 1:
         raise ValueError("limit_n must be >= 1")
     parity = a_parity_series(limit_n)
-    flags = odd_flags(limit_n)
     xs = checkpoints_upto(limit_n)
+    pred_odd = {tag: [0] * len(xs) for tag in CENSUS_CLASSES}
+    for lo, flags in odd_flag_windows(limit_n):
+        for tag, (step, offset) in CENSUS_CLASSES.items():
+            members = flags[(offset - lo) % step :: step]
+            before = _members_below(lo, step, offset)
+            for i, x in enumerate(xs):
+                if x > lo:
+                    upto = _members_below(x, step, offset) - before
+                    pred_odd[tag][i] += int(np.count_nonzero(members[:upto]))
+
     results = []
     for tag, (step, offset) in CENSUS_CLASSES.items():
-        class_flags = flags[offset::step]
         class_bits = parity.extract(step, offset) if limit_n > offset else None
         pred_marks, series_marks = [], []
-        for x in xs:
+        for x, pred in zip(xs, pred_odd[tag]):
             members = _members_below(x, step, offset)
-            pred_odd = int(np.count_nonzero(class_flags[:members]))
             series_odd = class_bits.odd_count(upto=members) if class_bits and members else 0
             denom = members if members else 1
-            pred_marks.append(DensityCheckpoint(x, pred_odd, pred_odd / denom))
+            pred_marks.append(DensityCheckpoint(x, pred, pred / denom))
             series_marks.append(DensityCheckpoint(x, series_odd, series_odd / denom))
 
         results.append(

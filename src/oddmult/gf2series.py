@@ -171,9 +171,16 @@ class Gf2Series:
             count += (int(self._words[n >> 6]) & ((1 << (n & 63)) - 1)).bit_count()
         return count
 
-    def to_bit_array(self) -> np.ndarray:
-        """Coefficients as a uint8 0/1 array of length trunc_len."""
-        return np.unpackbits(self._words.view(np.uint8), bitorder="little", count=self.trunc_len)
+    def to_bit_array(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Coefficients lo .. hi-1 (default: all) as a uint8 0/1 array.
+
+        Only the bytes that hold those degrees are unpacked.
+        """
+        hi = self.trunc_len if hi is None else hi
+        if not 0 <= lo <= hi <= self.trunc_len:
+            raise ValueError(f"degrees {lo}..{hi - 1} outside 0..{self.trunc_len - 1}")
+        bits = np.unpackbits(self._words.view(np.uint8)[lo >> 3 : (hi + 7) >> 3], bitorder="little")
+        return bits[lo & 7 :][: hi - lo]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gf2Series):

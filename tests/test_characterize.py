@@ -1,8 +1,16 @@
-import pytest
+import functools
+from math import isqrt
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oddmult import characterize
 from oddmult.characterize import (
     Parity,
-    odd_flags,
+    odd_flag_windows,
     parity_4m1,
     parity_8m3,
     parity_even_index,
@@ -56,7 +64,7 @@ def test_reasons_are_never_empty():
 
 
 def test_domain_errors():
-    for fn in (parity_even_index, parity_4m1, parity_8m3, predict_parity, odd_flags):
+    for fn in (parity_even_index, parity_4m1, parity_8m3, predict_parity, odd_flag_windows):
         with pytest.raises(ValueError):
             fn(-1)
 
@@ -78,18 +86,73 @@ def test_agreement_with_exact_oracle(oracle_2000):
         assert predict_parity(n).parity is expected, n
 
 
-def test_odd_flags_match_predict_parity():
+def joined_flags(limit: int, width: int) -> np.ndarray:
+    """The flags of odd_flag_windows(limit) with windows of this width, joined."""
+    with mock.patch.object(characterize, "FLAG_WINDOW", width):
+        windows = list(odd_flag_windows(limit))
+    assert [lo for lo, _ in windows] == list(range(0, limit, width))
+    assert [len(flags) for _, flags in windows] == [min(width, limit - lo) for lo, _ in windows]
+    return np.concatenate([flags for _, flags in windows])
+
+
+def test_odd_flag_windows_match_predict_parity():
     for limit in [*range(1, 65), 20_000]:
-        flags = odd_flags(limit)
+        flags = joined_flags(limit, characterize.FLAG_WINDOW)
         assert flags.shape == (limit,)
         for n in range(limit):
             if n % 8 != 7:
                 assert flags[n] == predict_parity(n).is_odd, (limit, n)
 
 
-def test_odd_flags_prime_powers():
-    flags = odd_flags(1_953_126)
-    # 5^3 even; 5^5, 11^5 (class 8m+3) and 5^9 odd; 27 = 3 * 3^2 odd
-    pinned = {125: False, 3125: True, 161051: True, 1953125: True, 27: True}
+def test_odd_flag_windows_prime_powers():
+    flags = joined_flags(1_953_126, characterize.FLAG_WINDOW)
+    # 5^3 even; 5^5, 11^5 (class 8m+3) and 5^9 odd; 27 = 3 * 3^2 odd;
+    # 5^5 * 7^2 and 5^5 * 11^2 odd, 5^5 * 5^2 = 5^7 even
+    pinned = {125: False, 3125: True, 161051: True, 1953125: True, 27: True,
+              153125: True, 378125: True, 78125: False}
     for n, odd in pinned.items():
         assert flags[n] == odd == predict_parity(n).is_odd, n
+
+
+@functools.cache
+def predicted_below(limit: int) -> np.ndarray:
+    return np.array([predict_parity(n).is_odd for n in range(limit)])
+
+
+@settings(max_examples=25, deadline=None)
+@example(limit=20_000, width=1)
+@example(limit=20_000, width=7)
+@example(limit=20_000, width=64)
+@example(limit=20_000, width=1000)
+@given(
+    limit=st.integers(1, 20_000),
+    width=st.sampled_from([1, 7, 64, 1000]) | st.integers(1, 20_000),
+)
+def test_windows_join_to_predict_parity(limit, width):
+    flags = joined_flags(limit, width)
+    keep = np.arange(limit) % 8 != 7
+    assert np.array_equal(flags[keep], predicted_below(20_000)[:limit][keep])
+
+
+WHOLE = 1_953_126  # just past 5^9
+
+
+@functools.cache
+def one_window() -> np.ndarray:
+    return joined_flags(WHOLE, WHOLE)
+
+
+# points whose window seam is a hard case: high prime powers and the squares
+# 2k^2, k^2, 3k^2 of the three square branches
+seam_points = st.sampled_from([3125, 161051, 1953125]) | st.builds(
+    lambda k, c: c * k * k, st.integers(1, isqrt(WHOLE // 3)), st.sampled_from([1, 2, 3])
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(point=seam_points, shift=st.sampled_from([-1, 0, 1]), data=st.data())
+def test_windows_straddling_a_seam_match_one_window(point, shift, data):
+    # width point + shift puts a window edge just before, at or just after point
+    width = max(point + shift, 1)
+    limit = data.draw(st.integers(point + 1, min(WHOLE, point + 64 * width)), label="limit")
+    assert np.array_equal(joined_flags(limit, width), one_window()[:limit])

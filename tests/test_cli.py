@@ -1,13 +1,15 @@
+import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import oddmult
-from oddmult import cli
-from oddmult.characterize import odd_flags
+from oddmult import a_parity_series, characterize, cli, sparse_odd_census
+from oddmult.characterize import odd_flag_windows
 from oddmult.cli import build_parser, main
 
 
@@ -102,11 +104,12 @@ def test_verify_theorems(capsys):
 
 def test_verify_theorems_reports_each_discrepancy(monkeypatch, capsys):
     def flipped(limit):
-        flags = odd_flags(limit)
-        flags[5] = not flags[5]  # a(5) = 5 is odd
-        return flags
+        for lo, flags in odd_flag_windows(limit):
+            if lo <= 5 < lo + len(flags):
+                flags[5 - lo] = not flags[5 - lo]  # a(5) = 5 is odd
+            yield lo, flags
 
-    monkeypatch.setattr("oddmult.cli.odd_flags", flipped)
+    monkeypatch.setattr("oddmult.cli.odd_flag_windows", flipped)
     code, out = run_cli(capsys, "verify", "theorems", "--limit", "100")
     assert code == 1
     assert out.splitlines() == [
@@ -198,6 +201,69 @@ def test_density_all_builds_the_parity_series_once(monkeypatch, capsys):
     assert out.splitlines()[-1].startswith("class 8m+7: final density ")
 
 
+def test_density_8m7_cross_check_mismatch_is_a_fail_line(monkeypatch, capsys, tmp_path):
+    real_parity_at = oddmult.density.a_parity_at
+    first = []
+
+    def flip_first(degrees):
+        bits = real_parity_at(degrees)
+        first.append(((degrees[0] - 7) // 8, int(bits[0])))
+        bits[0] ^= 1
+        return bits
+
+    monkeypatch.setattr(oddmult.density, "a_parity_at", flip_first)
+    target = tmp_path / "x.csv"
+    for argv in (["density", "8m7", "--limit", "2000"], ["density", "all", "--limit", "2000", "--csv", str(target)]):
+        code, out = run_cli(capsys, *argv)
+        m, bit = first.pop()
+        assert code == 1, argv
+        assert out.splitlines() == [
+            f"FAIL class 8m+7: dissection mismatch at m={m}: closed form {bit}, extraction {1 - bit}"
+        ], argv
+    assert target.read_text() == ""
+
+
+# sha256 of stdout and of the CSV, run in the CSV's directory, as the
+# whole-range sieve gave them before the flags were read one window at a time
+DENSITY_200K_STDOUT = "f756ac46632a0b18373beb15c3a08004ab1d44ddd2c1ea370625f077156d3dd1"
+DENSITY_200K_CSV = "3907a2517a3cee7a31b455baf44ddd107dde6154acc6cce12baeaaa31eb5c470"
+THEOREMS_200K_STDOUT = "e4a1ce94a8dc4a14aaec5a400d5cf8c85d17f96f9ca14d55fc05671ea9e6d7c5"
+
+
+def sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+@pytest.mark.parametrize("width", [64, 1000, characterize.FLAG_WINDOW])
+def test_flag_window_seams_leave_every_byte(width, monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(characterize, "FLAG_WINDOW", width)
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, "density", "all", "--limit", "200000", "--csv", "census.csv")
+    assert code == 0
+    assert sha256(out) == DENSITY_200K_STDOUT
+    assert sha256((tmp_path / "census.csv").read_bytes()) == DENSITY_200K_CSV
+    code, out = run_cli(capsys, "verify", "theorems", "--limit", "200000")
+    assert code == 0
+    assert sha256(out) == THEOREMS_200K_STDOUT
+
+
+def test_census_and_verify_theorems_memory_envelope(monkeypatch, capsys):
+    # tracemalloc sees numpy's buffers; the whole-range sieve peaked at 4.9 MB
+    # here, and each window of the flags costs a few bytes per entry
+    limit = 10**6
+    monkeypatch.setattr(oddmult.etaq, "_longest_parity", None)
+    a_parity_series(limit)  # the series itself is outside the envelope
+    for run in (lambda: sparse_odd_census(limit), lambda: cli._verify_theorems(limit)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6, peak
+    assert capsys.readouterr().out.endswith("0 discrepancies\n")
+
+
 def test_density_refuses_an_unwritable_csv_before_computing(monkeypatch, capsys, tmp_path):
     for name in ("density_8m7", "sparse_odd_census"):
         monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
@@ -228,9 +294,10 @@ def no_series(trunc_len):
 
 
 def test_usage_error_exit_code(monkeypatch):
-    # a refused a-parity range or --limit must stop before any series or flag array is built
-    for name in ("a_parity_series", "odd_flags", "identity_suite", "density_8m7", "sparse_odd_census"):
+    # a refused a-parity range or --limit must stop before any series or flag window is built
+    for name in ("a_parity_series", "odd_flag_windows", "identity_suite", "density_8m7", "sparse_odd_census"):
         monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
+    monkeypatch.setattr("oddmult.density.odd_flag_windows", no_series)
     for argv in (
         ["density", "bogus-class"],
         ["verify", "theorems", "--threads", "2"],
@@ -257,7 +324,7 @@ def test_a_parity_refusal_is_one_line(monkeypatch, capsys):
 
 
 def test_limit_refusal_is_one_line(monkeypatch, capsys):
-    for name in ("a_parity_series", "odd_flags", "identity_suite"):
+    for name in ("a_parity_series", "odd_flag_windows", "identity_suite"):
         monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
     for argv in (["verify", "theorems", "--limit", "10000001"], ["verify", "identities", "--limit", str(10**10)]):
         with pytest.raises(SystemExit) as exc:

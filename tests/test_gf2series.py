@@ -84,6 +84,20 @@ def test_support_of_dense_series(n):
     assert Gf2Series.from_support(s.support(), n) == s
 
 
+@pytest.mark.parametrize("n", [100, 4097])
+def test_to_bit_array_window(n):
+    value = random.Random(n).getrandbits(n)
+    s = Gf2Series(n, value)
+    rng = random.Random(n + 1)
+    windows = [(0, n), (0, 0), (n, n), (1, 9), (63, 65), (7, n)]
+    windows += [tuple(sorted((rng.randrange(n + 1), rng.randrange(n + 1)))) for _ in range(50)]
+    for lo, hi in windows:
+        assert s.to_bit_array(lo, hi).tolist() == [value >> k & 1 for k in range(lo, hi)], (lo, hi)
+    for lo, hi in [(-1, 5), (5, 4), (0, n + 1)]:
+        with pytest.raises(ValueError):
+            s.to_bit_array(lo, hi)
+
+
 def test_sparse_support_validation():
     with pytest.raises(ValueError):
         sparse_support([3, -1])
