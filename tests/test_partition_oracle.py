@@ -1,4 +1,10 @@
+import hashlib
+import math
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddmult import partition_oracle
 from oddmult.etaq import a_parity_series
@@ -88,8 +94,58 @@ def reference_values(limit):
 
 
 def test_dp_matches_reference_loop():
-    for limit in range(65):
+    # limits up to 64 sweep the limbs' carries at most 3 times, 65..160 up
+    # to 9 times, 300 19 times and 777 53 times
+    for limit in [*range(161), 300, 777]:
         assert list(partition_oracle._count_values(limit)) == reference_values(limit), limit
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=600))
+def test_dp_matches_reference_loop_at_random_limits(limit):
+    assert list(partition_oracle._count_values(limit)) == reference_values(limit)
+
+
+# Taken from the DP on Python ints in object arrays that the limb DP replaced.
+TABLE_3000_SHA256 = "da8b98a989ce18c8ebfbec6681cfd4c7024495ab68ec81ee8a8936a39508c07b"
+A_3000 = 52035353994673050601267787789671496160818185008590
+
+
+def test_dp_table_at_3000_is_pinned(monkeypatch):
+    monkeypatch.setattr(partition_oracle, "_longest_table", None)
+    values = build_table(3000).values
+    assert values[3000] == A_3000
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == TABLE_3000_SHA256
+
+
+def test_limb_bound_covers_every_value_to_5000(monkeypatch):
+    monkeypatch.setattr(partition_oracle, "_longest_table", None)
+    values = build_table(5000).values
+    for n in range(1, 5001):
+        bits = partition_oracle._ROOT_BITS * math.sqrt(n)
+        limb = partition_oracle._LIMB_BITS
+        assert values[n] < 2**bits, n
+        assert values[n].bit_length() <= limb * (int(bits) // limb + 1), n
+
+
+def test_too_few_limbs_is_an_error_not_a_wrong_value(monkeypatch):
+    # with one limb every value must fit 40 bits, and a(300) > 2^45 does not
+    monkeypatch.setattr(partition_oracle, "_ROOT_BITS", 0.0)
+    with pytest.raises(RuntimeError, match="limb overflow"):
+        partition_oracle._count_values(300)
+
+
+def test_build_table_memory_envelope(monkeypatch):
+    # tracemalloc sees numpy's buffers; the object-array DP peaked at
+    # 324028 B here, its Python ints included
+    monkeypatch.setattr(partition_oracle, "_longest_table", None)
+    tracemalloc.start()
+    try:
+        build_table(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 324_028, peak
 
 
 def test_dp_known_values_are_exact_ints(monkeypatch):
