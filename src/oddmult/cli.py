@@ -13,11 +13,9 @@ import functools
 import os
 import sys
 
-import numpy as np
-
-from .characterize import Parity, odd_flag_windows, predict_parity
+from .characterize import Parity, predict_parity
 from .congruence import all_families, verify_family
-from .density import density_8m7, sparse_odd_census
+from .density import density_8m7, predicate_mismatches, sparse_odd_census
 from .numtheory import is_prime
 from .etaq import DISSECTION_CLASSES, a_parity_series, dissection_by_extraction, dissection_series, identity_suite
 from .partition_oracle import RECOMMENDED_TABLE_LIMIT, build_table
@@ -68,8 +66,8 @@ def _cmd_parity(args) -> int:
     series = a_parity_series(hi + 1)
     ok = True
     for start in range(lo, hi + 1, PARITY_CHUNK):
-        degrees = np.arange(start, min(start + PARITY_CHUNK, hi + 1))
-        for n, bit in zip(degrees.tolist(), series.sparse_product_at([0], degrees).tolist()):
+        bits = series.to_bit_array(start, min(start + PARITY_CHUNK, hi + 1))
+        for n, bit in enumerate(bits.tolist(), start):
             line, agrees = _parity_line(n, bit)
             print(line)
             ok = ok and agrees
@@ -103,12 +101,9 @@ def _verify_identities(limit: int) -> int:
 def _verify_theorems(limit: int) -> int:
     series = a_parity_series(limit)
     discrepancies = 0
-    for lo, predicted in odd_flag_windows(limit):
-        mismatch = series.to_bit_array(lo, lo + len(predicted))
-        mismatch ^= predicted
-        mismatch[(7 - lo) % 8 :: 8] = 0  # the uncharacterized class
-        for n in (lo + np.flatnonzero(mismatch)).tolist():
-            said, actual = ("odd", "even") if predicted[n - lo] else ("even", "odd")
+    for ns in predicate_mismatches(series, limit):
+        for n in ns.tolist():
+            said, actual = ("even", "odd") if series[n] else ("odd", "even")
             print(f"FAIL n={n}: predicted {said} via [{predict_parity(n).reason}], series says {actual}")
             discrepancies += 1
     print(f"checked {limit - limit // 8} values below {limit} (class 8m+7 excluded): "
@@ -204,14 +199,14 @@ def _density_report(args) -> tuple[int, list]:
         for short in census_tags:
             result = census[_DENSITY_TAGS[short]]
             name = f"f3 / f1^3 extracted at n = {result.class_tag}"
-            if not result.agree:
+            if result.mismatch is not None:
                 status = 1
-                print(f"FAIL {result.class_tag}: predicate and series counts disagree")
-            for mark in result.predicate.checkpoints:
+                print(f"FAIL {result.class_tag}: predicate and series disagree at n={result.mismatch}")
+            for mark in result.report.checkpoints:
                 print(f"class {result.class_tag}: X={mark.x} odd={mark.odd_count} density={mark.density:.9f}")
-            print(f"class {result.class_tag}: final density {result.predicate.final_density:.9f} "
-                  f"(routes agree: {'yes' if result.agree else 'NO'})")
-            blocks.append((result.class_tag, name, args.limit, result.predicate.checkpoints))
+            print(f"class {result.class_tag}: final density {result.report.final_density:.9f} "
+                  f"(routes agree: {'yes' if result.mismatch is None else 'NO'})")
+            blocks.append((result.class_tag, name, args.limit, result.report.checkpoints))
 
     if report is not None:
         for mark in report.checkpoints:

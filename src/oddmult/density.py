@@ -2,23 +2,26 @@
 
 Two regimes coexist. In the three characterized classes (n even,
 n == 1 mod 4, n == 3 mod 8) odd values of a(n) thin out toward density
-zero, and the census counts them along two independent routes: the
-arithmetic predicates and the GF(2) parity series. In the leftover class
-n == 7 (mod 8) the conjectured picture is density 1/2; the experiment
-evaluates f_3^8 / f_1^3 directly and reports the running density at
-logarithmically spaced checkpoints. Nothing here proves anything; the
-checks that matter are the exact cross-route agreements.
+zero; the census counts them in the GF(2) parity series and checks that
+series bit for bit against the arithmetic predicates, through the window
+walk `verify theorems` shares. In the leftover class n == 7 (mod 8) the
+conjectured picture is density 1/2; the experiment evaluates f_3^8 / f_1^3
+directly and reports the running density at logarithmically spaced
+checkpoints. Nothing here proves anything; the checks that matter are the
+exact cross-route agreements.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .characterize import odd_flag_windows
 from .etaq import a_parity_at, a_parity_series, dissection_series
+from .gf2series import Gf2Series
 
 __all__ = [
     "DensityCheckpoint",
@@ -27,6 +30,7 @@ __all__ = [
     "CENSUS_CLASSES",
     "checkpoints_upto",
     "density_8m7",
+    "predicate_mismatches",
     "sparse_odd_census",
 ]
 
@@ -57,18 +61,11 @@ class DensityReport:
 
 @dataclass(frozen=True)
 class CensusResult:
-    """Predicate-route and series-route counts for one characterized class."""
+    """One class's series counts, and the first n where its predicate disagrees."""
 
     class_tag: str
-    predicate: DensityReport
-    series: DensityReport
-
-    @property
-    def agree(self) -> bool:
-        return all(
-            p.odd_count == s.odd_count
-            for p, s in zip(self.predicate.checkpoints, self.series.checkpoints)
-        )
+    report: DensityReport
+    mismatch: int | None
 
 
 def checkpoints_upto(limit: int) -> list[int]:
@@ -76,10 +73,6 @@ def checkpoints_upto(limit: int) -> list[int]:
     points = [10**k for k in range(3, 8) if 10**k < limit]
     points.append(limit)
     return points
-
-
-def _members_below(x: int, step: int, offset: int) -> int:
-    return (x - offset + step - 1) // step if x > offset else 0
 
 
 def density_8m7(limit_m: int, cross_check_samples: int = 1000) -> DensityReport:
@@ -114,45 +107,40 @@ def density_8m7(limit_m: int, cross_check_samples: int = 1000) -> DensityReport:
     return DensityReport("8m+7", tuple(marks), marks[-1].density, len(sample))
 
 
-def sparse_odd_census(limit_n: int) -> list[CensusResult]:
-    """Count odd a(n) in each characterized class for n < limit_n, two ways.
+def predicate_mismatches(parity: Gf2Series, limit: int) -> Iterator[np.ndarray]:
+    """Per window of odd_flag_windows(limit), the n != 7 (mod 8), ascending,
+    whose odd flag differs from the bit of the parity series."""
+    for lo, flags in odd_flag_windows(limit):
+        mismatch = parity.to_bit_array(lo, lo + len(flags))
+        mismatch ^= flags
+        mismatch[(7 - lo) % 8 :: 8] = 0  # the uncharacterized class
+        yield lo + np.flatnonzero(mismatch)
 
-    The predicate route counts the class members in each window of
-    odd_flag_windows, the characterizations evaluated without factorizing;
-    the series route decimates the parity series. The counts must agree
-    exactly at every checkpoint; densities are odd members over members
-    scanned.
+
+def sparse_odd_census(limit_n: int) -> list[CensusResult]:
+    """Count odd a(n) in each characterized class for n < limit_n.
+
+    The counts decimate the parity series, which the predicates must match
+    at every n; each class keeps its first mismatch. Densities are odd
+    members over members scanned.
     """
     if limit_n < 1:
         raise ValueError("limit_n must be >= 1")
     parity = a_parity_series(limit_n)
-    xs = checkpoints_upto(limit_n)
-    pred_odd = {tag: [0] * len(xs) for tag in CENSUS_CLASSES}
-    for lo, flags in odd_flag_windows(limit_n):
+    first: dict[str, int] = {}
+    for ns in predicate_mismatches(parity, limit_n):
         for tag, (step, offset) in CENSUS_CLASSES.items():
-            members = flags[(offset - lo) % step :: step]
-            before = _members_below(lo, step, offset)
-            for i, x in enumerate(xs):
-                if x > lo:
-                    upto = _members_below(x, step, offset) - before
-                    pred_odd[tag][i] += int(np.count_nonzero(members[:upto]))
+            hits = ns[ns % step == offset]
+            if hits.size and tag not in first:
+                first[tag] = int(hits[0])
 
     results = []
     for tag, (step, offset) in CENSUS_CLASSES.items():
         class_bits = parity.extract(step, offset) if limit_n > offset else None
-        pred_marks, series_marks = [], []
-        for x, pred in zip(xs, pred_odd[tag]):
-            members = _members_below(x, step, offset)
-            series_odd = class_bits.odd_count(upto=members) if class_bits and members else 0
-            denom = members if members else 1
-            pred_marks.append(DensityCheckpoint(x, pred, pred / denom))
-            series_marks.append(DensityCheckpoint(x, series_odd, series_odd / denom))
-
-        results.append(
-            CensusResult(
-                tag,
-                DensityReport(tag, tuple(pred_marks), pred_marks[-1].density),
-                DensityReport(tag, tuple(series_marks), series_marks[-1].density),
-            )
-        )
+        marks = []
+        for x in checkpoints_upto(limit_n):
+            members = len(range(offset, x, step))
+            odd = class_bits.odd_count(upto=members) if members else 0
+            marks.append(DensityCheckpoint(x, odd, odd / (members or 1)))
+        results.append(CensusResult(tag, DensityReport(tag, tuple(marks), marks[-1].density), first.get(tag)))
     return results

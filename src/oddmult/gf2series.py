@@ -200,8 +200,6 @@ class Gf2Series:
             raise ValueError(f"truncation length mismatch: {self.trunc_len} != {other.trunc_len}")
         return Gf2Series._of_words(self.trunc_len, self._words ^ other._words)
 
-    __sub__ = __add__  # characteristic 2
-
     def mul_sparse(self, exponents: Iterable[int]) -> Gf2Series:
         """The product (sum_e q^e) * self, truncated to this series' length.
 

@@ -11,7 +11,8 @@ from math import isqrt
 
 import pytest
 
-from oddmult import a_parity_series, build_table
+import oddmult.density
+from oddmult import a_parity_series, build_table, odd_flag_windows
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,24 @@ def oracle_2000():
 @pytest.fixture(scope="session")
 def parity_10k():
     return a_parity_series(10_000)
+
+
+@pytest.fixture
+def flip_flags(monkeypatch):
+    """flip_flags(*ns) makes the flag windows that the census and `verify
+    theorems` walk give the wrong verdict at each n in ns."""
+
+    def flip(*ns):
+        def flipped(limit):
+            for lo, flags in odd_flag_windows(limit):
+                for n in ns:
+                    if lo <= n < lo + len(flags):
+                        flags[n - lo] = not flags[n - lo]
+                yield lo, flags
+
+        monkeypatch.setattr(oddmult.density, "odd_flag_windows", flipped)
+
+    return flip
 
 
 def set_bits(a: int) -> list[int]:

@@ -177,19 +177,20 @@ def census_1e6():
 @pytest.mark.parametrize("tag", ["even", "4m+1", "8m+3"])
 def test_criterion_7_density_zero_trend(census_1e6, tag):
     result = census_1e6[tag]
-    marks = {c.x: c for c in result.predicate.checkpoints}
+    marks = {c.x: c for c in result.report.checkpoints}
     d4, d5, d6 = (marks[10**k].density for k in (4, 5, 6))
     decreasing = d4 > d5 > d6
     below_bound = d6 < 0.01
 
-    ok = result.agree and decreasing and below_bound
+    agree = result.mismatch is None
+    ok = agree and decreasing and below_bound
     report(
         7,
         ok,
-        f"class {tag}: routes agree={result.agree}, densities "
+        f"class {tag}: routes agree={agree}, densities "
         f"1e4={d4:.6f} > 1e5={d5:.6f} > 1e6={d6:.6f}, final < 0.01: {below_bound}",
     )
-    assert result.agree, f"class {tag}: predicate and series counts disagree"
+    assert agree, f"class {tag}: predicate and series disagree at n={result.mismatch}"
     assert decreasing, f"class {tag}: densities not strictly decreasing"
     assert below_bound, (
         f"class {tag}: odd density {d6:.6f} at X=1e6 is not below 0.01. "

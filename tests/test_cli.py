@@ -9,7 +9,6 @@ import pytest
 
 import oddmult
 from oddmult import a_parity_series, characterize, cli, sparse_odd_census
-from oddmult.characterize import odd_flag_windows
 from oddmult.cli import build_parser, main
 
 
@@ -102,14 +101,8 @@ def test_verify_theorems(capsys):
     assert "0 discrepancies" in out
 
 
-def test_verify_theorems_reports_each_discrepancy(monkeypatch, capsys):
-    def flipped(limit):
-        for lo, flags in odd_flag_windows(limit):
-            if lo <= 5 < lo + len(flags):
-                flags[5 - lo] = not flags[5 - lo]  # a(5) = 5 is odd
-            yield lo, flags
-
-    monkeypatch.setattr("oddmult.cli.odd_flag_windows", flipped)
+def test_verify_theorems_reports_each_discrepancy(flip_flags, capsys):
+    flip_flags(5)  # a(5) = 5 is odd
     code, out = run_cli(capsys, "verify", "theorems", "--limit", "100")
     assert code == 1
     assert out.splitlines() == [
@@ -199,6 +192,20 @@ def test_density_all_builds_the_parity_series_once(monkeypatch, capsys):
     assert all(n % 8 == 7 and n < 40000 for n in sampled[0])
     assert out.splitlines()[0].startswith("class even: X=1000 ")
     assert out.splitlines()[-1].startswith("class 8m+7: final density ")
+
+
+def test_density_census_fails_on_mismatches_whose_counts_cancel(flip_flags, capsys):
+    # a(5) = 5 is odd and a(9) = 16 even: the flipped flags keep the class's
+    # odd count, so only a bit-for-bit check sees them
+    flip_flags(5, 9)
+    code, out = run_cli(capsys, "density", "4m1", "--limit", "2000")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL 4m+1: predicate and series disagree at n=5",
+        "class 4m+1: X=1000 odd=61 density=0.244000000",
+        "class 4m+1: X=2000 odd=103 density=0.206000000",
+        "class 4m+1: final density 0.206000000 (routes agree: NO)",
+    ]
 
 
 def test_density_8m7_cross_check_mismatch_is_a_fail_line(monkeypatch, capsys, tmp_path):
@@ -295,7 +302,7 @@ def no_series(trunc_len):
 
 def test_usage_error_exit_code(monkeypatch):
     # a refused a-parity range or --limit must stop before any series or flag window is built
-    for name in ("a_parity_series", "odd_flag_windows", "identity_suite", "density_8m7", "sparse_odd_census"):
+    for name in ("a_parity_series", "predicate_mismatches", "identity_suite", "density_8m7", "sparse_odd_census"):
         monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
     monkeypatch.setattr("oddmult.density.odd_flag_windows", no_series)
     for argv in (
@@ -324,8 +331,9 @@ def test_a_parity_refusal_is_one_line(monkeypatch, capsys):
 
 
 def test_limit_refusal_is_one_line(monkeypatch, capsys):
-    for name in ("a_parity_series", "odd_flag_windows", "identity_suite"):
+    for name in ("a_parity_series", "predicate_mismatches", "identity_suite"):
         monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
+    monkeypatch.setattr("oddmult.density.odd_flag_windows", no_series)
     for argv in (["verify", "theorems", "--limit", "10000001"], ["verify", "identities", "--limit", str(10**10)]):
         with pytest.raises(SystemExit) as exc:
             main(argv)

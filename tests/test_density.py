@@ -1,6 +1,8 @@
 import pytest
 
 import oddmult.density
+from oddmult import characterize
+from oddmult.characterize import odd_flag_windows
 from oddmult.density import (
     CENSUS_CLASSES,
     checkpoints_upto,
@@ -58,12 +60,29 @@ def test_density_8m7_rejects_bad_limit():
 
 
 def test_census_two_routes_agree_at_10k():
+    flags = [bool(f) for _, window in odd_flag_windows(10_000) for f in window]
     for result in sparse_odd_census(10_000):
-        assert result.agree, result.class_tag
-        pred = [c.odd_count for c in result.predicate.checkpoints]
-        ser = [c.odd_count for c in result.series.checkpoints]
+        assert result.mismatch is None, result.class_tag
+        step, offset = CENSUS_CLASSES[result.class_tag]
+        pred = [sum(flags[offset:c.x:step]) for c in result.report.checkpoints]
+        ser = [c.odd_count for c in result.report.checkpoints]
         assert pred == ser
         assert pred == sorted(pred)
+
+
+@pytest.mark.parametrize("width", [8, characterize.FLAG_WINDOW])
+def test_census_keeps_the_first_mismatch_of_each_class(width, flip_flags, monkeypatch):
+    # n = 7 is in the uncharacterized class, which the walk skips; windows of
+    # 8 put the later mismatches of each class in later windows
+    monkeypatch.setattr(characterize, "FLAG_WINDOW", width)
+    flip_flags(4, 5, 7, 9, 11, 19, 100)
+    census = {r.class_tag: r for r in sparse_odd_census(2000)}
+    assert {tag: r.mismatch for tag, r in census.items()} == {"even": 4, "4m+1": 5, "8m+3": 11}
+    # the counts come from the series alone: the flips at 4 and 100 would add 2
+    parity = a_parity_series(2000)
+    for tag, (step, offset) in CENSUS_CLASSES.items():
+        manual = sum(parity[n] for n in range(offset, 2000, step))
+        assert census[tag].report.checkpoints[-1].odd_count == manual
 
 
 def test_census_even_class_counts_squares():
@@ -72,12 +91,12 @@ def test_census_even_class_counts_squares():
         1 for m in range(5000) if m == 0 or (int(m**0.5 + 0.5) ** 2 == m and int(m**0.5 + 0.5) % 3)
     )
     census = {r.class_tag: r for r in sparse_odd_census(10_000)}
-    assert census["even"].predicate.checkpoints[-1].odd_count == expected == 48
+    assert census["even"].report.checkpoints[-1].odd_count == expected == 48
 
 
 def test_census_density_decreases_by_decade():
     for result in sparse_odd_census(100_000):
-        densities = [c.density for c in result.predicate.checkpoints]
+        densities = [c.density for c in result.report.checkpoints]
         assert densities == sorted(densities, reverse=True), result.class_tag
         assert densities[-1] < densities[0]
 
@@ -87,7 +106,7 @@ def test_census_matches_parity_series_directly():
     census = {r.class_tag: r for r in sparse_odd_census(4000)}
     for tag, (step, offset) in CENSUS_CLASSES.items():
         manual = sum(parity[n] for n in range(offset, 4000, step))
-        assert census[tag].series.checkpoints[-1].odd_count == manual
+        assert census[tag].report.checkpoints[-1].odd_count == manual
 
 
 def test_census_rejects_bad_limit():
