@@ -6,7 +6,9 @@ computation. Every verdict carries the case that produced it, so a failed
 comparison against the series names the branch that lied. The class
 n == 7 (mod 8) has no characterization and always comes back Unknown.
 `odd_flag_windows` gives the same verdicts for a whole range, one window
-at a time, by marking the odd sets directly, without factorizing anything.
+at a time, by marking the odd sets directly, without factorizing anything;
+a verdict's text follows from its odd flag and the case of n (`cases`),
+through the one table `VERDICTS`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ __all__ = [
     "parity_4m1",
     "parity_8m3",
     "predict_parity",
+    "VERDICTS",
+    "cases",
     "odd_flag_windows",
 ]
 
@@ -53,6 +57,65 @@ def _lone_odd_exponent_is_1_mod_4(factorization: Factorization) -> bool:
     return len(odd_exponents) == 1 and odd_exponents[0] % 4 == 1
 
 
+# The verdict of every case and odd flag, at index 2 * case + odd, "{0}"
+# standing for n in the reason. The case of n is n mod 24, save the two even n
+# whose reason that does not fix: n = 0 (ZERO) and n = 18 j^2 with j >= 1
+# (TRIPLE_ROOT). The residue fixes the class of n and, in the odd classes,
+# m mod 3; a case whose verdict does not depend on the flag repeats its reason.
+# Neither extra case is 7 (mod 8), so a case is 7 (mod 8) exactly when its n is.
+ZERO, TRIPLE_ROOT = 24, 25
+
+
+def _odd_class_reasons(tag: str, square_desc: str) -> list[tuple[str, str]]:
+    """The reasons of the odd class tag for an even and an odd flag, by m mod 3."""
+    return [
+        (f"{tag}: m == 0 (mod 3), {{0}} not {square_desc}", f"{tag}: m == 0 (mod 3), {{0}} {square_desc}"),
+        (f"{tag}: m == 1 (mod 3), exponent pattern fails",
+         f"{tag}: m == 1 (mod 3), lone odd prime exponent == 1 (mod 4)"),
+        (f"{tag}: m == 2 (mod 3)",) * 2,
+    ]
+
+
+def _case_verdicts() -> tuple[ParityVerdict, ...]:
+    four, eight = _odd_class_reasons("4m+1", "a square"), _odd_class_reasons("8m+3", "3 times a square")
+    reasons = []
+    for r in range(24):
+        if r % 2 == 0:
+            reasons.append(("2m: m not a square", "2m: m = k^2 with 3 not | k"))
+        elif r % 4 == 1:
+            reasons.append(four[(r - 1) // 4 % 3])
+        elif r % 8 == 3:
+            reasons.append(eight[(r - 3) // 8 % 3])
+        else:
+            reasons.append(("8m+7: uncharacterized class",) * 2)
+    reasons += [("2m: m = 0",) * 2, ("2m: m = k^2 but 3 | k",) * 2]
+    return tuple(
+        ParityVerdict(Parity.UNKNOWN if case % 8 == 7 else Parity.ODD if odd else Parity.EVEN, reason)
+        for case, pair in enumerate(reasons)
+        for odd, reason in enumerate(pair)
+    )
+
+
+VERDICTS = _case_verdicts()
+
+
+def _verdict(n: int, odd: bool, case: int | None = None) -> ParityVerdict:
+    """The verdict on n given its odd flag; case defaults to n mod 24."""
+    template = VERDICTS[2 * (n % 24 if case is None else case) + odd]
+    return ParityVerdict(template.parity, template.reason.format(n))
+
+
+def cases(lo: int, hi: int) -> np.ndarray:
+    """The case of each n in [lo, hi), lo < hi, as uint8."""
+    out = np.resize(np.roll(np.arange(24, dtype=np.uint8), -(lo % 24)), hi - lo)
+    j = np.arange(max(1, isqrt(-(-lo // 18))), isqrt((hi - 1) // 18) + 1)
+    n = 18 * j * j
+    out[n[n >= lo] - lo] = TRIPLE_ROOT
+    if lo == 0:
+        out[0] = ZERO
+    return out
+
+
 def parity_even_index(m: int) -> ParityVerdict:
     """Parity of a(2m): odd iff m = 0 or m = k^2 with 3 not dividing k."""
     if m < 0:
@@ -60,42 +123,34 @@ def parity_even_index(m: int) -> ParityVerdict:
     if m == 0:
         # ordered before the square test: 0 = 0^2 has root divisible by 3,
         # yet a(0) = 1 is odd
-        return ParityVerdict(Parity.ODD, "2m: m = 0")
+        return _verdict(0, True, ZERO)
     if is_square(m):
         if isqrt(m) % 3 != 0:
-            return ParityVerdict(Parity.ODD, "2m: m = k^2 with 3 not | k")
-        return ParityVerdict(Parity.EVEN, "2m: m = k^2 but 3 | k")
-    return ParityVerdict(Parity.EVEN, "2m: m not a square")
+            return _verdict(2 * m, True)
+        return _verdict(2 * m, False, TRIPLE_ROOT)
+    return _verdict(2 * m, False)
 
 
-def _odd_class_verdict(m: int, n: int, tag: str, square_test, square_desc: str) -> ParityVerdict:
+def _odd_class_verdict(m: int, n: int, square_test) -> ParityVerdict:
     if m % 3 == 2:
-        return ParityVerdict(Parity.EVEN, f"{tag}: m == 2 (mod 3)")
+        return _verdict(n, False)
     if m % 3 == 0:
-        if square_test(n):
-            return ParityVerdict(Parity.ODD, f"{tag}: m == 0 (mod 3), {n} {square_desc}")
-        return ParityVerdict(Parity.EVEN, f"{tag}: m == 0 (mod 3), {n} not {square_desc}")
-    if _lone_odd_exponent_is_1_mod_4(factorize(n)):
-        return ParityVerdict(
-            Parity.ODD, f"{tag}: m == 1 (mod 3), lone odd prime exponent == 1 (mod 4)"
-        )
-    return ParityVerdict(
-        Parity.EVEN, f"{tag}: m == 1 (mod 3), exponent pattern fails"
-    )
+        return _verdict(n, square_test(n))
+    return _verdict(n, _lone_odd_exponent_is_1_mod_4(factorize(n)))
 
 
 def parity_4m1(m: int) -> ParityVerdict:
     """Parity of a(4m+1), by squareness or the factorization of 4m+1."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _odd_class_verdict(m, 4 * m + 1, "4m+1", is_square, "a square")
+    return _odd_class_verdict(m, 4 * m + 1, is_square)
 
 
 def parity_8m3(m: int) -> ParityVerdict:
     """Parity of a(8m+3), by three-times-squareness or the factorization of 8m+3."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _odd_class_verdict(m, 8 * m + 3, "8m+3", is_three_times_square, "3 times a square")
+    return _odd_class_verdict(m, 8 * m + 3, is_three_times_square)
 
 
 def predict_parity(n: int) -> ParityVerdict:
@@ -108,7 +163,7 @@ def predict_parity(n: int) -> ParityVerdict:
         return parity_4m1((n - 1) // 4)
     if n % 8 == 3:
         return parity_8m3((n - 3) // 8)
-    return ParityVerdict(Parity.UNKNOWN, "8m+7: uncharacterized class")
+    return _verdict(n, False)
 
 
 # Width of the windows odd_flag_windows yields. A window costs a few bytes per
@@ -123,8 +178,8 @@ FLAG_WINDOW = 1 << 18
 _PRIME_RESIDUES = (5, 11, 17)
 
 
-def odd_flag_windows(limit: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The windows [lo, lo + FLAG_WINDOW) tiling [0, limit), in order, as (lo, flags).
+def odd_flag_windows(limit: int, start: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """The windows [lo, lo + FLAG_WINDOW) tiling [start, limit), in order, as (lo, flags).
 
     flags is a bool array whose entry i is predict_parity(lo + i).is_odd;
     entries at lo + i == 7 (mod 8) are meaningless. The odd sets are marked
@@ -134,10 +189,10 @@ def odd_flag_windows(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     e == 1 (mod 4). Each window finds its own primes (k = 1, e = 1) by a
     segmented sieve; all the other odd n below limit, about sqrt(limit)
     squares plus the p * k^2 with k >= 5 from the primes below limit / 25,
-    are listed once in one sorted array, which each window slices.
+    are listed once in one sorted array from start on, which each window slices.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    if not 0 <= start < limit:
+        raise ValueError("need 0 <= start < limit")
     top = limit - 1
     base = _sieve(isqrt(top))
     base = base[base >= 5]
@@ -150,10 +205,15 @@ def odd_flag_windows(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     rest.append(k[k % 3 != 0] ** 2)
     k = np.arange(1, isqrt(top // 3) + 1, 2)
     rest.append(3 * k**2)
-    for k in range(5, isqrt(top // 5) + 1, 2):
-        if k % 3:
-            p = primes[: np.searchsorted(primes, top // (k * k), side="right")]
-            rest.append(p[k % p != 0] * (k * k))
+    # p * k^2 with k >= 5 in [start, limit): for each k a run of primes,
+    # primes[first:last], laid end to end
+    k = np.arange(5, isqrt(top // 5) + 1, 2)
+    k = k[k % 3 != 0]
+    first = np.searchsorted(primes, -(-start // (k * k)))
+    counts = np.maximum(np.searchsorted(primes, top // (k * k), side="right") - first, 0)
+    k = np.repeat(k, counts)
+    p = primes[np.arange(len(k)) + np.repeat(first - np.cumsum(counts) + counts, counts)]
+    rest.append(p[k % p != 0] * k[k % p != 0] ** 2)
     for p in primes.tolist():  # the few p^e with e >= 5
         power = p**5
         if power > top:
@@ -163,9 +223,10 @@ def odd_flag_windows(limit: int) -> Iterator[tuple[int, np.ndarray]]:
             rest.append(np.array(ks, dtype=np.int64) ** 2 * power)
             power *= p**4
     rest = np.sort(np.concatenate(rest))
+    rest = rest[np.searchsorted(rest, start) :]
 
     width = FLAG_WINDOW
-    return ((lo, _window(lo, min(lo + width, limit), base, rest)) for lo in range(0, limit, width))
+    return ((lo, _window(lo, min(lo + width, limit), base, rest)) for lo in range(start, limit, width))
 
 
 def _window(lo: int, hi: int, base: np.ndarray, rest: np.ndarray) -> np.ndarray:

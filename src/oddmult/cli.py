@@ -13,7 +13,9 @@ import functools
 import os
 import sys
 
-from .characterize import Parity, predict_parity
+import numpy as np
+
+from .characterize import VERDICTS, Parity, ParityVerdict, cases, odd_flag_windows, predict_parity
 from .congruence import all_families, verify_family
 from .density import density_8m7, predicate_mismatches, sparse_odd_census
 from .numtheory import is_prime
@@ -48,29 +50,43 @@ def _cmd_value(args) -> int:
     return 0
 
 
-def _parity_line(n: int, parity_bit: int) -> tuple[str, bool]:
-    verdict = predict_parity(n)
+def _line_format(verdict: ParityVerdict, parity_bit: int) -> tuple[str, bool]:
+    """The a-parity line of verdict and the series bit, "{0}" standing for n,
+    and whether the two agree."""
     actual = "odd" if parity_bit else "even"
     if verdict.parity is Parity.UNKNOWN:
-        return f"n={n}: unknown [{verdict.reason}] series={actual}", True
+        return f"n={{0}}: unknown [{verdict.reason}] series={actual}\n", True
     agree = verdict.parity.value == actual
     return (
-        f"n={n}: {verdict.parity.value} [{verdict.reason}] series={actual} "
-        f"agree={'yes' if agree else 'NO'}",
+        f"n={{0}}: {verdict.parity.value} [{verdict.reason}] series={actual} "
+        f"agree={'yes' if agree else 'NO'}\n",
         agree,
     )
+
+
+# The line format and agreement of every case, odd flag and series bit, at
+# index 4 * case + 2 * flag + bit.
+_FORMATS, _AGREES = zip(*(_line_format(verdict, bit) for verdict in VERDICTS for bit in (0, 1)))
 
 
 def _cmd_parity(args) -> int:
     lo, hi = args.range
     series = a_parity_series(hi + 1)
+    if lo == hi:
+        line, agrees = _line_format(predict_parity(lo), series[lo])
+        sys.stdout.write(line.format(lo))
+        return 0 if agrees else 1
+    agrees = np.array(_AGREES)
     ok = True
-    for start in range(lo, hi + 1, PARITY_CHUNK):
-        bits = series.to_bit_array(start, min(start + PARITY_CHUNK, hi + 1))
-        for n, bit in enumerate(bits.tolist(), start):
-            line, agrees = _parity_line(n, bit)
-            print(line)
-            ok = ok and agrees
+    for window_lo, flags in odd_flag_windows(hi + 1, lo):
+        window_hi = window_lo + len(flags)
+        for start in range(window_lo, window_hi, PARITY_CHUNK):
+            stop = min(start + PARITY_CHUNK, window_hi)
+            keys = cases(start, stop) * np.uint8(4)
+            keys += flags[start - window_lo : stop - window_lo] * np.uint8(2)
+            keys += series.to_bit_array(start, stop)
+            sys.stdout.writelines(map(str.format, map(_FORMATS.__getitem__, keys.tolist()), range(start, stop)))
+            ok = ok and bool(agrees[keys].all())
     return 0 if ok else 1
 
 

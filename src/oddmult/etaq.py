@@ -204,10 +204,17 @@ _longest_parity: Gf2Series | None = None
 
 
 def a_parity_series(trunc_len: int) -> Gf2Series:
-    """Coefficient n is a(n) mod 2, for n < trunc_len."""
+    """Coefficient n is a(n) mod 2, for n < trunc_len.
+
+    A request past the longest series builds at least twice its length, so
+    a run of growing requests rebuilds O(log) times, never once per request,
+    and the series held is at most twice the longest request.
+    """
     global _longest_parity
-    if _longest_parity is None or trunc_len > _longest_parity.trunc_len:
+    if _longest_parity is None:
         _longest_parity = A_PARITY_QUOTIENT.eval(trunc_len)
+    elif trunc_len > _longest_parity.trunc_len:
+        _longest_parity = A_PARITY_QUOTIENT.eval(max(trunc_len, 2 * _longest_parity.trunc_len))
     return _longest_parity.truncate(trunc_len)
 
 

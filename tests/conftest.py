@@ -11,6 +11,7 @@ from math import isqrt
 
 import pytest
 
+import oddmult.cli
 import oddmult.density
 from oddmult import a_parity_series, build_table, odd_flag_windows
 
@@ -28,18 +29,19 @@ def parity_10k():
 
 @pytest.fixture
 def flip_flags(monkeypatch):
-    """flip_flags(*ns) makes the flag windows that the census and `verify
-    theorems` walk give the wrong verdict at each n in ns."""
+    """flip_flags(*ns) makes the flag windows that the census, `verify
+    theorems` and `a-parity` ranges walk give the wrong verdict at each n in ns."""
 
     def flip(*ns):
-        def flipped(limit):
-            for lo, flags in odd_flag_windows(limit):
+        def flipped(limit, start=0):
+            for lo, flags in odd_flag_windows(limit, start):
                 for n in ns:
                     if lo <= n < lo + len(flags):
                         flags[n - lo] = not flags[n - lo]
                 yield lo, flags
 
         monkeypatch.setattr(oddmult.density, "odd_flag_windows", flipped)
+        monkeypatch.setattr(oddmult.cli, "odd_flag_windows", flipped)
 
     return flip
 

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from oddmult import characterize
 from oddmult.characterize import (
     Parity,
+    ParityVerdict,
     odd_flag_windows,
     parity_4m1,
     parity_8m3,
     parity_even_index,
     predict_parity,
 )
+from oddmult.numtheory import is_square
 
 
 def test_even_index_examples():
@@ -56,6 +58,29 @@ def test_unknown_exactly_on_7_mod_8():
     for n in range(500):
         verdict = predict_parity(n)
         assert (verdict.parity is Parity.UNKNOWN) == (n % 8 == 7), n
+
+
+def test_each_case_gives_its_reason():
+    # one n for every reason text, spelled out here rather than read from the table
+    reasons = {
+        0: "2m: m = 0",
+        8: "2m: m = k^2 with 3 not | k",
+        6: "2m: m not a square",
+        18: "2m: m = k^2 but 3 | k",
+        25: "4m+1: m == 0 (mod 3), 25 a square",
+        13: "4m+1: m == 0 (mod 3), 13 not a square",
+        5: "4m+1: m == 1 (mod 3), lone odd prime exponent == 1 (mod 4)",
+        125: "4m+1: m == 1 (mod 3), exponent pattern fails",
+        9: "4m+1: m == 2 (mod 3)",
+        27: "8m+3: m == 0 (mod 3), 27 3 times a square",
+        51: "8m+3: m == 0 (mod 3), 51 not 3 times a square",
+        11: "8m+3: m == 1 (mod 3), lone odd prime exponent == 1 (mod 4)",
+        35: "8m+3: m == 1 (mod 3), exponent pattern fails",
+        19: "8m+3: m == 2 (mod 3)",
+        7: "8m+7: uncharacterized class",
+    }
+    for n, reason in reasons.items():
+        assert predict_parity(n).reason == reason, n
 
 
 def test_reasons_are_never_empty():
@@ -132,6 +157,39 @@ def test_windows_join_to_predict_parity(limit, width):
     flags = joined_flags(limit, width)
     keep = np.arange(limit) % 8 != 7
     assert np.array_equal(flags[keep], predicted_below(20_000)[:limit][keep])
+
+
+@pytest.mark.parametrize("width", [7, 64, 1000, characterize.FLAG_WINDOW])
+def test_windows_from_a_start_are_the_tail_of_the_windows_from_0(monkeypatch, width):
+    limit = 20_000
+    monkeypatch.setattr(characterize, "FLAG_WINDOW", width)
+    whole = np.concatenate([flags for _, flags in odd_flag_windows(limit)])
+    for start in sorted({1, 5, width - 1, width, width + 1, 3 * width, 18 * 33**2, limit - 1} & set(range(1, limit))):
+        windows = list(odd_flag_windows(limit, start))
+        assert [lo for lo, _ in windows] == list(range(start, limit, width)), start
+        assert np.array_equal(np.concatenate([flags for _, flags in windows]), whole[start:]), start
+    for start in (-1, limit):
+        with pytest.raises(ValueError):
+            odd_flag_windows(limit, start)
+
+
+def test_cases_mark_zero_and_the_even_squares_whose_root_3_divides():
+    for lo, hi in [(0, 1), (0, 700), (17, 19), (161, 163), (5000, 9000)]:
+        expected = [
+            characterize.ZERO if n == 0 else characterize.TRIPLE_ROOT if n % 18 == 0 and is_square(n // 18) else n % 24
+            for n in range(lo, hi)
+        ]
+        assert characterize.cases(lo, hi).tolist() == expected, (lo, hi)
+
+
+def test_verdicts_come_from_the_case_table():
+    # predict_parity and cases, the single-n and the range route, agree on the
+    # case of every n, and predict_parity's verdict is that case's table entry
+    for n in range(3000):
+        got = predict_parity(n)
+        case = characterize.cases(n, n + 1)[0]
+        template = characterize.VERDICTS[2 * case + got.is_odd]
+        assert got == ParityVerdict(template.parity, template.reason.format(n)), n
 
 
 WHOLE = 1_953_126  # just past 5^9

@@ -79,6 +79,41 @@ def test_a_parity_range_across_the_real_chunk_boundary(capsys):
         assert lines[n - lo] == run_cli(capsys, "a-parity", str(n))[1]
 
 
+def singles(capsys, lo, hi):
+    return "".join(run_cli(capsys, "a-parity", str(n))[1] for n in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 700), (262_000, 263_000)])
+def test_a_parity_range_matches_single_queries_on_special_cases(capsys, lo, hi):
+    # 0..700 holds n = 0 and the n = 18 j^2 whose root 3j makes them even;
+    # 262000..263000 crosses the first FLAG_WINDOW edge at 262144
+    code, out = run_cli(capsys, "a-parity", f"{lo}..{hi}")
+    assert code == 0
+    assert out == singles(capsys, lo, hi)
+    if lo == 0:
+        assert "n=0: odd [2m: m = 0] series=odd agree=yes\n" in out
+        assert "n=648: even [2m: m = k^2 but 3 | k] series=even agree=yes\n" in out
+
+
+@pytest.mark.parametrize("window, chunk", [(1, 1), (7, 3), (64, 1000), (1000, 64), (24, 24)])
+def test_a_parity_range_in_small_windows_and_chunks_matches_single_queries(monkeypatch, capsys, window, chunk):
+    monkeypatch.setattr(characterize, "FLAG_WINDOW", window)
+    monkeypatch.setattr(cli, "PARITY_CHUNK", chunk)
+    code, out = run_cli(capsys, "a-parity", "157..2100")
+    assert code == 0
+    assert out == singles(capsys, 157, 2100)
+
+
+def test_a_parity_range_reports_a_flipped_flag(flip_flags, capsys):
+    flip_flags(5, 15)  # a(5) = 5 is odd; 15 is 7 (mod 8), where flags are not read
+    code, out = run_cli(capsys, "a-parity", "0..20")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[5] == "n=5: even [4m+1: m == 1 (mod 3), exponent pattern fails] series=odd agree=NO"
+    assert [n for n, line in enumerate(lines) if "agree=NO" in line] == [5]
+    assert lines[15] == "n=15: unknown [8m+7: uncharacterized class] series=odd"
+
+
 def test_a_parity_bad_range(monkeypatch, capsys):
     monkeypatch.setattr("oddmult.cli.a_parity_series", no_series)
     for text in ("9..3", "5..x", "x", "1..2..3", "", "..5", "5..", "-1", "10**12"):
@@ -302,7 +337,8 @@ def no_series(trunc_len):
 
 def test_usage_error_exit_code(monkeypatch):
     # a refused a-parity range or --limit must stop before any series or flag window is built
-    for name in ("a_parity_series", "predicate_mismatches", "identity_suite", "density_8m7", "sparse_odd_census"):
+    for name in ("a_parity_series", "odd_flag_windows", "predicate_mismatches", "identity_suite", "density_8m7",
+                 "sparse_odd_census"):
         monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
     monkeypatch.setattr("oddmult.density.odd_flag_windows", no_series)
     for argv in (

@@ -183,6 +183,21 @@ def test_parity_series_builds_only_past_the_longest(monkeypatch):
     assert built == [300, 2000, 4096]
 
 
+def test_parity_series_past_the_longest_builds_at_least_twice_it(monkeypatch):
+    built = []
+
+    class CountingQuotient:
+        def eval(self, trunc_len):
+            built.append(trunc_len)
+            return A_PARITY_QUOTIENT.eval(trunc_len)
+
+    monkeypatch.setattr(etaq, "_longest_parity", None)
+    monkeypatch.setattr(etaq, "A_PARITY_QUOTIENT", CountingQuotient())
+    for n in (1000, 1001, 1999, 2000, 2001, 9000, 5):
+        assert a_parity_series(n) == A_PARITY_QUOTIENT.eval(n), n
+    assert built == [1000, 2000, 4000, 9000]
+
+
 def test_parity_series_rejects_empty_truncation_after_a_build():
     a_parity_series(64)
     with pytest.raises(ValueError):
