@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2series import Gf2Series
-from .numtheory import is_prime, legendre_symbol
+from .numtheory import _euler_criterion, is_prime
 
 __all__ = [
     "CongruenceFamily",
@@ -73,15 +73,7 @@ def generate_12p_family(p: int) -> list[CongruenceFamily]:
     """
     if p < 5 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 5, got {p}")
-    families = []
-    for r in range(1, p):
-        if legendre_symbol(12 * r + 1, p) == -1:
-            families.append(
-                CongruenceFamily(
-                    12 * p, 12 * r + 1, f"nonresidue progression in 4m+1 (p={p}, r={r})", p, r
-                )
-            )
-    return families
+    return _nonresidue_families(p, 12, 1, "4m+1")
 
 
 def generate_24p_family(p: int) -> list[CongruenceFamily]:
@@ -91,15 +83,19 @@ def generate_24p_family(p: int) -> list[CongruenceFamily]:
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    families = []
-    for r in range(1, p):
-        if legendre_symbol(8 * r + 1, p) == -1:
-            families.append(
-                CongruenceFamily(
-                    24 * p, 24 * r + 3, f"nonresidue progression in 8m+3 (p={p}, r={r})", p, r
-                )
-            )
-    return families
+    return _nonresidue_families(p, 8, 3, "8m+3")
+
+
+def _nonresidue_families(p: int, slope: int, scale: int, progression: str) -> list[CongruenceFamily]:
+    """One family a(scale * (slope*p*n + slope*r+1)) per r in 1..p-1 with
+    slope*r+1 a nonresidue mod p; the caller has checked that p is prime."""
+    return [
+        CongruenceFamily(
+            scale * slope * p, scale * (slope * r + 1), f"nonresidue progression in {progression} (p={p}, r={r})", p, r
+        )
+        for r in range(1, p)
+        if _euler_criterion(slope * r + 1, p) == -1
+    ]
 
 
 # The primes whose generated families all_families lists.

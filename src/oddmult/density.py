@@ -75,19 +75,18 @@ def checkpoints_upto(limit: int) -> list[int]:
     return points
 
 
-def density_8m7(limit_m: int, cross_check_samples: int = 1000) -> DensityReport:
+def density_8m7(limit_m: int) -> DensityReport:
     """Running odd-density of the first limit_m coefficients of f_3^8 / f_1^3.
 
-    Coefficient m is a(8m+7) mod 2. A deterministic sample of indices is
-    cross-checked against a(8m+7) read from f_3 / f_1^3 = f_1 * (f_3 / f_4)
-    at those degrees alone (a_parity_at), which uses no dissection
-    identity; disagreement would mean a kernel inconsistency and raises.
-    Sampling is seeded, so identical calls give identical reports.
+    Coefficient m is a(8m+7) mod 2. A seeded sample of min(1000, limit_m)
+    indices is cross-checked against a(8m+7) read from f_3 / f_1^3 =
+    f_1 * (f_3 / f_4) at those degrees alone (a_parity_at), which uses no
+    dissection identity; disagreement would mean a kernel inconsistency
+    and raises. Identical calls give identical reports.
     """
     if limit_m < 1:
         raise ValueError("limit_m must be >= 1")
-    count = max(0, min(cross_check_samples, limit_m))
-    sample = sorted(random.Random(_SAMPLE_SEED).sample(range(limit_m), count))
+    sample = sorted(random.Random(_SAMPLE_SEED).sample(range(limit_m), min(1000, limit_m)))
     # The cross-check goes first: it builds the longest cached 1/f_1 (to
     # about 2 * limit_m), which the closed form then reads a truncation of.
     extracted = a_parity_at([8 * m + 7 for m in sample])

@@ -156,7 +156,7 @@ class EtaQuotient:
         else:
             acc = Gf2Series.from_support(first, trunc_len)
         for _, exponents in sparse:
-            acc = acc.mul_sparse(exponents)
+            acc = acc.mul_dilated(exponents, 1, trunc_len)
         return acc
 
 

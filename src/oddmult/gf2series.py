@@ -3,14 +3,15 @@
 A series is known for degrees 0 .. trunc_len-1 and is stored as a
 read-only array of little-endian uint64 words whose bit k (bit k & 63 of
 word k >> 6) is the coefficient of q^k; every bit at or above trunc_len is
-zero. Every operation works on these words: addition is one XOR, and a
-sparse factor sum_e q^e, given by its exponents, multiplies a series by
-one bit-shifted copy of the series per residue e mod 64, XORed in place at
-word offset e // 64. A sparse F times f(q^d) is computed one residue class
-of F's exponents mod d at a time against the undilated f, and each partial
-product is scattered into one output by strided byte ORs. A few
-coefficients of a sparse F times f can be read without forming the product
-(sparse_product_at). No product of two dense series is ever formed.
+zero. Every operation works on these words: addition is one XOR, and
+every product is mul_dilated, a sparse factor F = sum_e q^e, given by its
+exponents, times f(q^d). At d = 1 it multiplies f by one bit-shifted copy
+of f per residue e mod 64, XORed in place at word offset e // 64. At
+d > 1 it does the same one residue class of F's exponents mod d at a time
+against the undilated f, and scatters each partial product into one
+output by strided byte ORs. A few coefficients of a sparse F times f can
+be read without forming the product (sparse_product_at). No product of
+two dense series is ever formed.
 
 Series objects are immutable: every operation returns a fresh value, and
 the word arrays are read-only, so instances can be shared freely, across
@@ -200,16 +201,6 @@ class Gf2Series:
             raise ValueError(f"truncation length mismatch: {self.trunc_len} != {other.trunc_len}")
         return Gf2Series._of_words(self.trunc_len, self._words ^ other._words)
 
-    def mul_sparse(self, exponents: Iterable[int]) -> Gf2Series:
-        """The product (sum_e q^e) * self, truncated to this series' length.
-
-        The exponents drive the XOR loop, and neither a series of them is
-        built nor any bit counted, so a caller that holds a sparse factor
-        as its exponent list skips both. Exponents at or past the
-        truncation are dropped.
-        """
-        return Gf2Series._of_words(self.trunc_len, _mul_words(_exponent_array(exponents), self._words))
-
     def mul_dilated(self, exponents: Iterable[int], factor: int, trunc_len: int) -> Gf2Series:
         """The product (sum_e q^e) * f(q^factor), truncated to trunc_len.
 
@@ -218,13 +209,19 @@ class Gf2Series:
         factor) terms, and coefficient m of that product is scattered to
         degree factor*m + j. So the XOR loop runs over trunc_len / factor
         bits per exponent, and no dilated copy of this series is built.
-        Dilation f(q) -> f(q^factor) is the case exponents = [0].
+        Dilation f(q) -> f(q^factor) is the case exponents = [0]. At factor
+        1 there is one class, and the XOR loop's words are the product with
+        no scatter. The exponents drive that loop, so a sparse factor is
+        never built as a series, and exponents at or past trunc_len add
+        nothing.
         """
         if factor < 1:
             raise ValueError("dilation factor must be positive")
         if trunc_len > factor * self.trunc_len:
             raise ValueError("cannot extend a truncated series")
         support = _exponent_array(exponents)
+        if factor == 1:
+            return Gf2Series._of_words(trunc_len, _mul_words(support, self._words[: _nwords(trunc_len)]))
         out = np.zeros(8 * _nwords(trunc_len), dtype=np.uint8)
         for j in range(min(factor, trunc_len)):
             part = support[support % factor == j] // factor
@@ -263,9 +260,7 @@ class Gf2Series:
 
     def shift(self, k: int) -> Gf2Series:
         """Multiply by the monomial q^k (k >= 0), truncating as usual."""
-        if k < 0:
-            raise ValueError("shift distance must be non-negative")
-        return self.mul_sparse([k])
+        return self.mul_dilated([k], 1, self.trunc_len)
 
     def truncate(self, new_len: int) -> Gf2Series:
         if new_len > self.trunc_len:

@@ -200,8 +200,12 @@ def legendre_symbol(a: int, p: int) -> int:
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
+    return _euler_criterion(a, p)
+
+
+def _euler_criterion(a: int, p: int) -> int:
+    """legendre_symbol(a, p) for a p already known to be an odd prime."""
     a %= p
     if a == 0:
         return 0
-    e = pow(a, (p - 1) // 2, p)
-    return 1 if e == 1 else -1
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1

@@ -1,5 +1,6 @@
 import pytest
 
+from oddmult import congruence, numtheory
 from oddmult.congruence import (
     CongruenceFamily,
     all_families,
@@ -49,6 +50,27 @@ def test_generator_domain_errors():
     for p in (2, 1, 9, 15):
         with pytest.raises(ValueError):
             generate_24p_family(p)
+
+
+@pytest.mark.parametrize(
+    "generate, slope, p", [(generate_12p_family, 12, 97), (generate_24p_family, 8, 97), (generate_24p_family, 8, 3)]
+)
+def test_generators_check_p_once(monkeypatch, generate, slope, p):
+    # p is checked once per call; each r is then tested by Euler's criterion
+    # alone, not by legendre_symbol, which would check p again
+    calls = []
+    real_is_prime = numtheory.is_prime
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return real_is_prime(n)
+
+    monkeypatch.setattr(numtheory, "is_prime", counting_is_prime)
+    monkeypatch.setattr(congruence, "is_prime", counting_is_prime)
+    families = generate(p)
+    assert calls == [p]
+    nonzero_squares = {x * x % p for x in range(1, p)}
+    assert [f.r for f in families] == [r for r in range(1, p) if (slope * r + 1) % p not in nonzero_squares | {0}]
 
 
 def test_family_residue_validation():

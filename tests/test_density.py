@@ -21,7 +21,7 @@ def test_checkpoints_upto():
 
 
 def test_density_8m7_structure():
-    report = density_8m7(10, cross_check_samples=10)
+    report = density_8m7(10)
     assert report.class_tag == "8m+7"
     assert [c.x for c in report.checkpoints] == [10]
     counts = [c.odd_count for c in report.checkpoints]
@@ -33,14 +33,14 @@ def test_density_8m7_structure():
 def test_density_8m7_first_coefficient_is_a7():
     # a(7) = 9 is odd
     table = build_table(7)
-    report = density_8m7(1, cross_check_samples=1)
+    report = density_8m7(1)
     assert report.checkpoints[0].odd_count == table.parity(7) == 1
 
 
 def test_density_8m7_deterministic():
-    a = density_8m7(2000, cross_check_samples=100)
-    b = density_8m7(2000, cross_check_samples=100)
-    assert a == b
+    a = density_8m7(2000)
+    b = density_8m7(2000)
+    assert a == b and a.cross_checked == 1000
 
 
 def test_density_8m7_cross_check_reports_first_mismatch(monkeypatch):
@@ -48,7 +48,7 @@ def test_density_8m7_cross_check_reports_first_mismatch(monkeypatch):
     flipped = true + Gf2Series.from_support([37, 80], 100)
     monkeypatch.setattr(oddmult.density, "dissection_series", lambda tag, n: flipped)
     with pytest.raises(RuntimeError) as exc:
-        density_8m7(100, cross_check_samples=100)
+        density_8m7(100)
     assert str(exc.value) == (
         f"dissection mismatch at m=37: closed form {1 - true[37]}, extraction {true[37]}"
     )

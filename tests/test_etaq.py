@@ -75,7 +75,7 @@ def test_eval_distributes_over_concatenation():
     ]:
         combined = EtaQuotient.of(list(left.items()) + list(right.items()))
         right_exponents = EtaQuotient.of(right).eval(600).support()
-        assert combined.eval(600) == EtaQuotient.of(left).eval(600).mul_sparse(right_exponents)
+        assert combined.eval(600) == EtaQuotient.of(left).eval(600).mul_dilated(right_exponents, 1, 600)
 
 
 def test_a_parity_head_matches_oracle(oracle_2000):
@@ -324,7 +324,6 @@ def test_f1_over_f2_is_the_inverse_alone(monkeypatch):
         raise AssertionError("1/f1 has no sparse factor")
 
     monkeypatch.setattr(Gf2Series, "mul_dilated", recording)
-    monkeypatch.setattr(Gf2Series, "mul_sparse", forbidden)
     monkeypatch.setattr(etaq, "pentagonal_exponents", forbidden)
     monkeypatch.setattr(etaq, "triangular_exponents", forbidden)
     assert EtaQuotient.of({1: 1, 2: -1}).eval(n) == inverse
@@ -466,30 +465,35 @@ def test_package_quotients_match_reference(monkeypatch, trunc_len):
         assert got == reference(quotient, trunc_len), str(quotient)
 
 
+PENT, TRI = pentagonal_exponents, triangular_exponents
+
+
 @pytest.mark.parametrize(
-    "factors, scale",
+    "factors, plan",
     [
-        ({3: 1, 1: -3}, 1),
-        ({3: 5, 1: -3}, 1),
-        ({1: 1, 3: 1, 6: 1, 5: -1}, 1),
-        (dict(etaq._F3_OVER_F4.factors), 3),
-        (dict(DISSECTION_CLASSES["8m+7"][2].factors), 1),
+        ({3: 1, 1: -3}, [(PENT, 1, 4), (PENT, 3, 1)]),
+        ({3: 5, 1: -3}, [(PENT, 1, 4), (PENT, 12, 1), (PENT, 3, 1)]),
+        ({1: 1, 3: 1, 6: 1, 5: -1}, [(PENT, 1, 5), (TRI, 3, 1)]),
+        (dict(etaq._F3_OVER_F4.factors), [(PENT, 3, 4)]),
+        (dict(DISSECTION_CLASSES["8m+7"][2].factors), [(PENT, 1, 4), (PENT, 24, 1)]),
     ],
     ids=["factors0", "factors1", "factors2", "f3_over_f4", "8m+7"],
 )
-def test_split_takes_the_factor_with_most_terms(monkeypatch, factors, scale):
+def test_split_takes_the_factor_with_most_terms(monkeypatch, factors, plan):
     # f3/f1^3 = f1 f3 P(q^4); f3^5/f1^3 = f1 f3 f12 P(q^4); f1 f3 f6/f5 = f1 T(q^3) P(q^5);
-    # f3/f4 = f3 P(q^4); f3^8/f1^3 = f1 f24 P(q^4)
+    # f3/f4 = f3 P(q^4); f3^8/f1^3 = f1 f24 P(q^4). The factor with the most
+    # terms multiplies P(q^t) at factor t, then each other sparse factor
+    # follows at factor 1, fewest terms first.
     n = 5000
     etaq._inverse_f1(n)  # P is itself built by mul_dilated; build it before the spy
-    split = []
+    products = []
     real_mul_dilated = Gf2Series.mul_dilated
 
     def recording(self, exponents, factor, trunc_len):
-        split.append(list(exponents))
+        products.append((list(exponents), factor))
         return real_mul_dilated(self, exponents, factor, trunc_len)
 
     monkeypatch.setattr(Gf2Series, "mul_dilated", recording)
     quotient = EtaQuotient.of(factors)
     assert quotient.eval(n) == reference(quotient, n)
-    assert split == [pentagonal_exponents(n, scale)]
+    assert products == [(exponents(n, scale), factor) for exponents, scale, factor in plan]

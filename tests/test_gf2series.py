@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import conftest
 from conftest import ref_dilate, ref_eta, ref_inverse, ref_mul, set_bits
+from oddmult import gf2series
 from oddmult.etaq import EtaQuotient, pentagonal_exponents, triangular_exponents
 from oddmult.gf2series import Gf2Series, sparse_support
 
@@ -37,7 +38,7 @@ def to_int(s: Gf2Series) -> int:
 
 def times(a: Gf2Series, b: Gf2Series) -> Gf2Series:
     """a * b through the kernel, a's support as the sparse factor."""
-    return b.mul_sparse(a.support())
+    return b.mul_dilated(a.support(), 1, b.trunc_len)
 
 
 # -- construction ------------------------------------------------------------
@@ -136,24 +137,24 @@ def test_add_length_mismatch():
         series(4, 0) + series(5, 0)
 
 
-# -- sparse times dense: mul_sparse --------------------------------------------
+# -- sparse times dense: mul_dilated at factor 1 -------------------------------
 
 
 def test_mul_frobenius_on_binomial():
     one_q = series(4, 0, 1)
-    assert one_q.mul_sparse([0, 1]) == series(4, 0, 2)
+    assert one_q.mul_dilated([0, 1], 1, 4) == series(4, 0, 2)
 
 
 def test_mul_inverse_is_one():
     # the plan's P = 1/f1 times f1, and P against the reference inverse
     p = EtaQuotient.of({1: -1}).eval(64)
-    assert p.mul_sparse(pentagonal_exponents(64)) == Gf2Series.one(64)
+    assert p.mul_dilated(pentagonal_exponents(64), 1, 64) == Gf2Series.one(64)
     assert p == Gf2Series(64, ref_inverse([ref_eta(1, 64)], 64))
 
 
 def test_mul_eq22_identity():
     # f1^3 f3^3 = f1^12 + q f3^12 at truncation 50
-    lhs = EtaQuotient.of({1: 3}).eval(50).mul_sparse(triangular_exponents(50, 3))
+    lhs = EtaQuotient.of({1: 3}).eval(50).mul_dilated(triangular_exponents(50, 3), 1, 50)
     rhs = EtaQuotient.of({1: 12}).eval(50) + EtaQuotient.of({3: 12}).eval(50).shift(1)
     assert lhs == rhs
 
@@ -177,10 +178,10 @@ def test_mul_word_path_matches_shift_xor(n):
     sparse = bits_of([0, 63, 64, 65, n - 1] + [rng.randrange(n) for _ in range(60)])
     dense = rng.getrandbits(n)
     expected = Gf2Series(n, ref_mul(sparse, dense, n))
-    assert Gf2Series(n, dense).mul_sparse(set_bits(sparse)) == expected
-    assert Gf2Series(n, sparse).mul_sparse(set_bits(dense)) == expected
+    assert Gf2Series(n, dense).mul_dilated(set_bits(sparse), 1, n) == expected
+    assert Gf2Series(n, sparse).mul_dilated(set_bits(dense), 1, n) == expected
     # the top exponent keeps only the constant term of the other operand
-    assert Gf2Series(n, dense).mul_sparse([n - 1]).support() == [n - 1] * (dense & 1)
+    assert Gf2Series(n, dense).mul_dilated([n - 1], 1, n).support() == [n - 1] * (dense & 1)
 
 
 @pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
@@ -202,16 +203,16 @@ def test_mul_word_path_drops_bits_above_truncation(n):
     stored = Gf2Series(n, dense)._words
     assert int.from_bytes(stored.tobytes(), "little") == dense & ((1 << n) - 1)
     expected = Gf2Series(n, ref_mul(sparse, dense & ((1 << n) - 1), n))
-    assert Gf2Series(n, dense).mul_sparse(set_bits(sparse)) == expected
-    assert Gf2Series(n, sparse).mul_sparse(set_bits(dense & ((1 << n) - 1))) == expected
+    assert Gf2Series(n, dense).mul_dilated(set_bits(sparse), 1, n) == expected
+    assert Gf2Series(n, sparse).mul_dilated(set_bits(dense & ((1 << n) - 1)), 1, n) == expected
 
 
 @pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
 def test_mul_word_path_zero_operand(n):
     dense = Gf2Series(n, random.Random(n + 3).getrandbits(n))
     zero = Gf2Series(n)
-    assert dense.mul_sparse([]).is_zero() and zero.mul_sparse(dense.support()).is_zero()
-    assert zero.mul_sparse([]).is_zero()
+    assert dense.mul_dilated([], 1, n).is_zero() and zero.mul_dilated(dense.support(), 1, n).is_zero()
+    assert zero.mul_dilated([], 1, n).is_zero()
 
 
 @pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
@@ -221,14 +222,14 @@ def test_mul_word_path_many_exponents_in_one_word(n):
     sparse = full_word | bits_of(rng.sample(range(1280, 1344), 20))
     dense = rng.getrandbits(n)
     expected = ref_mul(sparse, dense, n)
-    assert Gf2Series(n, dense).mul_sparse(set_bits(sparse)) == Gf2Series(n, expected)
+    assert Gf2Series(n, dense).mul_dilated(set_bits(sparse), 1, n) == Gf2Series(n, expected)
 
 
 def test_inverse_through_word_path():
     # 1/f1^3 = f1 P(q^4) by the plan, times f1^3 = T(q)
     n = 65537
     inverse = EtaQuotient.of({1: -3}).eval(n)
-    assert inverse.mul_sparse(triangular_exponents(n)) == Gf2Series.one(n)
+    assert inverse.mul_dilated(triangular_exponents(n), 1, n) == Gf2Series.one(n)
 
 
 # -- square: the Frobenius map f(q)^2 = f(q^2) is mul_dilated([0], 2, n) -----
@@ -319,6 +320,27 @@ def test_mul_dilated_matches_product_with_dilated_copy(s, n):
         assert got == dense.mul_dilated(exponents + [n, n + s + 1], s, n), (name, s, n)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_factor_one_is_the_plain_product_without_a_scatter(data):
+    # lengths 0, 1 and 63 mod 64, operands longer than the product, exponents
+    # at and past the truncation, and the empty factor
+    n = 64 * data.draw(st.integers(1, 3)) - data.draw(st.sampled_from([0, 63, 1]))
+    m = n + data.draw(st.integers(0, 70))
+    dense = data.draw(st.integers(0, (1 << m) - 1))
+    exponents = sorted(data.draw(st.sets(st.integers(0, n + 70), max_size=24)))
+
+    def forbidden(*args):
+        raise AssertionError("a factor-1 product must not scatter")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gf2series, "_scatter", forbidden)
+        got = Gf2Series(m, dense).mul_dilated(exponents, 1, n)
+        empty = Gf2Series(m, dense).mul_dilated([], 1, n)
+    assert got.trunc_len == n and got == Gf2Series(n, ref_mul(bits_of(exponents), dense, n))
+    assert empty.trunc_len == n and empty.is_zero()
+
+
 def test_mul_dilated_rejects_extension_and_bad_factor():
     with pytest.raises(ValueError, match="cannot extend"):
         Gf2Series.one(10).mul_dilated([0], 3, 31)
@@ -329,15 +351,15 @@ def test_mul_dilated_rejects_extension_and_bad_factor():
     assert Gf2Series.one(10).mul_dilated([1, 29], 3, 30) == series(30, 1, 29)
 
 
-def test_mul_sparse_drives_by_its_argument():
+def test_factor_one_product_drives_by_its_exponents():
     dense = EtaQuotient.of({1: -1}).eval(4097)
     sparse = EtaQuotient.of({5: 1}).eval(4097)
     product = Gf2Series(4097, ref_mul(to_int(sparse), to_int(dense), 4097))
-    assert dense.mul_sparse(sparse.support()) == product == sparse.mul_sparse(dense.support())
+    assert dense.mul_dilated(sparse.support(), 1, 4097) == product == sparse.mul_dilated(dense.support(), 1, 4097)
     # exponents at or past the truncation add nothing
-    assert dense.mul_sparse(sparse.support() + [4097, 4160, 5000, 10**6]) == product
+    assert dense.mul_dilated(sparse.support() + [4097, 4160, 5000, 10**6], 1, 4097) == product
     with pytest.raises(ValueError, match="duplicate"):
-        dense.mul_sparse([5, 5])
+        dense.mul_dilated([5, 5], 1, 4097)
 
 
 # -- coefficients of a sparse product, read without forming it ---------------
@@ -454,7 +476,7 @@ def test_stored_words_are_read_only():
     s = Gf2Series(200, (1 << 200) - 1)
     t = series(200, 0, 3, 150)
     for made in (
-        s, t, Gf2Series.one(64), s + t, s.mul_sparse([0, 3]), s.mul_dilated([0, 5], 3, 200), s.shift(5),
+        s, t, Gf2Series.one(64), s + t, s.mul_dilated([0, 3], 1, 200), s.mul_dilated([0, 5], 3, 200), s.shift(5),
         s.truncate(130), s.truncate(128), s.extract(1, 3), s.extract(3, 1),
     ):
         with pytest.raises(ValueError, match="read-only"):
@@ -514,4 +536,4 @@ def test_inverse_round_trip(data):
     a = data.draw(st.integers(0, (1 << n) - 1)) | 1
     inverse = ref_inverse([a], n)
     assert ref_mul(a, inverse, n) == 1
-    assert Gf2Series(n, a).mul_sparse(set_bits(inverse)) == Gf2Series.one(n)
+    assert Gf2Series(n, a).mul_dilated(set_bits(inverse), 1, n) == Gf2Series.one(n)
