@@ -27,6 +27,7 @@ coefficients of f_1 * (f_3 / f_4) (a_parity_at).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable
 
 import numpy as np
@@ -47,33 +48,24 @@ __all__ = [
 
 
 def pentagonal_exponents(trunc_len: int, scale: int = 1) -> list[int]:
-    """Generalized pentagonal numbers k(3k-1)/2 (k in Z), dilated by scale."""
+    """Generalized pentagonal numbers k(3k-1)/2 (k in Z) below trunc_len,
+    dilated by scale, ascending."""
     if scale < 1:
         raise ValueError("scale must be positive")
-    out = [0]
-    k = 1
-    while True:
-        e = scale * (k * (3 * k - 1) // 2)
-        if e >= trunc_len:
-            break
-        out.append(e)
-        e = scale * (k * (3 * k + 1) // 2)
-        if e < trunc_len:
-            out.append(e)
-        k += 1
-    return sorted(out)
+    # k(3k-1)/2 >= k^2, so every term has k <= isqrt(trunc_len // scale)
+    k = np.arange(isqrt(max(trunc_len, 0) // scale) + 1, dtype=np.int64)
+    pent = scale * np.stack([k * (3 * k - 1) // 2, k * (3 * k + 1) // 2], axis=1).ravel()[1:]
+    return pent[pent < trunc_len].tolist()
 
 
 def triangular_exponents(trunc_len: int, scale: int = 1) -> list[int]:
-    """Triangular numbers k(k+1)/2 (k >= 0), dilated by scale."""
+    """Triangular numbers k(k+1)/2 (k >= 0) below trunc_len, dilated by scale."""
     if scale < 1:
         raise ValueError("scale must be positive")
-    out = []
-    k = 0
-    while scale * (k * (k + 1) // 2) < trunc_len:
-        out.append(scale * (k * (k + 1) // 2))
-        k += 1
-    return out
+    # k(k+1)/2 >= k^2/2, so every term has k <= isqrt(2 trunc_len // scale)
+    k = np.arange(isqrt(2 * max(trunc_len, 0) // scale) + 1, dtype=np.int64)
+    tri = scale * (k * (k + 1) // 2)
+    return tri[tri < trunc_len].tolist()
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ word k >> 6) is the coefficient of q^k; every bit at or above trunc_len is
 zero. Every operation works on these words: addition is one XOR, and
 every product is mul_dilated, a sparse factor F = sum_e q^e, given by its
 exponents, times f(q^d). At d = 1 it multiplies f by one bit-shifted copy
-of f per residue e mod 64, XORed in place at word offset e // 64. At
-d > 1 it does the same one residue class of F's exponents mod d at a time
+of f per residue e mod 8, XORed in place at byte offset e // 8. At d > 1
+it does the same one residue class of F's exponents mod d at a time
 against the undilated f, and scatters each partial product into one
-output by strided byte ORs. A few coefficients of a sparse F times f can
-be read without forming the product (sparse_product_at). No product of
+output through a table of the 256 byte values spread by d, one gather per
+chunk of source bytes. A few coefficients of a sparse F times f can be
+read without forming the product (sparse_product_at). No product of
 two dense series is ever formed.
 
 Series objects are immutable: every operation returns a fresh value, and
@@ -20,29 +21,37 @@ threads too.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
 __all__ = ["Gf2Series", "sparse_support"]
 
-# Number of set bits of each byte value.
+# Every byte value, and the number of set bits of each.
+_BYTES = np.arange(256, dtype=np.uint8)
 _BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
-# Bytes sparse_product_at gathers per chunk of degrees; each chunk's byte
-# indices take eight times as much.
+# Bytes gathered per chunk, by sparse_product_at (whose int32 byte indices
+# take four times as much) and by _scatter (whose output takes factor times
+# as much).
 _GATHER = 1 << 14
+
+
+def _exponent_array(exponents: Iterable[int]) -> np.ndarray:
+    """The exponents of a sparse factor sum_e q^e: distinct, non-negative, ascending int64."""
+    support = np.sort(np.fromiter(exponents, dtype=np.int64))
+    if len(support) and support[0] < 0:
+        raise ValueError("support exponents must be non-negative")
+    repeated = np.flatnonzero(support[1:] == support[:-1])
+    if len(repeated):
+        raise ValueError(f"duplicate exponent {support[repeated[0]]} in support")
+    return support
 
 
 def sparse_support(exponents: Iterable[int]) -> tuple[int, ...]:
     """Validate and normalize a sparse support: distinct degrees, ascending."""
-    support = tuple(sorted(exponents))
-    if support and support[0] < 0:
-        raise ValueError("support exponents must be non-negative")
-    for a, b in zip(support, support[1:]):
-        if a == b:
-            raise ValueError(f"duplicate exponent {a} in support")
-    return support
+    return tuple(_exponent_array(exponents).tolist())
 
 
 def _nwords(trunc_len: int) -> int:
@@ -59,53 +68,72 @@ def _word_support(words: np.ndarray) -> np.ndarray:
     return nonzero[bits >> 6] * 64 + (bits & 63)
 
 
-def _exponent_array(exponents: Iterable[int]) -> np.ndarray:
-    """The exponents of a sparse factor sum_e q^e, validated, as int64."""
-    return np.array(sparse_support(exponents), dtype=np.int64)
-
-
 def _mul_words(exponents: np.ndarray, dense: np.ndarray) -> np.ndarray:
     """Carryless product of sum_e q^e and the words dense, cut to their length.
 
-    One bit-shifted copy of dense is built per residue e % 64 of the
-    non-negative exponents; every e then costs one in-place XOR of that
-    copy, moved by e // 64 whole words, into the accumulator, which is
-    returned. Exponents past the last word add nothing.
+    One bit-shifted copy of dense is built per residue e % 8 of the
+    non-negative exponents, at most eight; every e then costs one in-place
+    XOR of that copy, moved by e // 8 whole bytes, into a byte view of the
+    accumulator, which is returned. Exponents past the last byte add nothing.
     """
-    nwords = len(dense)
-    word_offsets: dict[int, list[int]] = {}
-    for e in exponents.tolist():
-        if e >> 6 < nwords:
-            word_offsets.setdefault(e & 63, []).append(e >> 6)
-    acc = np.zeros(nwords, dtype="<u8")
-    shifted = np.empty(nwords, dtype="<u8")
-    carry = np.empty(nwords - 1, dtype="<u8")
-    for r, offsets in word_offsets.items():
+    nbytes = 8 * len(dense)
+    exponents = exponents[exponents < 8 * nbytes]
+    acc = np.zeros(len(dense), dtype="<u8")
+    out = acc.view(np.uint8)
+    shifted = np.empty_like(acc)
+    # Held for the whole loop, like shifted: a series-sized temporary freed
+    # per residue lets the allocator keep that much more resident.
+    carry = np.empty(len(dense) - 1, dtype="<u8")
+    for r in range(8):
+        offsets = (exponents[(exponents & 7) == r] >> 3).tolist()
+        if not offsets:
+            continue
         if r:
             np.left_shift(dense, r, out=shifted)
             np.right_shift(dense[:-1], 64 - r, out=carry)
             shifted[1:] |= carry
-            source = shifted
+            source = shifted.view(np.uint8)
         else:
-            source = dense
-        for q in offsets:
-            acc[q:] ^= source[: nwords - q]
+            source = dense.view(np.uint8)
+        for b in offsets:
+            out[b:] ^= source[: nbytes - b]
     return acc
+
+
+# The package's quotients use a dozen (factor, offset) pairs; the bound keeps
+# a caller with large factors from holding 256*factor bytes for every pair.
+@lru_cache(maxsize=64)
+def _spread_table(factor: int, offset: int) -> np.ndarray:
+    """Entry b is byte b spread to factor bytes: bit t at bit factor*t + offset.
+
+    offset < factor, so the eight bits stay inside the factor bytes. The
+    entries are void scalars of factor bytes, so one take gathers them.
+    """
+    table = np.zeros((256, factor), dtype=np.uint8)
+    for t in range(8):
+        at = factor * t + offset
+        table[:, at >> 3] |= (_BYTES >> t & 1) << (at & 7)
+    return table.view(f"V{factor}").ravel()
 
 
 def _scatter(words: np.ndarray, factor: int, offset: int, out: np.ndarray) -> None:
     """OR bit k of words into bit factor*k + offset of the byte array out.
 
-    Source byte i lands in the factor bytes from byte factor*i on, so the
-    scatter is eight strided ORs, one per bit of a byte, with no
-    per-coefficient index array. Bits that land past the end of out are
-    dropped.
+    Source byte i lands in the factor bytes from byte factor*i on, so each
+    chunk of _GATHER source bytes is one gather from _spread_table and one
+    OR, with no per-coefficient index array. Bits that land past the end of
+    out are dropped: a source byte whose group only starts inside out ORs
+    the part of its group that fits.
     """
     src = words.view(np.uint8)
-    for bit in range(8):
-        first = factor * bit + offset
-        dest = out[first >> 3 :: factor][: len(src)]
-        dest |= ((src[: len(dest)] >> bit) & 1) << (first & 7)
+    table = _spread_table(factor, offset)
+    groups = min(len(src), len(out) // factor)
+    for first in range(0, groups, _GATHER):
+        last = min(first + _GATHER, groups)
+        out[factor * first : factor * last] |= table.take(src[first:last]).view(np.uint8)
+    tail = len(out) - factor * groups
+    if tail and groups < len(src):
+        out[factor * groups :] |= table.take(src[groups : groups + 1]).view(np.uint8)[:tail]
 
 
 class Gf2Series:
@@ -141,10 +169,11 @@ class Gf2Series:
     def from_support(cls, exponents: Iterable[int], trunc_len: int) -> Gf2Series:
         """Series with coefficient 1 at each listed degree.
 
-        Exponents at or beyond the truncation are dropped silently: supports
-        such as the pentagonal numbers are naturally infinite.
+        Exponents at or beyond the truncation are dropped silently, before
+        the others are validated: supports such as the pentagonal numbers are
+        naturally infinite, and a dropped exponent need not fit in int64.
         """
-        kept = np.array([e for e in sparse_support(exponents) if e < trunc_len], dtype=np.int64)
+        kept = _exponent_array(e for e in exponents if e < trunc_len)
         words = np.zeros(_nwords(trunc_len), dtype="<u8")
         np.bitwise_or.at(words, kept >> 6, np.left_shift(np.uint64(1), (kept & 63).astype(np.uint64)))
         return cls._of_words(trunc_len, words)
@@ -237,23 +266,28 @@ class Gf2Series:
         Only those coefficients are read: exponent e <= n adds bit n - e of
         this series. The exponents e = 8k + r of one residue r mod 8 read
         bit (n - r) & 7 of the bytes ((n - r) >> 3) - k, so each residue
-        XORs whole bytes and shifts once per degree. Degrees go in chunks
-        of about _GATHER gathered bytes, so the temporaries stay that small
-        however many degrees and exponents there are.
+        XORs whole bytes and shifts once per degree. The byte indices are
+        int32 unless this series has 2^31 bytes or more, and degrees go in
+        chunks of about _GATHER gathered bytes, so the temporaries stay that
+        small however many degrees and exponents there are.
         """
         support = _exponent_array(exponents)
         degrees = np.asarray(degrees, dtype=np.int64)
         if len(degrees) and not 0 <= degrees.min() <= degrees.max() < self.trunc_len:
             raise ValueError(f"degrees must lie in 0..{self.trunc_len - 1}")
         src = self._words.view(np.uint8)
+        index = np.int32 if len(src) < 1 << 31 else np.int64
+        # Exponents above every degree add nothing, and the rest index src.
+        support = support[support <= degrees.max(initial=-1)]
         out = np.zeros(len(degrees), dtype=np.uint8)
         for r in range(8):
-            k = support[(support & 7) == r] >> 3
+            k = (support[(support & 7) == r] >> 3).astype(index)
             span = _GATHER // max(len(k), 1) + 1
             for first in range(0, len(degrees) if len(k) else 0, span):
                 d = degrees[first : first + span] - r
-                byte = (d >> 3)[:, None] - k  # negative where e > n
-                gathered = np.where(byte >= 0, src.take(byte, mode="clip"), 0)
+                byte = (d >> 3).astype(index)[:, None] - k  # negative where e > n
+                gathered = src.take(byte, mode="clip")
+                gathered[byte < 0] = 0
                 bits = np.bitwise_xor.reduce(gathered, axis=1) >> (d & 7).astype(np.uint8)
                 out[first : first + span] ^= bits & 1
         return out
@@ -273,10 +307,9 @@ class Gf2Series:
         """Decimate: coefficient m of the result is coefficient step*m+offset.
 
         The result keeps every source degree below trunc_len, so its length
-        is ceil((trunc_len - offset) / step). It mirrors _scatter: output
-        bit 8i + b is source bit step*(8i + b) + offset, so bit b of every
-        output byte is one strided byte read of the source, eight reads in
-        all, with no array of bits.
+        is ceil((trunc_len - offset) / step). Output bit 8i + b is source bit
+        step*(8i + b) + offset, so bit b of every output byte is one strided
+        byte read of the source, eight reads in all, with no array of bits.
         """
         if step < 1:
             raise ValueError("step must be >= 1")

@@ -1,9 +1,11 @@
-"""Exact number-theoretic oracles that only the tests use.
+"""Exact oracles that only the tests use.
 
 Divisor classes mod 8 and brute-force representation counts of c^2 + d^2
 and c^2 + 2 d^2, for criterion 5 (the Dirichlet formula and the eightfold
 relation) and their own checks. The package keeps only the counters its
-parity proofs name (numtheory.count_reps_*).
+parity proofs name (numtheory.count_reps_*). Also the term-by-term loops
+for the pentagonal and triangular exponents, against which etaq's
+vectorized ones are checked.
 """
 
 from dataclasses import dataclass
@@ -83,3 +85,30 @@ def signed_reps_c2_plus_2d2(n: int) -> int:
         if s * s == rest:
             count += (1 if d == 0 else 2) * (1 if s == 0 else 2)
     return count
+
+
+def pentagonal_exponents_loop(trunc_len: int, scale: int = 1) -> list[int]:
+    """Generalized pentagonal numbers times scale below trunc_len, one k at a
+    time. It always lists 0, even for trunc_len <= 0."""
+    out = [0]
+    k = 1
+    while True:
+        e = scale * (k * (3 * k - 1) // 2)
+        if e >= trunc_len:
+            break
+        out.append(e)
+        e = scale * (k * (3 * k + 1) // 2)
+        if e < trunc_len:
+            out.append(e)
+        k += 1
+    return sorted(out)
+
+
+def triangular_exponents_loop(trunc_len: int, scale: int = 1) -> list[int]:
+    """Triangular numbers times scale below trunc_len, one k at a time."""
+    out = []
+    k = 0
+    while scale * (k * (k + 1) // 2) < trunc_len:
+        out.append(scale * (k * (k + 1) // 2))
+        k += 1
+    return out

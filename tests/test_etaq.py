@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from conftest import ref_eta, ref_inverse, ref_mul, reference_eval
+from oracles import pentagonal_exponents_loop, triangular_exponents_loop
 from oddmult import etaq, gf2series
 from oddmult.etaq import (
     A_PARITY_QUOTIENT,
@@ -38,6 +39,24 @@ def test_pentagonal_exponents_match_formula():
 def test_triangular_exponents_match_formula():
     assert triangular_exponents(11) == [0, 1, 3, 6, 10]
     assert triangular_exponents(50, scale=2) == [2 * k * (k + 1) // 2 for k in range(7)]
+
+
+@pytest.mark.parametrize("scale", [1, 2, 3, 4, 6, 9, 24])
+def test_exponent_helpers_match_the_term_by_term_loops(scale):
+    for n in [*range(-3, 301), 10**6 + 1, 8 * 10**6]:
+        # the loop lists 0 even below trunc_len 1; no degree lies below it
+        assert pentagonal_exponents(n, scale) == (pentagonal_exponents_loop(n, scale) if n > 0 else []), n
+        assert triangular_exponents(n, scale) == triangular_exponents_loop(n, scale), n
+
+
+def test_exponent_helpers_list_nothing_below_trunc_len_one():
+    for n in (0, -1, -5):
+        assert pentagonal_exponents(n) == triangular_exponents(n) == []
+    assert pentagonal_exponents(1) == triangular_exponents(1) == [0]
+    with pytest.raises(ValueError, match="scale"):
+        pentagonal_exponents(10, 0)
+    with pytest.raises(ValueError, match="scale"):
+        triangular_exponents(10, -1)
 
 
 def test_eval_f1():

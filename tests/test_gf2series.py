@@ -105,6 +105,21 @@ def test_sparse_support_validation():
     with pytest.raises(ValueError):
         sparse_support([2, 2])
     assert sparse_support([5, 1, 3]) == (1, 3, 5)
+    with pytest.raises(ValueError, match="^support exponents must be non-negative$"):
+        sparse_support(iter([4, -2, -2]))
+    # the first repeat in ascending order is named
+    with pytest.raises(ValueError, match="^duplicate exponent 3 in support$"):
+        sparse_support(np.array([7, 3, 9, 7, 3]))
+    assert sparse_support(e for e in (9, 0, 4)) == (0, 4, 9)
+    assert sparse_support([]) == ()
+    assert all(type(e) is int for e in sparse_support(np.array([2, 1])))
+
+
+def test_from_support_drops_exponents_past_the_truncation_before_validating():
+    assert series(10, 9, 10, 10, 2**64, 10**30).support() == [9]
+    for bad in ([1, 1, 12], [-1, 12]):
+        with pytest.raises(ValueError):
+            series(10, *bad)
 
 
 def test_trunc_len_must_be_positive():
@@ -341,6 +356,47 @@ def test_factor_one_is_the_plain_product_without_a_scatter(data):
     assert empty.trunc_len == n and empty.is_zero()
 
 
+def scatter_reference(words, factor, offset, out):
+    """out with bit factor*k + offset set for each set bit k of words, one
+    bit at a time; targets past the end of out are dropped."""
+    spread = np.unpackbits(out, bitorder="little")
+    for k in np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little")).tolist():
+        if factor * k + offset < len(spread):
+            spread[factor * k + offset] = 1
+    return np.packbits(spread, bitorder="little")
+
+
+@pytest.mark.parametrize("factor, offset", [(f, j) for f in range(1, 10) for j in range(f)])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scatter_matches_a_bit_by_bit_spread(factor, offset, data):
+    # sources shorter and longer than the output's groups, output lengths
+    # off a multiple of the factor, and several gather chunks
+    nwords = data.draw(st.integers(1, 6))
+    nout = data.draw(st.integers(1, factor * 8 * nwords + 3 * factor))
+    gather = data.draw(st.sampled_from([1, 3, 8, 1 << 14]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    words = rng.integers(0, 2**64, nwords, dtype="<u8", endpoint=False)
+    if data.draw(st.booleans()):
+        words[:] = ~np.uint64(0)
+    out = rng.integers(0, 256, nout, dtype=np.uint8)
+    want = scatter_reference(words, factor, offset, out.copy())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gf2series, "_GATHER", gather)
+        gf2series._scatter(words, factor, offset, out)
+    assert np.array_equal(out, want), (factor, offset, nwords, nout, gather)
+
+
+@pytest.mark.parametrize("factor, offset, nout", [(1, 0, 20_000), (3, 2, 3 * 17_000 + 2), (7, 4, 7 * 2049 * 8 + 5)])
+def test_scatter_past_one_gather_chunk(factor, offset, nout):
+    words = np.random.default_rng(factor).integers(0, 2**64, 2049, dtype="<u8", endpoint=False)
+    assert 8 * len(words) > gf2series._GATHER
+    out = np.zeros(nout, dtype=np.uint8)
+    want = scatter_reference(words, factor, offset, out.copy())
+    gf2series._scatter(words, factor, offset, out)
+    assert np.array_equal(out, want)
+
+
 def test_mul_dilated_rejects_extension_and_bad_factor():
     with pytest.raises(ValueError, match="cannot extend"):
         Gf2Series.one(10).mul_dilated([0], 3, 31)
@@ -391,6 +447,32 @@ def test_sparse_product_at_matches_the_product(monkeypatch, n, gather):
         assert np.array_equal(got, sampled_reference(dense, exponents, degrees)), (name, n)
     assert dense.sparse_product_at([0], degrees).tolist() == [dense[d] for d in degrees]
     assert dense.sparse_product_at([0, 1], []).shape == (0,)
+
+
+def per_degree_reference(dense, exponents, degrees):
+    """Coefficient n of (sum_e q^e) * dense for each n, by its own sum."""
+    out = []
+    for n in degrees:
+        out.append(sum(dense[n - e] for e in exponents if e <= n) & 1)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_sparse_product_at_matches_a_per_degree_sum(data):
+    # unsorted and repeated degrees, exponents above the degrees, residues
+    # mod 8 with no exponent, and more degrees than one gather chunk holds
+    n = data.draw(st.integers(1, 300))
+    dense = Gf2Series(n, data.draw(st.integers(0, (1 << n) - 1)))
+    empty = data.draw(st.sets(st.integers(0, 7), max_size=7))
+    exponents = [e for e in data.draw(st.sets(st.integers(0, n + 40), max_size=40)) if e % 8 not in empty]
+    degrees = data.draw(st.lists(st.integers(0, n - 1), max_size=80))
+    degrees += data.draw(st.lists(st.sampled_from(degrees), max_size=10)) if degrees else []
+    gather = data.draw(st.sampled_from([1, 5, 1 << 14]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gf2series, "_GATHER", gather)
+        got = dense.sparse_product_at(exponents, degrees)
+    assert got.tolist() == per_degree_reference(dense, exponents, degrees)
 
 
 def test_sparse_product_at_rejects_bad_degrees_and_exponents():
