@@ -8,15 +8,7 @@ independent ground truth; and on top sit the parity characterizations
 experiments (`density`). The `oddmult` CLI exposes all of it.
 """
 
-from .characterize import (
-    Parity,
-    ParityVerdict,
-    odd_flag_windows,
-    parity_4m1,
-    parity_8m3,
-    parity_even_index,
-    predict_parity,
-)
+from .characterize import Parity, ParityVerdict, odd_flag_windows, predict_parity
 from .congruence import (
     CongruenceFamily,
     FamilyVerification,
@@ -36,7 +28,7 @@ from .etaq import (
     pentagonal_exponents,
     triangular_exponents,
 )
-from .gf2series import Gf2Series, sparse_support
+from .gf2series import Gf2Series
 from .numtheory import (
     Factorization,
     count_reps_c2_plus_2d2,

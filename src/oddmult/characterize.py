@@ -1,6 +1,6 @@
 """Parity predicates for a(n), split by residue class of n.
 
-Each predicate decides odd/even from arithmetic properties of n alone
+`predict_parity(n)` decides odd/even from arithmetic properties of n alone
 (squareness, or the shape of the prime factorization), with no series
 computation. Every verdict carries the case that produced it, so a failed
 comparison against the series names the branch that lied. The class
@@ -20,14 +20,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .numtheory import Factorization, _sieve, factorize, is_square, is_three_times_square
+from .numtheory import _sieve, factorize, is_square, is_three_times_square
 
 __all__ = [
     "Parity",
     "ParityVerdict",
-    "parity_even_index",
-    "parity_4m1",
-    "parity_8m3",
     "predict_parity",
     "VERDICTS",
     "cases",
@@ -49,12 +46,6 @@ class ParityVerdict:
     @property
     def is_odd(self) -> bool:
         return self.parity is Parity.ODD
-
-
-def _lone_odd_exponent_is_1_mod_4(factorization: Factorization) -> bool:
-    # all exponents even except exactly one, which must be 1 mod 4
-    odd_exponents = [e for _, e in factorization if e % 2 == 1]
-    return len(odd_exponents) == 1 and odd_exponents[0] % 4 == 1
 
 
 # The verdict of every case and odd flag, at index 2 * case + odd, "{0}"
@@ -116,54 +107,30 @@ def cases(lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def parity_even_index(m: int) -> ParityVerdict:
-    """Parity of a(2m): odd iff m = 0 or m = k^2 with 3 not dividing k."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m == 0:
-        # ordered before the square test: 0 = 0^2 has root divisible by 3,
-        # yet a(0) = 1 is odd
-        return _verdict(0, True, ZERO)
-    if is_square(m):
-        if isqrt(m) % 3 != 0:
-            return _verdict(2 * m, True)
-        return _verdict(2 * m, False, TRIPLE_ROOT)
-    return _verdict(2 * m, False)
-
-
-def _odd_class_verdict(m: int, n: int, square_test) -> ParityVerdict:
-    if m % 3 == 2:
-        return _verdict(n, False)
-    if m % 3 == 0:
-        return _verdict(n, square_test(n))
-    return _verdict(n, _lone_odd_exponent_is_1_mod_4(factorize(n)))
-
-
-def parity_4m1(m: int) -> ParityVerdict:
-    """Parity of a(4m+1), by squareness or the factorization of 4m+1."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return _odd_class_verdict(m, 4 * m + 1, is_square)
-
-
-def parity_8m3(m: int) -> ParityVerdict:
-    """Parity of a(8m+3), by three-times-squareness or the factorization of 8m+3."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return _odd_class_verdict(m, 8 * m + 3, is_three_times_square)
-
-
 def predict_parity(n: int) -> ParityVerdict:
-    """Parity of a(n) for any n >= 0; Unknown exactly when n == 7 (mod 8)."""
+    """Parity of a(n) for any n >= 0; Unknown exactly when n == 7 (mod 8).
+
+    a(2m) is odd iff m = 0 or m = k^2 with 3 not | k. For n = 4m+1 or 8m+3,
+    a(n) is even when m == 2 (mod 3); when m == 0 (mod 3) it is odd iff n is
+    a square (4m+1) or 3 times a square (8m+3); when m == 1 (mod 3) it is odd
+    iff exactly one prime exponent of n is odd, and that one is 1 (mod 4).
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n % 2 == 0:
-        return parity_even_index(n // 2)
-    if n % 4 == 1:
-        return parity_4m1((n - 1) // 4)
-    if n % 8 == 3:
-        return parity_8m3((n - 3) // 8)
-    return _verdict(n, False)
+        if n == 0:  # 0 = 0^2 has a root 3 divides, yet a(0) = 1 is odd
+            return _verdict(0, True, ZERO)
+        root = isqrt(n // 2)
+        if root * root == n // 2 and root % 3 == 0:
+            return _verdict(n, False, TRIPLE_ROOT)
+        return _verdict(n, root * root == n // 2)
+    m = n // 4 if n % 4 == 1 else n // 8
+    if n % 8 == 7 or m % 3 == 2:
+        return _verdict(n, False)
+    if m % 3 == 0:
+        return _verdict(n, is_square(n) if n % 4 == 1 else is_three_times_square(n))
+    odd_exponents = [e for _, e in factorize(n) if e % 2]
+    return _verdict(n, len(odd_exponents) == 1 and odd_exponents[0] % 4 == 1)
 
 
 # Width of the windows odd_flag_windows yields. A window costs a few bytes per

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .characterize import VERDICTS, Parity, ParityVerdict, cases, odd_flag_windows, predict_parity
-from .congruence import all_families, verify_family
+from .congruence import all_families, generate_12p_family, generate_24p_family, verify_family
 from .density import density_8m7, predicate_mismatches, sparse_odd_census
 from .numtheory import is_prime
 from .etaq import DISSECTION_CLASSES, a_parity_series, dissection_by_extraction, dissection_series, identity_suite
@@ -119,8 +119,11 @@ def _verify_theorems(limit: int) -> int:
     discrepancies = 0
     for ns in predicate_mismatches(series, limit):
         for n in ns.tolist():
-            said, actual = ("even", "odd") if series[n] else ("odd", "even")
-            print(f"FAIL n={n}: predicted {said} via [{predict_parity(n).reason}], series says {actual}")
+            # the flag's verdict and reason, which are the opposite of the series bit
+            verdict = VERDICTS[2 * int(cases(n, n + 1)[0]) + 1 - series[n]]
+            actual = "odd" if series[n] else "even"
+            print(f"FAIL n={n}: predicted {verdict.parity.value} via [{verdict.reason.format(n)}], "
+                  f"series says {actual}")
             discrepancies += 1
     print(f"checked {limit - limit // 8} values below {limit} (class 8m+7 excluded): "
           f"{discrepancies} discrepancies")
@@ -157,8 +160,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_congruences(args) -> int:
     if args.p is not None:
-        from .congruence import generate_12p_family, generate_24p_family
-
         families = []
         if args.p >= 5:
             families.extend(generate_12p_family(args.p))

@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["Gf2Series", "sparse_support"]
+__all__ = ["Gf2Series"]
 
 # Every byte value, and the number of set bits of each.
 _BYTES = np.arange(256, dtype=np.uint8)
@@ -47,11 +47,6 @@ def _exponent_array(exponents: Iterable[int]) -> np.ndarray:
     if len(repeated):
         raise ValueError(f"duplicate exponent {support[repeated[0]]} in support")
     return support
-
-
-def sparse_support(exponents: Iterable[int]) -> tuple[int, ...]:
-    """Validate and normalize a sparse support: distinct degrees, ascending."""
-    return tuple(_exponent_array(exponents).tolist())
 
 
 def _nwords(trunc_len: int) -> int:

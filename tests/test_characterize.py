@@ -8,44 +8,36 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddmult import characterize
-from oddmult.characterize import (
-    Parity,
-    ParityVerdict,
-    odd_flag_windows,
-    parity_4m1,
-    parity_8m3,
-    parity_even_index,
-    predict_parity,
-)
+from oddmult.characterize import Parity, ParityVerdict, odd_flag_windows, predict_parity
 from oddmult.numtheory import is_square
 
 
 def test_even_index_examples():
-    assert parity_even_index(0).parity is Parity.ODD  # a(0) = 1
-    assert parity_even_index(1).parity is Parity.ODD  # a(2) = 1
-    assert parity_even_index(9).parity is Parity.EVEN  # k = 3 divisible by 3
-    assert parity_even_index(4).parity is Parity.ODD  # a(8) = 9
-    assert parity_even_index(5).parity is Parity.EVEN
+    assert predict_parity(2 * 0).parity is Parity.ODD  # a(0) = 1
+    assert predict_parity(2 * 1).parity is Parity.ODD  # a(2) = 1
+    assert predict_parity(2 * 9).parity is Parity.EVEN  # k = 3 divisible by 3
+    assert predict_parity(2 * 4).parity is Parity.ODD  # a(8) = 9
+    assert predict_parity(2 * 5).parity is Parity.EVEN
 
 
 def test_even_index_m_zero_precedes_square_test():
     # 0 = 0^2 with root divisible by 3, but the m = 0 case wins
-    verdict = parity_even_index(0)
+    verdict = predict_parity(2 * 0)
     assert verdict.parity is Parity.ODD and "m = 0" in verdict.reason
 
 
 def test_4m1_examples():
-    assert parity_4m1(1).parity is Parity.ODD  # n=5=5^1, exponent 1 (mod 4)
-    assert parity_4m1(6).parity is Parity.ODD  # n=25 square, m == 0 (mod 3)
-    assert parity_4m1(31).parity is Parity.EVEN  # n=125=5^3, 3 != 1 (mod 4)
-    assert parity_4m1(2).parity is Parity.EVEN  # m == 2 (mod 3)
+    assert predict_parity(4 * 1 + 1).parity is Parity.ODD  # n=5=5^1, exponent 1 (mod 4)
+    assert predict_parity(4 * 6 + 1).parity is Parity.ODD  # n=25 square, m == 0 (mod 3)
+    assert predict_parity(4 * 31 + 1).parity is Parity.EVEN  # n=125=5^3, 3 != 1 (mod 4)
+    assert predict_parity(4 * 2 + 1).parity is Parity.EVEN  # m == 2 (mod 3)
 
 
 def test_8m3_examples():
-    assert parity_8m3(0).parity is Parity.ODD  # n=3 = 3*1^2
-    assert parity_8m3(3).parity is Parity.ODD  # n=27 = 3*3^2
-    assert parity_8m3(4).parity is Parity.EVEN  # n=35 = 5*7, two odd exponents
-    assert parity_8m3(2).parity is Parity.EVEN  # m == 2 (mod 3)
+    assert predict_parity(8 * 0 + 3).parity is Parity.ODD  # n=3 = 3*1^2
+    assert predict_parity(8 * 3 + 3).parity is Parity.ODD  # n=27 = 3*3^2
+    assert predict_parity(8 * 4 + 3).parity is Parity.EVEN  # n=35 = 5*7, two odd exponents
+    assert predict_parity(8 * 2 + 3).parity is Parity.EVEN  # m == 2 (mod 3)
 
 
 def test_predict_examples():
@@ -89,7 +81,7 @@ def test_reasons_are_never_empty():
 
 
 def test_domain_errors():
-    for fn in (parity_even_index, parity_4m1, parity_8m3, predict_parity, odd_flag_windows):
+    for fn in (predict_parity, odd_flag_windows):
         with pytest.raises(ValueError):
             fn(-1)
 
@@ -127,6 +119,17 @@ def test_odd_flag_windows_match_predict_parity():
         for n in range(limit):
             if n % 8 != 7:
                 assert flags[n] == predict_parity(n).is_odd, (limit, n)
+
+
+def test_odd_flag_windows_match_predict_parity_at_the_top_of_the_a_parity_domain():
+    # the last 2^16 n below 8 * 10^7, the a-parity bound, where the odd p * k^2
+    # come from the primes up to limit / 25 and high powers reach their largest k
+    limit, start = 8 * 10**7, 8 * 10**7 - 2**16
+    flags = np.concatenate([flags for _, flags in odd_flag_windows(limit, start)])
+    assert flags.shape == (limit - start,)
+    for n in range(start, limit):
+        if n % 8 != 7:
+            assert flags[n - start] == predict_parity(n).is_odd, n
 
 
 def test_odd_flag_windows_prime_powers():

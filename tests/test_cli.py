@@ -137,14 +137,16 @@ def test_verify_theorems(capsys):
 
 
 def test_verify_theorems_reports_each_discrepancy(flip_flags, capsys):
-    flip_flags(5)  # a(5) = 5 is odd
+    # a(5) = 5 and a(25) are odd; each line gives the flipped flag's verdict
+    # and the reason for that verdict, from the case of n
+    flip_flags(5, 25)
     code, out = run_cli(capsys, "verify", "theorems", "--limit", "100")
     assert code == 1
     assert out.splitlines() == [
-        "FAIL n=5: predicted even via [4m+1: m == 1 (mod 3), lone odd prime exponent == 1 (mod 4)], "
-        "series says odd",
-        "checked 88 values below 100 (class 8m+7 excluded): 1 discrepancies",
-        "FAIL (1 discrepancies)",
+        "FAIL n=5: predicted even via [4m+1: m == 1 (mod 3), exponent pattern fails], series says odd",
+        "FAIL n=25: predicted even via [4m+1: m == 0 (mod 3), 25 not a square], series says odd",
+        "checked 88 values below 100 (class 8m+7 excluded): 2 discrepancies",
+        "FAIL (2 discrepancies)",
     ]
 
 

@@ -9,7 +9,7 @@ import conftest
 from conftest import ref_dilate, ref_eta, ref_inverse, ref_mul, set_bits
 from oddmult import gf2series
 from oddmult.etaq import EtaQuotient, pentagonal_exponents, triangular_exponents
-from oddmult.gf2series import Gf2Series, sparse_support
+from oddmult.gf2series import Gf2Series
 
 
 def series(trunc, *exponents):
@@ -100,19 +100,21 @@ def test_to_bit_array_window(n):
 
 
 def test_sparse_support_validation():
-    with pytest.raises(ValueError):
-        sparse_support([3, -1])
-    with pytest.raises(ValueError):
-        sparse_support([2, 2])
-    assert sparse_support([5, 1, 3]) == (1, 3, 5)
-    with pytest.raises(ValueError, match="^support exponents must be non-negative$"):
-        sparse_support(iter([4, -2, -2]))
-    # the first repeat in ascending order is named
-    with pytest.raises(ValueError, match="^duplicate exponent 3 in support$"):
-        sparse_support(np.array([7, 3, 9, 7, 3]))
-    assert sparse_support(e for e in (9, 0, 4)) == (0, 4, 9)
-    assert sparse_support([]) == ()
-    assert all(type(e) is int for e in sparse_support(np.array([2, 1])))
+    # mul_dilated and from_support validate a sparse factor's exponents alike
+    one = Gf2Series.from_support([0], 16)
+    for check in (lambda e: one.mul_dilated(e, 1, 16), lambda e: Gf2Series.from_support(e, 16)):
+        with pytest.raises(ValueError):
+            check([3, -1])
+        with pytest.raises(ValueError):
+            check([2, 2])
+        assert check([5, 1, 3]).support() == [1, 3, 5]
+        with pytest.raises(ValueError, match="^support exponents must be non-negative$"):
+            check(iter([4, -2, -2]))
+        # the first repeat in ascending order is named
+        with pytest.raises(ValueError, match="^duplicate exponent 3 in support$"):
+            check(np.array([7, 3, 9, 7, 3]))
+        assert check(e for e in (9, 0, 4)).support() == [0, 4, 9]
+        assert check([]).is_zero()
 
 
 def test_from_support_drops_exponents_past_the_truncation_before_validating():
