@@ -30,7 +30,6 @@ from .etaq import (
 )
 from .gf2series import Gf2Series
 from .numtheory import (
-    Factorization,
     count_reps_c2_plus_2d2,
     count_reps_two_squares_constrained,
     factorize,

@@ -43,16 +43,12 @@ class ParityVerdict:
     parity: Parity
     reason: str
 
-    @property
-    def is_odd(self) -> bool:
-        return self.parity is Parity.ODD
-
 
 # The verdict of every case and odd flag, at index 2 * case + odd, "{0}"
 # standing for n in the reason. The case of n is n mod 24, save the two even n
 # whose reason that does not fix: n = 0 (ZERO) and n = 18 j^2 with j >= 1
 # (TRIPLE_ROOT). The residue fixes the class of n and, in the odd classes,
-# m mod 3; a case whose verdict does not depend on the flag repeats its reason.
+# m mod 3. A case of fixed parity names the contradiction under the other flag.
 # Neither extra case is 7 (mod 8), so a case is 7 (mod 8) exactly when its n is.
 ZERO, TRIPLE_ROOT = 24, 25
 
@@ -63,8 +59,14 @@ def _odd_class_reasons(tag: str, square_desc: str) -> list[tuple[str, str]]:
         (f"{tag}: m == 0 (mod 3), {{0}} not {square_desc}", f"{tag}: m == 0 (mod 3), {{0}} {square_desc}"),
         (f"{tag}: m == 1 (mod 3), exponent pattern fails",
          f"{tag}: m == 1 (mod 3), lone odd prime exponent == 1 (mod 4)"),
-        (f"{tag}: m == 2 (mod 3)",) * 2,
+        _fixed(f"{tag}: m == 2 (mod 3)", False),
     ]
+
+
+def _fixed(reason: str, odd: bool) -> tuple[str, str]:
+    """The reasons for an even and an odd flag of a case that is always odd, or always even."""
+    wrong = f"{reason} is always {('even', 'odd')[odd]}, but {{0}} is flagged {('odd', 'even')[odd]}"
+    return (wrong, reason) if odd else (reason, wrong)
 
 
 def _case_verdicts() -> tuple[ParityVerdict, ...]:
@@ -79,7 +81,7 @@ def _case_verdicts() -> tuple[ParityVerdict, ...]:
             reasons.append(eight[(r - 3) // 8 % 3])
         else:
             reasons.append(("8m+7: uncharacterized class",) * 2)
-    reasons += [("2m: m = 0",) * 2, ("2m: m = k^2 but 3 | k",) * 2]
+    reasons += [_fixed("2m: m = 0", True), _fixed("2m: m = k^2 but 3 | k", False)]
     return tuple(
         ParityVerdict(Parity.UNKNOWN if case % 8 == 7 else Parity.ODD if odd else Parity.EVEN, reason)
         for case, pair in enumerate(reasons)
@@ -148,7 +150,7 @@ _PRIME_RESIDUES = (5, 11, 17)
 def odd_flag_windows(limit: int, start: int = 0) -> Iterator[tuple[int, np.ndarray]]:
     """The windows [lo, lo + FLAG_WINDOW) tiling [start, limit), in order, as (lo, flags).
 
-    flags is a bool array whose entry i is predict_parity(lo + i).is_odd;
+    flags is a bool array, True at i exactly when predict_parity(lo + i) is odd;
     entries at lo + i == 7 (mod 8) are meaningless. The odd sets are marked
     directly: 2k^2 with k = 0 or 3 not | k; odd k^2 with 3 not | k (the
     square branch of 4m+1); 3k^2 with k odd (that of 8m+3); and every

@@ -1,8 +1,8 @@
 """Command-line frontend: values, parities, verification suites, densities.
 
 Every invocation is deterministic: no timestamps and no machine-dependent
-content. Exit codes: 0 success, 1 verification discrepancy, 2 usage error,
-141 when the reader of stdout closed it early.
+content. Exit codes: 0 success, 1 verification discrepancy, 2 usage error
+or unwritable output, 141 when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -333,6 +333,12 @@ def main(argv: list[str] | None = None) -> int:
         # the status a shell gives a process that SIGPIPE killed (128 + 13).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:  # a write to stdout or --csv failed: flush what stdout still takes
+        with contextlib.suppress(OSError):
+            sys.stdout.flush()
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"oddmult: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -5,16 +5,16 @@ with signed integer exponents. Modulo 2 each f_r is the pentagonal-number
 series dilated by r (Euler), f_r^3 is the triangular-number series dilated
 by r (Jacobi), and the Frobenius map gives f_r^2 = f_2r. So f_r is a power
 of f_s for the odd part s of r, and a quotient folds into one signed
-exponent per odd scale: its normal form. That form is evaluated by one
-plan: the single cached inverse P = 1/f_1, taken at q^t, times a few
-factors of square-root-sized support, at O(N * sqrt(N)) bit operations
-for truncation N and with no product of two dense series. A quotient in
-which two odd scales keep a negative exponent, such as 1/(f1 f5), would
-need P at two scales and is refused. The factor with the most terms
-multiplies the undilated P one residue class mod t at a time, so P(q^t)
-itself is never built. P is built the same way: mod 2, 1/f_1 = f_1^3 /
-f_4 = T(q) * P(q^4), so P to N coefficients is one such product against
-P to N/4.
+exponent per odd scale: its normal form. EtaQuotient.plan turns that form
+into one plan, plain data that eval runs: the single cached inverse
+P = 1/f_1, taken at q^t, times a few factors of square-root-sized
+support, at O(N * sqrt(N)) bit operations for truncation N and with no
+product of two dense series. A quotient in which two odd scales keep a
+negative exponent, such as 1/(f1 f5), would need P at two scales and is
+refused by plan. The factor with the most terms multiplies the undilated
+P one residue class mod t at a time, so P(q^t) itself is never built. P
+is built the same way: mod 2, 1/f_1 = f_1^3 / f_4 = T(q) * P(q^4), so P
+to N coefficients is one such product against P to N/4.
 
 The parity of a(n), the number of partitions of n whose parts all appear
 with odd multiplicity, is the coefficient series of f_3 / f_1^3. Its 2-,
@@ -98,23 +98,24 @@ class EtaQuotient:
             text += " / " + " ".join(den)
         return text
 
-    def eval(self, trunc_len: int) -> Gf2Series:
-        """Evaluate to a truncated GF(2) series by one plan, exact mod 2.
+    def plan(self, trunc_len: int) -> tuple[int, list[tuple[int, list[int]]]]:
+        """The plan that eval runs to trunc_len: (t, [(scale, exponents), ...]).
 
         Mod 2, f_r^2 = f_2r, so f_r = f_s^(r/s) for the odd part s of r, and
         the quotient folds into one signed exponent E_s per odd scale s. A
         negative E_s is lifted by the smallest 2^k >= -E_s: 1/f_s^-E_s =
-        f_s^(E_s + 2^k) * P(q^(s*2^k)) with P = 1/f_1. The set bits j of the
-        lifted E_s, lowest first, give the sparse factors: two adjacent bits
-        j, j+1 are one triangular T(q^t) = f_t f_2t = f_t^3 at t = s*2^j
-        (Jacobi), a lone bit the pentagonal f_t. The factor with the most
-        terms multiplies P(q^t) class by class mod t against the undilated
-        P (Gf2Series.mul_dilated), at |F| * N/(64*t) word XORs. That
-        product is the dense accumulator and every other factor is sparse,
-        so each product costs O(sqrt(N) * N/64) word operations and no two
-        dense series are ever multiplied. A quotient is refused with a
-        ValueError exactly when two different odd scales keep a negative
-        exponent, such as 1/(f1 f5); 1/(f1 f2) = f1 P(q^4) evaluates.
+        f_s^(E_s + 2^k) * P(q^t) with P = 1/f_1 and t = s*2^k (t = 0 when
+        nothing is inverted). The set bits j of the lifted E_s, lowest first,
+        give the sparse factors, each as its scale u and exponents: two
+        adjacent bits j, j+1 are one triangular T(q^u) = f_u^3 at u = s*2^j
+        (Jacobi), a lone bit the pentagonal f_u. The first factor F has the
+        most terms: it multiplies P(q^t) class by class mod t against the
+        undilated P, at |F| * N/(64*t) word XORs, or is laid down alone when
+        t = 0. The rest follow in ascending (terms, scale) order, one sparse
+        product each, so no two dense series are ever multiplied. A quotient
+        is refused with a ValueError, before anything is allocated, exactly
+        when two odd scales keep a negative exponent, such as 1/(f1 f5);
+        1/(f1 f2) = f1 P(q^4) evaluates.
         """
         if trunc_len < 1:
             raise ValueError("trunc_len must be >= 1")
@@ -125,8 +126,8 @@ class EtaQuotient:
         negative = sum(e < 0 for e in folded.values())
         if negative > 1:
             raise ValueError(f"cannot evaluate {self}: its denominator keeps {negative} odd scales, the plan inverts one")
-        inverted = None
-        sparse = []  # (scale, exponents) of each sparse factor
+        inverted = 0
+        sparse = []
         for scale, exponent in folded.items():
             if exponent < 0:
                 k = (-exponent - 1).bit_length()  # smallest 2^k >= -exponent
@@ -140,14 +141,18 @@ class EtaQuotient:
                     if exponent & 1:
                         sparse.append((scale, pentagonal_exponents(trunc_len, scale)))
                     exponent, scale = exponent >> 1, scale << 1
-        # ascending by (number of terms, scale), so pop() takes the largest
         sparse.sort(key=lambda factor: (len(factor[1]), factor[0]))
-        first = sparse.pop()[1] if sparse else [0]
-        if inverted:
-            acc = _inverse_f1(-(-trunc_len // inverted)).mul_dilated(first, inverted, trunc_len)
+        return inverted, sparse[-1:] + sparse[:-1]
+
+    def eval(self, trunc_len: int) -> Gf2Series:
+        """Evaluate to a truncated GF(2) series by running plan(trunc_len), exact mod 2."""
+        t, factors = self.plan(trunc_len)
+        first = factors[0][1] if factors else [0]
+        if t:
+            acc = _inverse_f1(-(-trunc_len // t)).mul_dilated(first, t, trunc_len)
         else:
             acc = Gf2Series.from_support(first, trunc_len)
-        for _, exponents in sparse:
+        for _, exponents in factors[1:]:
             acc = acc.mul_dilated(exponents, 1, trunc_len)
         return acc
 

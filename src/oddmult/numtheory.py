@@ -11,13 +11,11 @@ residual for squareness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 import numpy as np
 
 __all__ = [
-    "Factorization",
     "factorize",
     "is_prime",
     "is_square",
@@ -44,17 +42,6 @@ def _sieve(limit: int) -> np.ndarray:
 
 
 _TRIAL_PRIMES = _sieve(10_000).tolist()  # full factorization by trial division below 1e8
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """n = prod p_i^e_i with primes ascending and exponents >= 1."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.factors)
 
 
 def is_prime(n: int) -> bool:
@@ -121,8 +108,9 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // d, out)
 
 
-def factorize(n: int) -> Factorization:
-    """Complete prime factorization of 1 <= n <= 2^63."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Complete prime factorization of 1 <= n <= 2^63: the pairs (p, e) of
+    n = prod p^e, primes ascending and exponents >= 1."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n > MAX_INPUT:
@@ -140,7 +128,7 @@ def factorize(n: int) -> Factorization:
             found[remaining] = found.get(remaining, 0) + 1
         else:
             _factor_into(remaining, found)
-    return Factorization(n, tuple(sorted(found.items())))
+    return tuple(sorted(found.items()))
 
 
 def is_square(n: int) -> bool:

@@ -48,9 +48,6 @@ class PartitionCountTable:
     def __getitem__(self, n: int) -> int:
         return self.values[n]
 
-    def parity(self, n: int) -> int:
-        return self.values[n] & 1
-
 
 _longest_table: PartitionCountTable | None = None
 

@@ -11,10 +11,10 @@ vectorized ones are checked.
 from dataclasses import dataclass
 from math import isqrt
 
-from oddmult.numtheory import Factorization, factorize
+from oddmult.numtheory import factorize
 
 
-def divisors(factorization: Factorization) -> list[int]:
+def divisors(factorization: tuple[tuple[int, int], ...]) -> list[int]:
     """All positive divisors, ascending."""
     out = [1]
     for p, e in factorization:

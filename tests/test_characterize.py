@@ -99,7 +99,7 @@ def test_agreement_with_exact_oracle(oracle_2000):
     for n in range(oracle_2000.limit + 1):
         if n % 8 == 7:
             continue
-        expected = Parity.ODD if oracle_2000.parity(n) else Parity.EVEN
+        expected = Parity.ODD if oracle_2000[n] & 1 else Parity.EVEN
         assert predict_parity(n).parity is expected, n
 
 
@@ -118,7 +118,7 @@ def test_odd_flag_windows_match_predict_parity():
         assert flags.shape == (limit,)
         for n in range(limit):
             if n % 8 != 7:
-                assert flags[n] == predict_parity(n).is_odd, (limit, n)
+                assert flags[n] == (predict_parity(n).parity is Parity.ODD), (limit, n)
 
 
 def test_odd_flag_windows_match_predict_parity_at_the_top_of_the_a_parity_domain():
@@ -129,7 +129,7 @@ def test_odd_flag_windows_match_predict_parity_at_the_top_of_the_a_parity_domain
     assert flags.shape == (limit - start,)
     for n in range(start, limit):
         if n % 8 != 7:
-            assert flags[n - start] == predict_parity(n).is_odd, n
+            assert flags[n - start] == (predict_parity(n).parity is Parity.ODD), n
 
 
 def test_odd_flag_windows_prime_powers():
@@ -139,12 +139,12 @@ def test_odd_flag_windows_prime_powers():
     pinned = {125: False, 3125: True, 161051: True, 1953125: True, 27: True,
               153125: True, 378125: True, 78125: False}
     for n, odd in pinned.items():
-        assert flags[n] == odd == predict_parity(n).is_odd, n
+        assert flags[n] == odd == (predict_parity(n).parity is Parity.ODD), n
 
 
 @functools.cache
 def predicted_below(limit: int) -> np.ndarray:
-    return np.array([predict_parity(n).is_odd for n in range(limit)])
+    return np.array([predict_parity(n).parity is Parity.ODD for n in range(limit)])
 
 
 @settings(max_examples=25, deadline=None)
@@ -191,7 +191,7 @@ def test_verdicts_come_from_the_case_table():
     for n in range(3000):
         got = predict_parity(n)
         case = characterize.cases(n, n + 1)[0]
-        template = characterize.VERDICTS[2 * case + got.is_odd]
+        template = characterize.VERDICTS[2 * case + (got.parity is Parity.ODD)]
         assert got == ParityVerdict(template.parity, template.reason.format(n)), n
 
 
@@ -217,3 +217,12 @@ def test_windows_straddling_a_seam_match_one_window(point, shift, data):
     width = max(point + shift, 1)
     limit = data.draw(st.integers(point + 1, min(WHOLE, point + 64 * width)), label="limit")
     assert np.array_equal(joined_flags(limit, width), one_window()[:limit])
+
+
+def test_verdicts_of_opposite_parity_never_share_a_reason():
+    # a case whose parity is fixed names the contradiction under the other flag
+    parities = {}
+    for verdict in characterize.VERDICTS:
+        parities.setdefault(verdict.reason, set()).add(verdict.parity)
+    assert len(characterize.VERDICTS) == 52
+    assert [reason for reason, seen in parities.items() if {Parity.ODD, Parity.EVEN} <= seen] == []

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import subprocess
@@ -54,7 +55,7 @@ def test_a_parity_range_matches_single_queries(capsys):
     assert out == singles
     table = oddmult.build_table(1010)
     for n, line in zip(range(995, 1011), out.splitlines()):
-        assert f"series={'odd' if table.parity(n) else 'even'}" in line
+        assert f"series={'odd' if table[n] & 1 else 'even'}" in line
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 15, 16])
@@ -147,6 +148,35 @@ def test_verify_theorems_reports_each_discrepancy(flip_flags, capsys):
         "FAIL n=25: predicted even via [4m+1: m == 0 (mod 3), 25 not a square], series says odd",
         "checked 88 values below 100 (class 8m+7 excluded): 2 discrepancies",
         "FAIL (2 discrepancies)",
+    ]
+
+
+def test_a_flag_against_a_fixed_parity_prints_the_contradiction(flip_flags, capsys):
+    # a(0) = 1 is always odd; a(9), a(18) = a(2 * 3^2) and a(19) are always
+    # even. A flipped flag there gets a reason that names the contradiction.
+    flip_flags(0, 9, 18, 19)
+    wrong = []
+    for text in ("0..1", "8..9", "17..19"):
+        code, out = run_cli(capsys, "a-parity", text)
+        assert code == 1, text
+        wrong += [line for line in out.splitlines() if "agree=NO" in line]
+    assert wrong == [
+        "n=0: even [2m: m = 0 is always odd, but 0 is flagged even] series=odd agree=NO",
+        "n=9: odd [4m+1: m == 2 (mod 3) is always even, but 9 is flagged odd] series=even agree=NO",
+        "n=18: odd [2m: m = k^2 but 3 | k is always even, but 18 is flagged odd] series=even agree=NO",
+        "n=19: odd [8m+3: m == 2 (mod 3) is always even, but 19 is flagged odd] series=even agree=NO",
+    ]
+    code, out = run_cli(capsys, "verify", "theorems", "--limit", "100")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL n=0: predicted even via [2m: m = 0 is always odd, but 0 is flagged even], series says odd",
+        "FAIL n=9: predicted odd via [4m+1: m == 2 (mod 3) is always even, but 9 is flagged odd], series says even",
+        "FAIL n=18: predicted odd via [2m: m = k^2 but 3 | k is always even, but 18 is flagged odd], "
+        "series says even",
+        "FAIL n=19: predicted odd via [8m+3: m == 2 (mod 3) is always even, but 19 is flagged odd], "
+        "series says even",
+        "checked 88 values below 100 (class 8m+7 excluded): 4 discrepancies",
+        "FAIL (4 discrepancies)",
     ]
 
 
@@ -467,6 +497,38 @@ def test_closed_pipe_exits_quietly(argv):
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+def run_buffered(argv, stdout):
+    """One fresh `python -m oddmult` process, its stdout block-buffered as when redirected."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(oddmult.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "oddmult", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [["a-value", "5"], ["a-parity", "0..100000"]])
+def test_unwritable_stdout_is_one_line_and_exit_2(argv):
+    with open("/dev/full", "w") as full:
+        proc = run_buffered(argv, full)
+    assert proc.returncode == 2
+    assert proc.stderr == f"oddmult: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@needs_dev_full
+def test_unwritable_csv_is_one_line_and_exit_2():
+    # the file opens, and only its writes fail; stdout still carries the report
+    proc = run_buffered(["density", "4m1", "--limit", "1", "--csv", "/dev/full"], subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stderr == f"oddmult: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    assert proc.stdout.splitlines() == [
+        "class 4m+1: X=1 odd=0 density=0.000000000",
+        "class 4m+1: final density 0.000000000 (routes agree: yes)",
+    ]
 
 
 def test_mixed_calls_in_one_process_match_fresh_processes(monkeypatch, capsys, tmp_path):

@@ -75,6 +75,8 @@ def test_eval_parity_quotient_head():
 def test_eval_rejects_bad_truncation():
     with pytest.raises(ValueError):
         EtaQuotient.of({1: 1}).eval(0)
+    with pytest.raises(ValueError, match="trunc_len must be >= 1"):
+        EtaQuotient.of({1: 1}).plan(0)
 
 
 def test_quotient_normalization():
@@ -99,7 +101,7 @@ def test_eval_distributes_over_concatenation():
 
 def test_a_parity_head_matches_oracle(oracle_2000):
     parity = a_parity_series(13)
-    assert [oracle_2000.parity(n) for n in range(13)] == A_PARITY_HEAD
+    assert [oracle_2000[n] & 1 for n in range(13)] == A_PARITY_HEAD
     assert list(parity) == A_PARITY_HEAD
 
 
@@ -156,7 +158,7 @@ def test_a_parity_at_matches_extraction(limit):
 
 def test_a_parity_at_reads_any_degrees(oracle_2000):
     degrees = [2000, 0, 1, 7, 8, 1999, 64, 63, 5, 5]
-    assert a_parity_at(degrees).tolist() == [oracle_2000.parity(n) for n in degrees]
+    assert a_parity_at(degrees).tolist() == [oracle_2000[n] & 1 for n in degrees]
     assert a_parity_at([]).shape == (0,)
 
 
@@ -235,7 +237,7 @@ def test_reference_matches_the_definition(oracle_2000):
     # the reference's parity series against the exact a(n), its f1 against
     # the product (1 + q)(1 + q^2)... itself, and its inverse against f1
     bits = reference_eval(A_PARITY_QUOTIENT, 2001)
-    assert [bits >> n & 1 for n in range(2001)] == [oracle_2000.parity(n) for n in range(2001)]
+    assert [bits >> n & 1 for n in range(2001)] == [oracle_2000[n] & 1 for n in range(2001)]
     product = 1
     for i in range(1, 300):
         product = ref_mul(product, 1 | 1 << i, 300)
@@ -272,9 +274,17 @@ def test_plan_matches_reference_on_random_quotients(monkeypatch, trunc_len):
     monkeypatch.setattr(etaq, "_longest_inverse", None)
     for quotient in random_quotients(trunc_len, 40):
         if denominator_scales(quotient) > 1:
-            with pytest.raises(ValueError, match=re.escape(str(quotient))):
-                quotient.eval(trunc_len)
+            for run in (quotient.plan, quotient.eval):
+                with pytest.raises(ValueError, match=re.escape(str(quotient))):
+                    run(trunc_len)
             continue
+        # t > 0 exactly when one odd scale stays in the denominator; the first
+        # factor has the most terms and the rest ascend by (terms, scale)
+        t, factors = quotient.plan(trunc_len)
+        assert (t > 0) == (denominator_scales(quotient) == 1), quotient
+        lengths = [len(e) for _, e in factors]
+        assert lengths[:1] == sorted(lengths)[-1:], quotient
+        assert factors[1:] == sorted(factors[1:], key=lambda f: (len(f[1]), f[0])), quotient
         got = quotient.eval(trunc_len)
         assert got.trunc_len == trunc_len, quotient
         assert got == reference(quotient, trunc_len), quotient
@@ -303,16 +313,14 @@ def test_random_quotients_reach_the_fallback():
     "factors",
     [{1: -3, 3: -2}, {2: -5, 7: -1, 1: 2}, {4: -1, 3: -1, 5: -1}, {1: -1, 5: -1}, {1: -3, 5: -1, 2: 1}, {2: -1, 6: -1}],
 )
-def test_two_denominator_scales_are_refused(monkeypatch, factors):
-    def no_inverse(trunc_len):
-        raise AssertionError("a refused quotient must not build the cached 1/f1")
-
-    monkeypatch.setattr(etaq, "_inverse_f1", no_inverse)
+def test_two_denominator_scales_are_refused(factors):
+    # the plan refuses the quotient itself, so eval allocates nothing for it
     quotient = EtaQuotient.of(factors)
     assert denominator_scales(quotient) >= 2
     for n in (1, 50, 5000):
-        with pytest.raises(ValueError, match=re.escape(f"cannot evaluate {quotient}: its denominator keeps")):
-            quotient.eval(n)
+        for run in (quotient.plan, quotient.eval):
+            with pytest.raises(ValueError, match=re.escape(f"cannot evaluate {quotient}: its denominator keeps")):
+                run(n)
 
 
 @pytest.mark.parametrize("factors", [{1: -1, 2: -1}, {1: 1, 2: -1}, {1: -3, 2: -2}, {2: -3, 1: -1, 4: 1}])
@@ -328,40 +336,19 @@ def test_one_odd_scale_in_the_denominator_evaluates(monkeypatch, factors):
         assert got == reference(quotient, n), n
 
 
-def test_f1_over_f2_is_the_inverse_alone(monkeypatch):
-    # f1/f2 = 1/f1: the plan multiplies P by the unit and by no sparse factor
+def test_f1_over_f2_is_the_inverse_alone():
+    # f1/f2 = 1/f1: the plan is P at q^1 and no sparse factor
     n = 5001
-    inverse = etaq._inverse_f1(n)
-    products = []
-    real_mul_dilated = Gf2Series.mul_dilated
-
-    def recording(self, exponents, factor, trunc_len):
-        products.append((list(exponents), factor))
-        return real_mul_dilated(self, exponents, factor, trunc_len)
-
-    def forbidden(*args):
-        raise AssertionError("1/f1 has no sparse factor")
-
-    monkeypatch.setattr(Gf2Series, "mul_dilated", recording)
-    monkeypatch.setattr(etaq, "pentagonal_exponents", forbidden)
-    monkeypatch.setattr(etaq, "triangular_exponents", forbidden)
-    assert EtaQuotient.of({1: 1, 2: -1}).eval(n) == inverse
-    assert products == [([0], 1)]
+    quotient = EtaQuotient.of({1: 1, 2: -1})
+    assert quotient.plan(n) == (1, [])
+    assert quotient.eval(n) == etaq._inverse_f1(n) == reference(quotient, n)
 
 
-def test_equal_denominator_scales_carry_to_one_inverse(monkeypatch):
+def test_equal_denominator_scales_carry_to_one_inverse():
     # 1/(f1^3 f2^2) = 1/f1^7 = f1 * P(q^8): one dilated inverse
-    asked = []
-    real_inverse = etaq._inverse_f1
-
-    def recording_inverse(trunc_len):
-        asked.append(trunc_len)
-        return real_inverse(trunc_len)
-
-    monkeypatch.setattr(etaq, "_inverse_f1", recording_inverse)
     quotient = EtaQuotient.of({1: -3, 2: -2})
+    assert quotient.plan(801) == (8, [(1, pentagonal_exponents(801))])
     assert quotient.eval(801) == reference(quotient, 801)
-    assert asked == [101]
 
 
 @pytest.mark.parametrize("factor", [1, 2, 3, 4, 6, 8, 12, 24])
@@ -384,18 +371,14 @@ def test_dilate_rejects_extension_and_bad_factor():
 
 
 @pytest.mark.parametrize("factors, scale", [({1: 3}, 1), ({1: 3, 3: 1}, 1), ({9: 3}, 9), ({3: 7}, 3)])
-def test_jacobi_pair_is_one_triangular_factor(monkeypatch, factors, scale):
-    # f1^3 = f1 f2 = T(q); f1^3 f3 = T(q) f3; f9^3 = T(q^9); f3^7 = f3 f6 f12 = T(q^3) f12
-    calls = []
-
-    def recording_triangular(trunc_len, scale=1):
-        calls.append(scale)
-        return triangular_exponents(trunc_len, scale)
-
-    monkeypatch.setattr(etaq, "triangular_exponents", recording_triangular)
+def test_jacobi_pair_is_one_triangular_factor(factors, scale):
+    # f1^3 = f1 f2 = T(q); f1^3 f3 = T(q) f3; f9^3 = T(q^9); f3^7 = f3 f6 f12 = T(q^3) f12.
+    # T has the most terms, so it comes first, and every other factor is pentagonal.
     quotient = EtaQuotient.of(factors)
+    t, plan = quotient.plan(3000)
+    assert t == 0 and plan[0] == (scale, triangular_exponents(3000, scale))
+    assert plan[1:] == [(s, pentagonal_exponents(3000, s)) for s, _ in plan[1:]]
     assert quotient.eval(3000) == reference(quotient, 3000)
-    assert calls == [scale]
 
 
 def test_inverse_slot_builds_only_past_the_longest(monkeypatch):
@@ -464,8 +447,8 @@ def test_plan_products_count_no_bits_and_build_no_dilated_copy(monkeypatch, quot
     assert got == reference(quotient, n)
 
 
-@pytest.mark.parametrize("trunc_len", [2**16 - 5, 2**16 + 5])
-def test_package_quotients_match_reference(monkeypatch, trunc_len):
+def identity_quotients(monkeypatch, trunc_len):
+    """The distinct quotients identity_suite(trunc_len) evaluates."""
     asked = set()
     real_eval = EtaQuotient.eval
 
@@ -473,9 +456,15 @@ def test_package_quotients_match_reference(monkeypatch, trunc_len):
         asked.add(self)
         return real_eval(self, n)
 
-    monkeypatch.setattr(EtaQuotient, "eval", recording_eval)
-    identity_suite(trunc_len)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(EtaQuotient, "eval", recording_eval)
+        identity_suite(trunc_len)
+    return asked
+
+
+@pytest.mark.parametrize("trunc_len", [2**16 - 5, 2**16 + 5])
+def test_package_quotients_match_reference(monkeypatch, trunc_len):
+    asked = identity_quotients(monkeypatch, trunc_len)
     assert len(asked) == 22
     monkeypatch.setattr(etaq, "_longest_inverse", None)
     for quotient in sorted(asked | {q for _, _, q in DISSECTION_CLASSES.values()}, key=str):
@@ -488,31 +477,51 @@ PENT, TRI = pentagonal_exponents, triangular_exponents
 
 
 @pytest.mark.parametrize(
-    "factors, plan",
+    "factors, t, plan",
     [
-        ({3: 1, 1: -3}, [(PENT, 1, 4), (PENT, 3, 1)]),
-        ({3: 5, 1: -3}, [(PENT, 1, 4), (PENT, 12, 1), (PENT, 3, 1)]),
-        ({1: 1, 3: 1, 6: 1, 5: -1}, [(PENT, 1, 5), (TRI, 3, 1)]),
-        (dict(etaq._F3_OVER_F4.factors), [(PENT, 3, 4)]),
-        (dict(DISSECTION_CLASSES["8m+7"][2].factors), [(PENT, 1, 4), (PENT, 24, 1)]),
+        ({3: 1, 1: -3}, 4, [(PENT, 1), (PENT, 3)]),
+        ({3: 5, 1: -3}, 4, [(PENT, 1), (PENT, 12), (PENT, 3)]),
+        ({1: 1, 3: 1, 6: 1, 5: -1}, 5, [(PENT, 1), (TRI, 3)]),
+        (dict(etaq._F3_OVER_F4.factors), 4, [(PENT, 3)]),
+        (dict(DISSECTION_CLASSES["8m+7"][2].factors), 4, [(PENT, 1), (PENT, 24)]),
     ],
     ids=["factors0", "factors1", "factors2", "f3_over_f4", "8m+7"],
 )
-def test_split_takes_the_factor_with_most_terms(monkeypatch, factors, plan):
+def test_split_takes_the_factor_with_most_terms(factors, t, plan):
     # f3/f1^3 = f1 f3 P(q^4); f3^5/f1^3 = f1 f3 f12 P(q^4); f1 f3 f6/f5 = f1 T(q^3) P(q^5);
     # f3/f4 = f3 P(q^4); f3^8/f1^3 = f1 f24 P(q^4). The factor with the most
     # terms multiplies P(q^t) at factor t, then each other sparse factor
     # follows at factor 1, fewest terms first.
     n = 5000
-    etaq._inverse_f1(n)  # P is itself built by mul_dilated; build it before the spy
-    products = []
+    quotient = EtaQuotient.of(factors)
+    assert quotient.plan(n) == (t, [(scale, exponents(n, scale)) for exponents, scale in plan])
+    assert quotient.eval(n) == reference(quotient, n)
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 4099, 300_001])
+def test_eval_runs_exactly_its_plan(monkeypatch, n):
+    # each of the package's 25 quotients (the identity suite's, the closed
+    # forms and f3/f4): the first factor multiplies P class by class mod t,
+    # then every other factor follows at factor 1, in plan order
+    quotients = identity_quotients(monkeypatch, 16) | {q for _, _, q in DISSECTION_CLASSES.values()}
+    quotients.add(etaq._F3_OVER_F4)
+    assert len(quotients) == 25
+    etaq._inverse_f1(n)  # P is itself built by mul_dilated; build it before the recorder
+    calls = []
     real_mul_dilated = Gf2Series.mul_dilated
 
     def recording(self, exponents, factor, trunc_len):
-        products.append((list(exponents), factor))
+        calls.append((self, list(exponents), factor, trunc_len))
         return real_mul_dilated(self, exponents, factor, trunc_len)
 
     monkeypatch.setattr(Gf2Series, "mul_dilated", recording)
-    quotient = EtaQuotient.of(factors)
-    assert quotient.eval(n) == reference(quotient, n)
-    assert products == [(exponents(n, scale), factor) for exponents, scale, factor in plan]
+    for quotient in sorted(quotients, key=str):
+        t, factors = quotient.plan(n)
+        calls.clear()
+        quotient.eval(n)
+        if t:
+            assert calls[0][0] == etaq._inverse_f1(-(-n // t)), quotient
+            want = [(factors[0][1] if factors else [0], t, n)] + [(e, 1, n) for _, e in factors[1:]]
+        else:
+            want = [(e, 1, n) for _, e in factors[1:]]
+        assert [call[1:] for call in calls] == want, quotient

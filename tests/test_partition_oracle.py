@@ -60,7 +60,7 @@ def test_table_examples():
     table = build_table(9)
     assert table.values[:6] == (1, 1, 1, 3, 2, 5)
     assert table[4] == 2
-    assert table.parity(9) == 0  # a(12n+9) is even at n=0
+    assert table[9] & 1 == 0  # a(12n+9) is even at n=0
 
 
 def test_table_rejects_negative_limit():
@@ -77,7 +77,7 @@ def test_enumeration_agrees_with_table_up_to_45():
 def test_table_parity_matches_series(oracle_2000):
     parity = a_parity_series(oracle_2000.limit + 1)
     for n in range(oracle_2000.limit + 1):
-        assert oracle_2000.parity(n) == parity[n], n
+        assert oracle_2000[n] & 1 == parity[n], n
 
 
 def reference_values(limit):
