@@ -22,7 +22,6 @@ from .density import CensusResult, DensityCheckpoint, DensityReport, density_8m7
 from .etaq import (
     EtaQuotient,
     a_parity_series,
-    dissection_by_extraction,
     dissection_series,
     identity_suite,
     pentagonal_exponents,

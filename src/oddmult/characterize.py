@@ -156,9 +156,11 @@ def odd_flag_windows(limit: int, start: int = 0) -> Iterator[tuple[int, np.ndarr
     square branch of 4m+1); 3k^2 with k odd (that of 8m+3); and every
     p^e * k^2 with p == 5, 11, 17 (mod 24), p not | k, k prime to 6 and
     e == 1 (mod 4). Each window finds its own primes (k = 1, e = 1) by a
-    segmented sieve; all the other odd n below limit, about sqrt(limit)
-    squares plus the p * k^2 with k >= 5 from the primes below limit / 25,
-    are listed once in one sorted array from start on, which each window slices.
+    segmented sieve. Every other p^e * k^2 is p * K^2 with K = p^((e-1)/2) k
+    >= 5, and those are exactly the p * K^2 in which p divides K an even
+    number of times. They and the squares, about sqrt(limit) of them, are
+    all the other odd n below limit; each is listed once in one sorted
+    array from start on, which each window slices.
     """
     if not 0 <= start < limit:
         raise ValueError("need 0 <= start < limit")
@@ -174,7 +176,7 @@ def odd_flag_windows(limit: int, start: int = 0) -> Iterator[tuple[int, np.ndarr
     rest.append(k[k % 3 != 0] ** 2)
     k = np.arange(1, isqrt(top // 3) + 1, 2)
     rest.append(3 * k**2)
-    # p * k^2 with k >= 5 in [start, limit): for each k a run of primes,
+    # p * K^2 with K >= 5 in [start, limit): for each K a run of primes,
     # primes[first:last], laid end to end
     k = np.arange(5, isqrt(top // 5) + 1, 2)
     k = k[k % 3 != 0]
@@ -182,15 +184,12 @@ def odd_flag_windows(limit: int, start: int = 0) -> Iterator[tuple[int, np.ndarr
     counts = np.maximum(np.searchsorted(primes, top // (k * k), side="right") - first, 0)
     k = np.repeat(k, counts)
     p = primes[np.arange(len(k)) + np.repeat(first - np.cumsum(counts) + counts, counts)]
-    rest.append(p[k % p != 0] * k[k % p != 0] ** 2)
-    for p in primes.tolist():  # the few p^e with e >= 5
-        power = p**5
-        if power > top:
-            break
-        while power <= top:
-            ks = [k for k in range(1, isqrt(top // power) + 1) if k % 2 and k % 3 and k % p]
-            rest.append(np.array(ks, dtype=np.int64) ** 2 * power)
-            power *= p**4
+    # keep the pairs where p divides K an even number of times
+    m, even = k.copy(), np.ones(len(k), dtype=bool)
+    while (hits := m % p == 0).any():
+        even ^= hits
+        m[hits] //= p[hits]
+    rest.append(p[even] * k[even] ** 2)
     rest = np.sort(np.concatenate(rest))
     rest = rest[np.searchsorted(rest, start) :]
 

@@ -19,7 +19,7 @@ from .characterize import VERDICTS, Parity, ParityVerdict, cases, odd_flag_windo
 from .congruence import all_families, generate_12p_family, generate_24p_family, verify_family
 from .density import density_8m7, predicate_mismatches, sparse_odd_census
 from .numtheory import is_prime
-from .etaq import DISSECTION_CLASSES, a_parity_series, dissection_by_extraction, dissection_series, identity_suite
+from .etaq import DISSECTION_CLASSES, a_parity_series, identity_suite
 from .partition_oracle import RECOMMENDED_TABLE_LIMIT, build_table
 
 _DENSITY_TAGS = {"even": "even", "4m1": "4m+1", "8m3": "8m+3", "8m7": "8m+7"}
@@ -32,10 +32,6 @@ A_PARITY_LIMIT = 8 * 10**7
 # parity series to 8 * limit, the a-parity maximum, and `density 8m7` reads
 # coefficients up to that degree.
 LIMIT_MAX = A_PARITY_LIMIT // 8
-
-# a-parity prints a range this many degrees at a time, each chunk's bits read
-# straight from the series, so its memory does not grow with the range.
-PARITY_CHUNK = 1 << 16
 
 # congruences list --p takes primes below this. Its families grow linearly in
 # p: p = 9973 prints 9972 lines in under a second.
@@ -78,15 +74,15 @@ def _cmd_parity(args) -> int:
         return 0 if agrees else 1
     agrees = np.array(_AGREES)
     ok = True
-    for window_lo, flags in odd_flag_windows(hi + 1, lo):
-        window_hi = window_lo + len(flags)
-        for start in range(window_lo, window_hi, PARITY_CHUNK):
-            stop = min(start + PARITY_CHUNK, window_hi)
-            keys = cases(start, stop) * np.uint8(4)
-            keys += flags[start - window_lo : stop - window_lo] * np.uint8(2)
-            keys += series.to_bit_array(start, stop)
-            sys.stdout.writelines(map(str.format, map(_FORMATS.__getitem__, keys.tolist()), range(start, stop)))
-            ok = ok and bool(agrees[keys].all())
+    # one window at a time, its bits read straight from the series, so memory
+    # does not grow with the range
+    for start, flags in odd_flag_windows(hi + 1, lo):
+        stop = start + len(flags)
+        keys = cases(start, stop) * np.uint8(4)
+        keys += flags * np.uint8(2)
+        keys += series.to_bit_array(start, stop)
+        sys.stdout.writelines(map(str.format, map(_FORMATS.__getitem__, keys.tolist()), range(start, stop)))
+        ok = ok and bool(agrees[keys].all())
     return 0 if ok else 1
 
 
@@ -94,6 +90,9 @@ def _cmd_parity(args) -> int:
 
 
 def _verify_identities(limit: int) -> int:
+    # built first, so every identity quotient reads its 1/f_1 as a truncation
+    # of the P built for it, and once, so each dissection is an extraction of it
+    parity = a_parity_series(8 * limit)
     failures = 0
     for name, lhs, rhs in identity_suite(limit):
         diff = lhs + rhs
@@ -102,10 +101,8 @@ def _verify_identities(limit: int) -> int:
         else:
             failures += 1
             print(f"FAIL {name}: first mismatch at degree {diff.support()[0]}")
-    for tag in DISSECTION_CLASSES:
-        closed = dissection_series(tag, limit)
-        extracted = dissection_by_extraction(tag, limit)
-        diff = closed + extracted
+    for tag, (step, offset, quotient) in DISSECTION_CLASSES.items():
+        diff = quotient.eval(limit) + parity.truncate(step * limit).extract(step, offset)
         if diff.is_zero():
             print(f"ok   dissection {tag}: closed form matches extraction  [to {limit}]")
         else:

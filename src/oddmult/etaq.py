@@ -41,7 +41,6 @@ __all__ = [
     "a_parity_series",
     "a_parity_at",
     "dissection_series",
-    "dissection_by_extraction",
     "identity_suite",
     "DISSECTION_CLASSES",
 ]
@@ -244,16 +243,6 @@ def dissection_series(class_tag: str, trunc_len: int) -> Gf2Series:
     """Closed-form series: coefficient m is a(step*m + offset) mod 2."""
     _, _, quotient = _dissection_entry(class_tag)
     return quotient.eval(trunc_len)
-
-
-def dissection_by_extraction(class_tag: str, trunc_len: int) -> Gf2Series:
-    """Same series obtained by decimating the full parity series.
-
-    Independent of the closed form, this is the regression net for the
-    kernel: the two routes must agree coefficient for coefficient.
-    """
-    step, offset, _ = _dissection_entry(class_tag)
-    return a_parity_series(step * trunc_len).extract(step, offset)
 
 
 def identity_suite(trunc_len: int) -> list[tuple[str, Gf2Series, Gf2Series]]:

@@ -133,11 +133,12 @@ def test_odd_flag_windows_match_predict_parity_at_the_top_of_the_a_parity_domain
 
 
 def test_odd_flag_windows_prime_powers():
-    flags = joined_flags(1_953_126, characterize.FLAG_WINDOW)
+    flags = joined_flags(3_828_126, characterize.FLAG_WINDOW)
     # 5^3 even; 5^5, 11^5 (class 8m+3) and 5^9 odd; 27 = 3 * 3^2 odd;
-    # 5^5 * 7^2 and 5^5 * 11^2 odd, 5^5 * 5^2 = 5^7 even
+    # 5^5 * 7^2 and 5^5 * 11^2 odd, 5^5 * 5^2 = 5^7 even; 5^7 * 7^2 = 5 * K^2
+    # with K = 5^3 * 7, where 5 divides K an odd number of times, even
     pinned = {125: False, 3125: True, 161051: True, 1953125: True, 27: True,
-              153125: True, 378125: True, 78125: False}
+              153125: True, 378125: True, 78125: False, 3828125: False}
     for n, odd in pinned.items():
         assert flags[n] == odd == (predict_parity(n).parity is Parity.ODD), n
 

@@ -58,20 +58,22 @@ def test_a_parity_range_matches_single_queries(capsys):
         assert f"series={'odd' if table[n] & 1 else 'even'}" in line
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 15, 16])
-def test_a_parity_range_straddling_chunks_matches_single_queries(monkeypatch, capsys, chunk):
-    # 995..1010 is 16 degrees: chunks of 5 end at 999, 1004 and 1009, a chunk
-    # of 15 leaves one line for the second, and one of 16 holds them all
-    monkeypatch.setattr(cli, "PARITY_CHUNK", chunk)
+@pytest.mark.parametrize("window", [1, 5, 15, 16])
+def test_a_parity_range_straddling_chunks_matches_single_queries(monkeypatch, capsys, window):
+    # a range is written in chunks of one flag window each. 995..1010 is 16
+    # degrees: windows of 5 end at 999, 1004 and 1009, a window of 15 leaves
+    # one line for the second, and one of 16 holds them all
+    monkeypatch.setattr(characterize, "FLAG_WINDOW", window)
     code, out = run_cli(capsys, "a-parity", "995..1010")
     assert code == 0
     assert out == "".join(run_cli(capsys, "a-parity", str(n))[1] for n in range(995, 1011))
 
 
 def test_a_parity_range_across_the_real_chunk_boundary(capsys):
-    # lo..lo + PARITY_CHUNK is one full chunk and a second of one line
+    # lo..lo + FLAG_WINDOW is one full window, written as one chunk, and a
+    # second of one line
     lo = 3
-    hi = lo + cli.PARITY_CHUNK
+    hi = lo + characterize.FLAG_WINDOW
     code, out = run_cli(capsys, "a-parity", f"{lo}..{hi}")
     assert code == 0
     lines = out.splitlines(keepends=True)
@@ -96,10 +98,9 @@ def test_a_parity_range_matches_single_queries_on_special_cases(capsys, lo, hi):
         assert "n=648: even [2m: m = k^2 but 3 | k] series=even agree=yes\n" in out
 
 
-@pytest.mark.parametrize("window, chunk", [(1, 1), (7, 3), (64, 1000), (1000, 64), (24, 24)])
-def test_a_parity_range_in_small_windows_and_chunks_matches_single_queries(monkeypatch, capsys, window, chunk):
+@pytest.mark.parametrize("window", [1, 7, 24, 64, 1000])
+def test_a_parity_range_in_small_windows_matches_single_queries(monkeypatch, capsys, window):
     monkeypatch.setattr(characterize, "FLAG_WINDOW", window)
-    monkeypatch.setattr(cli, "PARITY_CHUNK", chunk)
     code, out = run_cli(capsys, "a-parity", "157..2100")
     assert code == 0
     assert out == singles(capsys, 157, 2100)
@@ -231,6 +232,23 @@ def test_density_csv_deterministic(tmp_path, capsys):
     run_cli(capsys, "density", "all", "--limit", "5000", "--csv", str(a))
     run_cli(capsys, "density", "all", "--limit", "5000", "--csv", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_identities_builds_the_parity_series_once(monkeypatch, capsys):
+    # every dissection check extracts from the one series built to 8 * limit
+    built = []
+    quotient = oddmult.etaq.A_PARITY_QUOTIENT
+
+    class CountingQuotient:
+        def eval(self, trunc_len):
+            built.append(trunc_len)
+            return quotient.eval(trunc_len)
+
+    monkeypatch.setattr(oddmult.etaq, "_longest_parity", None)
+    monkeypatch.setattr(oddmult.etaq, "A_PARITY_QUOTIENT", CountingQuotient())
+    code, out = run_cli(capsys, "verify", "identities", "--limit", "500")
+    assert code == 0 and out.endswith("PASS\n")
+    assert built == [4000]
 
 
 def test_density_all_builds_the_parity_series_once(monkeypatch, capsys):

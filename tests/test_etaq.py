@@ -13,7 +13,6 @@ from oddmult.etaq import (
     EtaQuotient,
     a_parity_at,
     a_parity_series,
-    dissection_by_extraction,
     dissection_series,
     identity_suite,
     pentagonal_exponents,
@@ -124,9 +123,9 @@ def test_dissection_unknown_tag():
 
 @pytest.mark.parametrize("tag", sorted(DISSECTION_CLASSES))
 def test_dissection_both_routes_agree(tag):
-    step = DISSECTION_CLASSES[tag][0]
+    step, offset, _ = DISSECTION_CLASSES[tag]
     length = 10_000 // step
-    assert dissection_series(tag, length) == dissection_by_extraction(tag, length)
+    assert dissection_series(tag, length) == a_parity_series(step * length).extract(step, offset)
 
 
 @pytest.mark.parametrize("tag", sorted(DISSECTION_CLASSES))
