@@ -18,7 +18,7 @@ from .congruence import (
     generate_24p_family,
     verify_family,
 )
-from .density import CensusResult, DensityCheckpoint, DensityReport, density_8m7, sparse_odd_census
+from .density import DensityCheckpoint, DensityReport, density_8m7, sparse_odd_census
 from .etaq import (
     EtaQuotient,
     a_parity_series,

@@ -172,63 +172,44 @@ def _cmd_congruences(args) -> int:
 # -- density ---------------------------------------------------------------
 
 
-def _write_csv_block(fh, class_tag: str, series_name: str, limit: int, checkpoints) -> None:
-    fh.write(f"# class: {class_tag}\n")
-    fh.write(f"# series: {series_name}\n")
-    fh.write(f"# limit: {limit}\n")
-    fh.write("checkpoint,odd_count,density\n")
-    for mark in checkpoints:
-        fh.write(f"{mark.x},{mark.odd_count},{mark.density:.9f}\n")
-
-
 def _cmd_density(args) -> int:
-    """args.csv is None or the file that main opened before any work."""
+    """Print each wanted class's report and, with --csv, write its block.
+
+    args.csv is None or the file that main opened before any work.
+    """
+    wanted = list(_DENSITY_TAGS.values()) if args.cls == "all" else [_DENSITY_TAGS[args.cls]]
+    status = 0
     with args.csv or contextlib.nullcontext():
-        status, blocks = _density_report(args)
-        if args.csv:
-            for block in blocks:
-                _write_csv_block(args.csv, *block)
-    if args.csv and blocks:  # a failed cross-check leaves the file empty
+        # The 8m+7 report is computed first: its cross-check builds the longest
+        # cached 1/f_1 (to 2 * limit), and the census's parity series then reads
+        # a truncation of it.
+        try:
+            last = [density_8m7(args.limit)] if "8m+7" in wanted else []
+        except RuntimeError as exc:  # the sampled cross-check disagreed with the closed form
+            print(f"FAIL class 8m+7: {exc}")
+            return 1  # the CSV stays empty
+        census = sparse_odd_census(args.limit) if wanted != ["8m+7"] else []
+        for report in [r for r in census if r.class_tag in wanted] + last:
+            tag = report.class_tag
+            if report.mismatch is not None:
+                status = 1
+                print(f"FAIL {tag}: predicate and series disagree at n={report.mismatch}")
+            for mark in report.checkpoints:
+                print(f"class {tag}: X={mark.x} odd={mark.odd_count} density={mark.density:.9f}")
+            if report.cross_checked:
+                check = f"cross-checked {report.cross_checked} indices against extraction"
+                series = "f3^8 / f1^3"
+            else:
+                check = f"routes agree: {'yes' if report.mismatch is None else 'NO'}"
+                series = f"f3 / f1^3 extracted at n = {tag}"
+            print(f"class {tag}: final density {report.checkpoints[-1].density:.9f} ({check})")
+            if args.csv:
+                args.csv.write(f"# class: {tag}\n# series: {series}\n# limit: {args.limit}\n"
+                               "checkpoint,odd_count,density\n")
+                args.csv.writelines(f"{m.x},{m.odd_count},{m.density:.9f}\n" for m in report.checkpoints)
+    if args.csv:
         print(f"wrote {args.csv.name}")
     return status
-
-
-def _density_report(args) -> tuple[int, list]:
-    """Print the density lines; return the exit status and the CSV blocks."""
-    wanted = list(_DENSITY_TAGS) if args.cls == "all" else [args.cls]
-    blocks = []
-    status = 0
-
-    # The 8m+7 report is computed first: its cross-check builds the longest
-    # cached 1/f_1 (to 2 * limit), and the census's parity series then reads
-    # a truncation of it.
-    try:
-        report = density_8m7(args.limit) if "8m7" in wanted else None
-    except RuntimeError as exc:  # the sampled cross-check disagreed with the closed form
-        print(f"FAIL class 8m+7: {exc}")
-        return 1, []
-    census_tags = [t for t in wanted if t != "8m7"]
-    if census_tags:
-        census = {r.class_tag: r for r in sparse_odd_census(args.limit)}
-        for short in census_tags:
-            result = census[_DENSITY_TAGS[short]]
-            name = f"f3 / f1^3 extracted at n = {result.class_tag}"
-            if result.mismatch is not None:
-                status = 1
-                print(f"FAIL {result.class_tag}: predicate and series disagree at n={result.mismatch}")
-            for mark in result.report.checkpoints:
-                print(f"class {result.class_tag}: X={mark.x} odd={mark.odd_count} density={mark.density:.9f}")
-            print(f"class {result.class_tag}: final density {result.report.final_density:.9f} "
-                  f"(routes agree: {'yes' if result.mismatch is None else 'NO'})")
-            blocks.append((result.class_tag, name, args.limit, result.report.checkpoints))
-
-    if report is not None:
-        for mark in report.checkpoints:
-            print(f"class 8m+7: X={mark.x} odd={mark.odd_count} density={mark.density:.9f}")
-        print(f"class 8m+7: final density {report.final_density:.9f} "
-              f"(cross-checked {report.cross_checked} indices against extraction)")
-        blocks.append(("8m+7", "f3^8 / f1^3", args.limit, report.checkpoints))
-    return status, blocks
 
 
 # -- parser ----------------------------------------------------------------

@@ -26,7 +26,6 @@ from .gf2series import Gf2Series
 __all__ = [
     "DensityCheckpoint",
     "DensityReport",
-    "CensusResult",
     "CENSUS_CLASSES",
     "checkpoints_upto",
     "density_8m7",
@@ -53,19 +52,14 @@ class DensityCheckpoint:
 
 @dataclass(frozen=True)
 class DensityReport:
+    """One class's running odd counts. The census sets the first n where the
+    predicate disagrees with the series; 8m+7 sets how many indices it
+    cross-checked against extraction."""
+
     class_tag: str
     checkpoints: tuple[DensityCheckpoint, ...]
-    final_density: float
+    mismatch: int | None = None
     cross_checked: int = 0
-
-
-@dataclass(frozen=True)
-class CensusResult:
-    """One class's series counts, and the first n where its predicate disagrees."""
-
-    class_tag: str
-    report: DensityReport
-    mismatch: int | None
 
 
 def checkpoints_upto(limit: int) -> list[int]:
@@ -103,7 +97,7 @@ def density_8m7(limit_m: int) -> DensityReport:
         raise RuntimeError(
             f"dissection mismatch at m={sample[i]}: closed form {closed[i]}, extraction {extracted[i]}"
         )
-    return DensityReport("8m+7", tuple(marks), marks[-1].density, len(sample))
+    return DensityReport("8m+7", tuple(marks), cross_checked=len(sample))
 
 
 def predicate_mismatches(parity: Gf2Series, limit: int) -> Iterator[np.ndarray]:
@@ -116,7 +110,7 @@ def predicate_mismatches(parity: Gf2Series, limit: int) -> Iterator[np.ndarray]:
         yield lo + np.flatnonzero(mismatch)
 
 
-def sparse_odd_census(limit_n: int) -> list[CensusResult]:
+def sparse_odd_census(limit_n: int) -> list[DensityReport]:
     """Count odd a(n) in each characterized class for n < limit_n.
 
     The counts decimate the parity series, which the predicates must match
@@ -141,5 +135,5 @@ def sparse_odd_census(limit_n: int) -> list[CensusResult]:
             members = len(range(offset, x, step))
             odd = class_bits.odd_count(upto=members) if members else 0
             marks.append(DensityCheckpoint(x, odd, odd / (members or 1)))
-        results.append(CensusResult(tag, DensityReport(tag, tuple(marks), marks[-1].density), first.get(tag)))
+        results.append(DensityReport(tag, tuple(marks), first.get(tag)))
     return results

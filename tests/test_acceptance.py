@@ -177,7 +177,7 @@ def census_1e6():
 @pytest.mark.parametrize("tag", ["even", "4m+1", "8m+3"])
 def test_criterion_7_density_zero_trend(census_1e6, tag):
     result = census_1e6[tag]
-    marks = {c.x: c for c in result.report.checkpoints}
+    marks = {c.x: c for c in result.checkpoints}
     d4, d5, d6 = (marks[10**k].density for k in (4, 5, 6))
     decreasing = d4 > d5 > d6
     below_bound = d6 < 0.01
@@ -206,7 +206,7 @@ def test_criterion_8_conjecture_experiment():
     elapsed = time.perf_counter() - start
     second = density_8m7(10**6)
 
-    in_band = 0.45 <= first.final_density <= 0.55
+    in_band = 0.45 <= first.checkpoints[-1].density <= 0.55
     deterministic = first == second
     cross_checked = first.cross_checked == 1000
 
@@ -214,11 +214,11 @@ def test_criterion_8_conjecture_experiment():
     report(
         8,
         ok,
-        f"odd density of f3^8/f1^3 at X=1e6 is {first.final_density:.6f} in [0.45, 0.55]; "
+        f"odd density of f3^8/f1^3 at X=1e6 is {first.checkpoints[-1].density:.6f} in [0.45, 0.55]; "
         f"deterministic={deterministic}; extraction cross-check on {first.cross_checked} indices; "
         f"{elapsed:.1f}s",
     )
-    assert in_band, first.final_density
+    assert in_band, first.checkpoints[-1].density
     assert deterministic
     assert cross_checked
     assert elapsed < 300.0

@@ -293,6 +293,30 @@ def test_density_census_fails_on_mismatches_whose_counts_cancel(flip_flags, caps
     ]
 
 
+def test_density_census_fail_still_writes_every_block(flip_flags, capsys, tmp_path):
+    # a census mismatch fails the run but keeps the report: every class is
+    # printed and written, in the order even, 4m+1, 8m+3, 8m+7
+    flip_flags(5, 9)
+    target = tmp_path / "all.csv"
+    code, out = run_cli(capsys, "density", "all", "--limit", "2000", "--csv", str(target))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[3] == "FAIL 4m+1: predicate and series disagree at n=5"
+    assert [l for l in lines if l.startswith("FAIL")] == [lines[3]]
+    assert lines[-1] == f"wrote {target}"
+    blocks = target.read_text().split("# class: ")[1:]
+    assert [block.split("\n")[0] for block in blocks] == ["even", "4m+1", "8m+3", "8m+7"]
+    for block in blocks:
+        tag = block.split("\n")[0]
+        rows = [
+            l.split(": ")[1].replace("X=", "").replace(" odd=", ",").replace(" density=", ",")
+            for l in lines
+            if l.startswith(f"class {tag}: X=")
+        ]
+        assert len(rows) == 2, tag
+        assert block.split("checkpoint,odd_count,density\n")[1].splitlines() == rows, tag
+
+
 def test_density_8m7_cross_check_mismatch_is_a_fail_line(monkeypatch, capsys, tmp_path):
     real_parity_at = oddmult.density.a_parity_at
     first = []

@@ -5,6 +5,7 @@ from oddmult import characterize
 from oddmult.characterize import odd_flag_windows
 from oddmult.density import (
     CENSUS_CLASSES,
+    DensityReport,
     checkpoints_upto,
     density_8m7,
     sparse_odd_census,
@@ -28,6 +29,7 @@ def test_density_8m7_structure():
     assert counts == sorted(counts)
     assert all(0.0 <= c.density <= 1.0 for c in report.checkpoints)
     assert report.cross_checked == 10
+    assert report.mismatch is None
 
 
 def test_density_8m7_first_coefficient_is_a7():
@@ -62,10 +64,11 @@ def test_density_8m7_rejects_bad_limit():
 def test_census_two_routes_agree_at_10k():
     flags = [bool(f) for _, window in odd_flag_windows(10_000) for f in window]
     for result in sparse_odd_census(10_000):
+        assert isinstance(result, DensityReport) and result.cross_checked == 0, result
         assert result.mismatch is None, result.class_tag
         step, offset = CENSUS_CLASSES[result.class_tag]
-        pred = [sum(flags[offset:c.x:step]) for c in result.report.checkpoints]
-        ser = [c.odd_count for c in result.report.checkpoints]
+        pred = [sum(flags[offset:c.x:step]) for c in result.checkpoints]
+        ser = [c.odd_count for c in result.checkpoints]
         assert pred == ser
         assert pred == sorted(pred)
 
@@ -82,7 +85,7 @@ def test_census_keeps_the_first_mismatch_of_each_class(width, flip_flags, monkey
     parity = a_parity_series(2000)
     for tag, (step, offset) in CENSUS_CLASSES.items():
         manual = sum(parity[n] for n in range(offset, 2000, step))
-        assert census[tag].report.checkpoints[-1].odd_count == manual
+        assert census[tag].checkpoints[-1].odd_count == manual
 
 
 def test_census_even_class_counts_squares():
@@ -91,12 +94,12 @@ def test_census_even_class_counts_squares():
         1 for m in range(5000) if m == 0 or (int(m**0.5 + 0.5) ** 2 == m and int(m**0.5 + 0.5) % 3)
     )
     census = {r.class_tag: r for r in sparse_odd_census(10_000)}
-    assert census["even"].report.checkpoints[-1].odd_count == expected == 48
+    assert census["even"].checkpoints[-1].odd_count == expected == 48
 
 
 def test_census_density_decreases_by_decade():
     for result in sparse_odd_census(100_000):
-        densities = [c.density for c in result.report.checkpoints]
+        densities = [c.density for c in result.checkpoints]
         assert densities == sorted(densities, reverse=True), result.class_tag
         assert densities[-1] < densities[0]
 
@@ -106,7 +109,7 @@ def test_census_matches_parity_series_directly():
     census = {r.class_tag: r for r in sparse_odd_census(4000)}
     for tag, (step, offset) in CENSUS_CLASSES.items():
         manual = sum(parity[n] for n in range(offset, 4000, step))
-        assert census[tag].report.checkpoints[-1].odd_count == manual
+        assert census[tag].checkpoints[-1].odd_count == manual
 
 
 def test_census_rejects_bad_limit():
