@@ -22,7 +22,6 @@ from .density import DensityCheckpoint, DensityReport, density_8m7, sparse_odd_c
 from .etaq import (
     EtaQuotient,
     a_parity_series,
-    dissection_series,
     identity_suite,
     pentagonal_exponents,
     triangular_exponents,
@@ -35,7 +34,6 @@ from .numtheory import (
     is_prime,
     is_square,
     is_three_times_square,
-    legendre_symbol,
 )
 from .partition_oracle import (
     ENUMERATION_LIMIT,

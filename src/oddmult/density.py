@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .characterize import odd_flag_windows
-from .etaq import a_parity_at, a_parity_series, dissection_series
+from .etaq import DISSECTION_CLASSES, a_parity_at, a_parity_series
 from .gf2series import Gf2Series
 
 __all__ = [
@@ -52,9 +52,9 @@ class DensityCheckpoint:
 
 @dataclass(frozen=True)
 class DensityReport:
-    """One class's running odd counts. The census sets the first n where the
-    predicate disagrees with the series; 8m+7 sets how many indices it
-    cross-checked against extraction."""
+    """One class's running odd counts, and the first n where its two routes
+    disagree: predicate and series in the census, closed form and extraction
+    at 8m+7, which also sets how many indices it cross-checked."""
 
     class_tag: str
     checkpoints: tuple[DensityCheckpoint, ...]
@@ -75,29 +75,26 @@ def density_8m7(limit_m: int) -> DensityReport:
     Coefficient m is a(8m+7) mod 2. A seeded sample of min(1000, limit_m)
     indices is cross-checked against a(8m+7) read from f_3 / f_1^3 =
     f_1 * (f_3 / f_4) at those degrees alone (a_parity_at), which uses no
-    dissection identity; disagreement would mean a kernel inconsistency
-    and raises. Identical calls give identical reports.
+    dissection identity; the report keeps the first sampled n = 8m+7 where
+    the two disagree, which would mean a kernel inconsistency. Identical
+    calls give identical reports.
     """
     if limit_m < 1:
         raise ValueError("limit_m must be >= 1")
     sample = sorted(random.Random(_SAMPLE_SEED).sample(range(limit_m), min(1000, limit_m)))
     # The cross-check goes first: it builds the longest cached 1/f_1 (to
     # about 2 * limit_m), which the closed form then reads a truncation of.
-    extracted = a_parity_at([8 * m + 7 for m in sample])
-    series = dissection_series("8m+7", limit_m)
+    degrees = [8 * m + 7 for m in sample]
+    extracted = a_parity_at(degrees)
+    series = DISSECTION_CLASSES["8m+7"][2].eval(limit_m)
     marks = []
     for x in checkpoints_upto(limit_m):
         odd = series.odd_count(upto=x)
         marks.append(DensityCheckpoint(x, odd, odd / x))
 
-    closed = series.sparse_product_at([0], sample)
-    mismatches = np.flatnonzero(closed != extracted)
-    if mismatches.size:
-        i = mismatches[0]
-        raise RuntimeError(
-            f"dissection mismatch at m={sample[i]}: closed form {closed[i]}, extraction {extracted[i]}"
-        )
-    return DensityReport("8m+7", tuple(marks), cross_checked=len(sample))
+    mismatches = np.flatnonzero(series.sparse_product_at([0], sample) != extracted)
+    mismatch = degrees[mismatches[0]] if mismatches.size else None
+    return DensityReport("8m+7", tuple(marks), mismatch, len(sample))
 
 
 def predicate_mismatches(parity: Gf2Series, limit: int) -> Iterator[np.ndarray]:

@@ -18,10 +18,10 @@ to N coefficients is one such product against P to N/4.
 
 The parity of a(n), the number of partitions of n whose parts all appear
 with odd multiplicity, is the coefficient series of f_3 / f_1^3. Its 2-,
-4- and 8-dissections are also available in closed form, and every closed
-form is cross-checkable against coefficient extraction from the parity
-series itself. A few scattered a(n) are read without the parity series as
-coefficients of f_1 * (f_3 / f_4) (a_parity_at).
+4- and 8-dissections are also available in closed form (DISSECTION_CLASSES),
+and every closed form is cross-checkable against coefficient extraction
+from the parity series itself. A few scattered a(n) are read without the
+parity series as coefficients of f_1 * (f_3 / f_4) (a_parity_at).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "triangular_exponents",
     "a_parity_series",
     "a_parity_at",
-    "dissection_series",
     "identity_suite",
     "DISSECTION_CLASSES",
 ]
@@ -229,20 +228,6 @@ def a_parity_at(degrees: Iterable[int]) -> np.ndarray:
     degrees = np.asarray(degrees, dtype=np.int64)
     trunc_len = int(degrees.max()) + 1 if len(degrees) else 1
     return _F3_OVER_F4.eval(trunc_len).sparse_product_at(pentagonal_exponents(trunc_len), degrees)
-
-
-def _dissection_entry(class_tag: str) -> tuple[int, int, EtaQuotient]:
-    try:
-        return DISSECTION_CLASSES[class_tag]
-    except KeyError:
-        valid = ", ".join(sorted(DISSECTION_CLASSES))
-        raise ValueError(f"unknown dissection class {class_tag!r}; expected one of {valid}") from None
-
-
-def dissection_series(class_tag: str, trunc_len: int) -> Gf2Series:
-    """Closed-form series: coefficient m is a(step*m + offset) mod 2."""
-    _, _, quotient = _dissection_entry(class_tag)
-    return quotient.eval(trunc_len)
 
 
 def identity_suite(trunc_len: int) -> list[tuple[str, Gf2Series, Gf2Series]]:

@@ -22,7 +22,6 @@ __all__ = [
     "is_three_times_square",
     "count_reps_two_squares_constrained",
     "count_reps_c2_plus_2d2",
-    "legendre_symbol",
 ]
 
 MAX_INPUT = 2**63
@@ -180,19 +179,10 @@ def count_reps_c2_plus_2d2(n: int, d_coprime_to_3: bool = False) -> int:
     return count
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """Three-way residue class of a mod an odd prime p: 1, -1, or 0.
-
-    The zero class (p | a) is kept distinct on purpose: congruence-family
-    generation must skip it, since 0 is neither a residue nor a nonresidue.
-    """
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    return _euler_criterion(a, p)
-
-
 def _euler_criterion(a: int, p: int) -> int:
-    """legendre_symbol(a, p) for a p already known to be an odd prime."""
+    """The Legendre symbol of a mod p, an odd prime its caller has checked:
+    1, -1, or 0. The zero class (p | a) is kept distinct on purpose: family
+    generation must skip it, since 0 is neither a residue nor a nonresidue."""
     a %= p
     if a == 0:
         return 0

@@ -13,7 +13,7 @@ import pytest
 
 import oddmult.cli
 import oddmult.density
-from oddmult import a_parity_series, build_table, odd_flag_windows
+from oddmult import a_parity_series, build_table, odd_flag_windows, predict_parity
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +30,8 @@ def parity_10k():
 @pytest.fixture
 def flip_flags(monkeypatch):
     """flip_flags(*ns) makes the flag windows that the census, `verify
-    theorems` and `a-parity` ranges walk give the wrong verdict at each n in ns."""
+    theorems` and `a-parity` ranges walk, and the odd flag of a single
+    `a-parity n`, give the wrong verdict at each n in ns."""
 
     def flip(*ns):
         def flipped(limit, start=0):
@@ -42,6 +43,7 @@ def flip_flags(monkeypatch):
 
         monkeypatch.setattr(oddmult.density, "odd_flag_windows", flipped)
         monkeypatch.setattr(oddmult.cli, "odd_flag_windows", flipped)
+        monkeypatch.setattr(oddmult.cli, "predict_parity", lambda n: predict_parity(n) != (n in ns))
 
     return flip
 

@@ -12,44 +12,48 @@ from oddmult.characterize import Parity, ParityVerdict, odd_flag_windows, predic
 from oddmult.numtheory import is_square
 
 
+def verdict(n: int) -> ParityVerdict:
+    """The verdict on n as `a-parity n` prints it: the entry of n's case and odd flag in VERDICTS."""
+    template = characterize.VERDICTS[2 * int(characterize.cases(n, n + 1)[0]) + predict_parity(n)]
+    return ParityVerdict(template.parity, template.reason.format(n))
+
+
 def test_even_index_examples():
-    assert predict_parity(2 * 0).parity is Parity.ODD  # a(0) = 1
-    assert predict_parity(2 * 1).parity is Parity.ODD  # a(2) = 1
-    assert predict_parity(2 * 9).parity is Parity.EVEN  # k = 3 divisible by 3
-    assert predict_parity(2 * 4).parity is Parity.ODD  # a(8) = 9
-    assert predict_parity(2 * 5).parity is Parity.EVEN
+    assert predict_parity(2 * 0) is True  # a(0) = 1
+    assert predict_parity(2 * 1) is True  # a(2) = 1
+    assert predict_parity(2 * 9) is False  # k = 3 divisible by 3
+    assert predict_parity(2 * 4) is True  # a(8) = 9
+    assert predict_parity(2 * 5) is False
 
 
 def test_even_index_m_zero_precedes_square_test():
     # 0 = 0^2 with root divisible by 3, but the m = 0 case wins
-    verdict = predict_parity(2 * 0)
-    assert verdict.parity is Parity.ODD and "m = 0" in verdict.reason
+    assert predict_parity(2 * 0) is True and "m = 0" in verdict(0).reason
 
 
 def test_4m1_examples():
-    assert predict_parity(4 * 1 + 1).parity is Parity.ODD  # n=5=5^1, exponent 1 (mod 4)
-    assert predict_parity(4 * 6 + 1).parity is Parity.ODD  # n=25 square, m == 0 (mod 3)
-    assert predict_parity(4 * 31 + 1).parity is Parity.EVEN  # n=125=5^3, 3 != 1 (mod 4)
-    assert predict_parity(4 * 2 + 1).parity is Parity.EVEN  # m == 2 (mod 3)
+    assert predict_parity(4 * 1 + 1) is True  # n=5=5^1, exponent 1 (mod 4)
+    assert predict_parity(4 * 6 + 1) is True  # n=25 square, m == 0 (mod 3)
+    assert predict_parity(4 * 31 + 1) is False  # n=125=5^3, 3 != 1 (mod 4)
+    assert predict_parity(4 * 2 + 1) is False  # m == 2 (mod 3)
 
 
 def test_8m3_examples():
-    assert predict_parity(8 * 0 + 3).parity is Parity.ODD  # n=3 = 3*1^2
-    assert predict_parity(8 * 3 + 3).parity is Parity.ODD  # n=27 = 3*3^2
-    assert predict_parity(8 * 4 + 3).parity is Parity.EVEN  # n=35 = 5*7, two odd exponents
-    assert predict_parity(8 * 2 + 3).parity is Parity.EVEN  # m == 2 (mod 3)
+    assert predict_parity(8 * 0 + 3) is True  # n=3 = 3*1^2
+    assert predict_parity(8 * 3 + 3) is True  # n=27 = 3*3^2
+    assert predict_parity(8 * 4 + 3) is False  # n=35 = 5*7, two odd exponents
+    assert predict_parity(8 * 2 + 3) is False  # m == 2 (mod 3)
 
 
 def test_predict_examples():
-    assert predict_parity(0).parity is Parity.ODD
-    assert predict_parity(9).parity is Parity.EVEN  # a(12n+9) even
-    assert predict_parity(7).parity is Parity.UNKNOWN
+    assert predict_parity(0) is True
+    assert predict_parity(9) is False  # a(12n+9) even
+    assert verdict(7).parity is Parity.UNKNOWN
 
 
 def test_unknown_exactly_on_7_mod_8():
     for n in range(500):
-        verdict = predict_parity(n)
-        assert (verdict.parity is Parity.UNKNOWN) == (n % 8 == 7), n
+        assert (verdict(n).parity is Parity.UNKNOWN) == (n % 8 == 7), n
 
 
 def test_each_case_gives_its_reason():
@@ -72,12 +76,12 @@ def test_each_case_gives_its_reason():
         7: "8m+7: uncharacterized class",
     }
     for n, reason in reasons.items():
-        assert predict_parity(n).reason == reason, n
+        assert verdict(n).reason == reason, n
 
 
 def test_reasons_are_never_empty():
     for n in range(200):
-        assert predict_parity(n).reason
+        assert verdict(n).reason
 
 
 def test_domain_errors():
@@ -90,17 +94,14 @@ def test_agreement_with_series_to_10k(parity_10k):
     for n in range(10_000):
         if n % 8 == 7:
             continue
-        verdict = predict_parity(n)
-        actual = Parity.ODD if parity_10k[n] else Parity.EVEN
-        assert verdict.parity is actual, (n, verdict.reason)
+        assert predict_parity(n) == parity_10k[n], (n, verdict(n).reason)
 
 
 def test_agreement_with_exact_oracle(oracle_2000):
     for n in range(oracle_2000.limit + 1):
         if n % 8 == 7:
             continue
-        expected = Parity.ODD if oracle_2000[n] & 1 else Parity.EVEN
-        assert predict_parity(n).parity is expected, n
+        assert predict_parity(n) == oracle_2000[n] & 1, n
 
 
 def joined_flags(limit: int, width: int) -> np.ndarray:
@@ -118,7 +119,7 @@ def test_odd_flag_windows_match_predict_parity():
         assert flags.shape == (limit,)
         for n in range(limit):
             if n % 8 != 7:
-                assert flags[n] == (predict_parity(n).parity is Parity.ODD), (limit, n)
+                assert flags[n] == predict_parity(n), (limit, n)
 
 
 def test_odd_flag_windows_match_predict_parity_at_the_top_of_the_a_parity_domain():
@@ -129,7 +130,7 @@ def test_odd_flag_windows_match_predict_parity_at_the_top_of_the_a_parity_domain
     assert flags.shape == (limit - start,)
     for n in range(start, limit):
         if n % 8 != 7:
-            assert flags[n - start] == (predict_parity(n).parity is Parity.ODD), n
+            assert flags[n - start] == predict_parity(n), n
 
 
 def test_odd_flag_windows_prime_powers():
@@ -140,12 +141,12 @@ def test_odd_flag_windows_prime_powers():
     pinned = {125: False, 3125: True, 161051: True, 1953125: True, 27: True,
               153125: True, 378125: True, 78125: False, 3828125: False}
     for n, odd in pinned.items():
-        assert flags[n] == odd == (predict_parity(n).parity is Parity.ODD), n
+        assert flags[n] == odd == predict_parity(n), n
 
 
 @functools.cache
 def predicted_below(limit: int) -> np.ndarray:
-    return np.array([predict_parity(n).parity is Parity.ODD for n in range(limit)])
+    return np.array([predict_parity(n) for n in range(limit)])
 
 
 @settings(max_examples=25, deadline=None)
@@ -184,16 +185,6 @@ def test_cases_mark_zero_and_the_even_squares_whose_root_3_divides():
             for n in range(lo, hi)
         ]
         assert characterize.cases(lo, hi).tolist() == expected, (lo, hi)
-
-
-def test_verdicts_come_from_the_case_table():
-    # predict_parity and cases, the single-n and the range route, agree on the
-    # case of every n, and predict_parity's verdict is that case's table entry
-    for n in range(3000):
-        got = predict_parity(n)
-        case = characterize.cases(n, n + 1)[0]
-        template = characterize.VERDICTS[2 * case + (got.parity is Parity.ODD)]
-        assert got == ParityVerdict(template.parity, template.reason.format(n)), n
 
 
 WHOLE = 1_953_126  # just past 5^9

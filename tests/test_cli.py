@@ -161,6 +161,9 @@ def test_a_flag_against_a_fixed_parity_prints_the_contradiction(flip_flags, caps
         code, out = run_cli(capsys, "a-parity", text)
         assert code == 1, text
         wrong += [line for line in out.splitlines() if "agree=NO" in line]
+    # each single query prints the same line as its range
+    for n, line in zip((0, 9, 18, 19), wrong):
+        assert run_cli(capsys, "a-parity", str(n)) == (1, line + "\n"), n
     assert wrong == [
         "n=0: even [2m: m = 0 is always odd, but 0 is flagged even] series=odd agree=NO",
         "n=9: odd [4m+1: m == 2 (mod 3) is always even, but 9 is flagged odd] series=even agree=NO",
@@ -181,11 +184,51 @@ def test_a_flag_against_a_fixed_parity_prints_the_contradiction(flip_flags, caps
     ]
 
 
+# sha256 of the stdout of `verify congruences --limit 5000`
+CONGRUENCES_5000_STDOUT = "0496e38fcff25dbcc470e86438d0b57913118518876a19c734e65b718edaf179"
+
+
 def test_verify_congruences(capsys):
     code, out = run_cli(capsys, "verify", "congruences", "--limit", "5000")
     assert code == 0
     assert out.count("ok ") == 24
     assert out.strip().endswith("PASS")
+    # the per-family counts of indices checked
+    assert sha256(out) == CONGRUENCES_5000_STDOUT
+
+
+def test_verify_identities_reports_a_false_identity(monkeypatch, capsys):
+    f1, f3 = (oddmult.EtaQuotient.of({r: 1}).eval(500) for r in (1, 3))
+    monkeypatch.setattr(cli, "identity_suite", lambda limit: [("f1 = f3", f1, f3)])
+    code, out = run_cli(capsys, "verify", "identities", "--limit", "500")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL f1 = f3: first mismatch at degree 1"
+    assert len(lines) == 8 and lines[-1] == "FAIL (1 discrepancies)"
+
+
+def test_verify_identities_reports_a_wrong_closed_form(monkeypatch, capsys):
+    # the 8m+3 closed form given as that of 4m+1: a(4m+1) and a(8m+3) first
+    # differ at m = 3, a(13) = 40 against a(27) = 773
+    classes = oddmult.etaq.DISSECTION_CLASSES
+    monkeypatch.setitem(classes, "4m+1", (4, 1, classes["8m+3"][2]))
+    code, out = run_cli(capsys, "verify", "identities", "--limit", "500")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL dissection 4m+1: first mismatch at index 3",
+        "FAIL (1 discrepancies)",
+    ]
+
+
+def test_verify_congruences_reports_a_family_with_an_odd_value(monkeypatch, capsys):
+    # a(8n+7) is no family: a(7) = 9
+    real = cli.all_families
+    monkeypatch.setattr(cli, "all_families", lambda: (oddmult.CongruenceFamily(8, 7, "the open class"), *real()))
+    code, out = run_cli(capsys, "verify", "congruences", "--limit", "1000")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL a(8n+7): a(7) is odd"
+    assert lines.count("FAIL (1 discrepancies)") == 1 and len(lines) == 26
 
 
 def test_congruences_list(capsys):
@@ -318,25 +361,32 @@ def test_density_census_fail_still_writes_every_block(flip_flags, capsys, tmp_pa
 
 
 def test_density_8m7_cross_check_mismatch_is_a_fail_line(monkeypatch, capsys, tmp_path):
+    # a flipped extraction bit at the first sampled n fails the run but keeps
+    # the report: the FAIL line opens the 8m+7 lines, and every other line and
+    # all four CSV blocks are those of a clean run
+    monkeypatch.chdir(tmp_path)
+    argvs = (["density", "8m7", "--limit", "2000"], ["density", "all", "--limit", "2000", "--csv", "x.csv"])
+    clean = [run_cli(capsys, *argv) for argv in argvs]
+    assert [code for code, _ in clean] == [0, 0]
+    clean_csv = (tmp_path / "x.csv").read_text()
     real_parity_at = oddmult.density.a_parity_at
-    first = []
 
     def flip_first(degrees):
         bits = real_parity_at(degrees)
-        first.append(((degrees[0] - 7) // 8, int(bits[0])))
         bits[0] ^= 1
         return bits
 
     monkeypatch.setattr(oddmult.density, "a_parity_at", flip_first)
-    target = tmp_path / "x.csv"
-    for argv in (["density", "8m7", "--limit", "2000"], ["density", "all", "--limit", "2000", "--csv", str(target)]):
+    (tmp_path / "x.csv").unlink()
+    for argv, (_, clean_out) in zip(argvs, clean):
         code, out = run_cli(capsys, *argv)
-        m, bit = first.pop()
         assert code == 1, argv
-        assert out.splitlines() == [
-            f"FAIL class 8m+7: dissection mismatch at m={m}: closed form {bit}, extraction {1 - bit}"
-        ], argv
-    assert target.read_text() == ""
+        lines = clean_out.splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("class 8m+7: "))
+        lines.insert(at, "FAIL 8m+7: closed form and extraction disagree at n=39\n")  # m = 4
+        assert out == "".join(lines), argv
+    assert (tmp_path / "x.csv").read_text() == clean_csv
+    assert [block.split("\n")[0] for block in clean_csv.split("# class: ")[1:]] == ["even", "4m+1", "8m+3", "8m+7"]
 
 
 # sha256 of stdout and of the CSV, run in the CSV's directory, as the

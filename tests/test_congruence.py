@@ -57,7 +57,7 @@ def test_generator_domain_errors():
 )
 def test_generators_check_p_once(monkeypatch, generate, slope, p):
     # p is checked once per call; each r is then tested by Euler's criterion
-    # alone, not by legendre_symbol, which would check p again
+    # alone, which does not check p again
     calls = []
     real_is_prime = numtheory.is_prime
 
@@ -114,8 +114,8 @@ def test_verify_family_argument_checks(parity_10k):
 def test_verdicts_consistent_with_predicates(parity_10k):
     # congruences are consequences of the characterizations: the predicate
     # route must call every family index even
-    from oddmult.characterize import Parity, predict_parity
+    from oddmult.characterize import predict_parity
 
     for family in all_families():
         for n in range(family.residue, 3000, family.modulus):
-            assert predict_parity(n).parity is Parity.EVEN, (family.label, n)
+            assert predict_parity(n) is False, (family.label, n)

@@ -1,16 +1,16 @@
 import pytest
 
-import oddmult.density
 from oddmult import characterize
 from oddmult.characterize import odd_flag_windows
 from oddmult.density import (
     CENSUS_CLASSES,
+    DensityCheckpoint,
     DensityReport,
     checkpoints_upto,
     density_8m7,
     sparse_odd_census,
 )
-from oddmult.etaq import a_parity_series, dissection_series
+from oddmult.etaq import DISSECTION_CLASSES, a_parity_series
 from oddmult.gf2series import Gf2Series
 from oddmult.partition_oracle import build_table
 
@@ -46,14 +46,21 @@ def test_density_8m7_deterministic():
 
 
 def test_density_8m7_cross_check_reports_first_mismatch(monkeypatch):
-    true = dissection_series("8m+7", 100)
-    flipped = true + Gf2Series.from_support([37, 80], 100)
-    monkeypatch.setattr(oddmult.density, "dissection_series", lambda tag, n: flipped)
-    with pytest.raises(RuntimeError) as exc:
-        density_8m7(100)
-    assert str(exc.value) == (
-        f"dissection mismatch at m=37: closed form {1 - true[37]}, extraction {true[37]}"
-    )
+    # a closed form wrong at m = 37 and 80: the report keeps its counts and
+    # the first sampled n = 8m+7 where the closed form and the extraction differ
+    step, offset, quotient = DISSECTION_CLASSES["8m+7"]
+    flipped = quotient.eval(100) + Gf2Series.from_support([37, 80], 100)
+
+    class FlippedQuotient:
+        def eval(self, trunc_len):
+            return flipped.truncate(trunc_len)
+
+    monkeypatch.setitem(DISSECTION_CLASSES, "8m+7", (step, offset, FlippedQuotient()))
+    report = density_8m7(100)
+    assert report.mismatch == 8 * 37 + 7
+    assert report.cross_checked == 100
+    odd = flipped.odd_count(upto=100)
+    assert report.checkpoints == (DensityCheckpoint(100, odd, odd / 100),)
 
 
 def test_density_8m7_rejects_bad_limit():

@@ -13,7 +13,6 @@ from oddmult.etaq import (
     EtaQuotient,
     a_parity_at,
     a_parity_series,
-    dissection_series,
     identity_suite,
     pentagonal_exponents,
     triangular_exponents,
@@ -111,27 +110,22 @@ def test_a_parity_known_values():
 
 
 def test_dissection_examples():
-    assert dissection_series("2m", 4)[1] == 1  # a(2) = 1
-    assert dissection_series("4m+1", 4)[1] == 1  # a(5) = 5
-    assert dissection_series("8m+3", 4)[0] == 1  # a(3) = 3
-
-
-def test_dissection_unknown_tag():
-    with pytest.raises(ValueError, match="unknown dissection class"):
-        dissection_series("16m+11", 4)
+    assert DISSECTION_CLASSES["2m"][2].eval(4)[1] == 1  # a(2) = 1
+    assert DISSECTION_CLASSES["4m+1"][2].eval(4)[1] == 1  # a(5) = 5
+    assert DISSECTION_CLASSES["8m+3"][2].eval(4)[0] == 1  # a(3) = 3
 
 
 @pytest.mark.parametrize("tag", sorted(DISSECTION_CLASSES))
 def test_dissection_both_routes_agree(tag):
-    step, offset, _ = DISSECTION_CLASSES[tag]
+    step, offset, quotient = DISSECTION_CLASSES[tag]
     length = 10_000 // step
-    assert dissection_series(tag, length) == a_parity_series(step * length).extract(step, offset)
+    assert quotient.eval(length) == a_parity_series(step * length).extract(step, offset)
 
 
 @pytest.mark.parametrize("tag", sorted(DISSECTION_CLASSES))
 def test_dissection_matches_parity_series_directly(tag, parity_10k):
-    step, offset, _ = DISSECTION_CLASSES[tag]
-    closed = dissection_series(tag, 500)
+    step, offset, quotient = DISSECTION_CLASSES[tag]
+    closed = quotient.eval(500)
     for m in range(500):
         assert closed[m] == parity_10k[step * m + offset], (tag, m)
 

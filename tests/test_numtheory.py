@@ -4,13 +4,13 @@ import pytest
 
 from oddmult.numtheory import (
     MAX_INPUT,
+    _euler_criterion,
     count_reps_c2_plus_2d2,
     count_reps_two_squares_constrained,
     factorize,
     is_prime,
     is_square,
     is_three_times_square,
-    legendre_symbol,
 )
 from oracles import divisor_classes_mod8, divisors, r2_bruteforce, r2_from_divisors, signed_reps_c2_plus_2d2
 
@@ -187,15 +187,9 @@ def test_signed_c2_plus_2d2_dirichlet_small():
 
 
 def test_legendre_examples():
-    assert legendre_symbol(3, 5) == -1  # squares mod 5 are {0, 1, 4}
-    assert legendre_symbol(4, 7) == 1
-    assert legendre_symbol(10, 5) == 0
-
-
-def test_legendre_rejects_non_odd_primes():
-    for p in (2, 9, 15, 1):
-        with pytest.raises(ValueError):
-            legendre_symbol(3, p)
+    assert _euler_criterion(3, 5) == -1  # squares mod 5 are {0, 1, 4}
+    assert _euler_criterion(4, 7) == 1
+    assert _euler_criterion(10, 5) == 0
 
 
 def test_legendre_matches_square_enumeration():
@@ -203,4 +197,4 @@ def test_legendre_matches_square_enumeration():
         squares = {x * x % p for x in range(1, p)}
         for a in range(1, p):
             expected = 1 if a in squares else -1
-            assert legendre_symbol(a, p) == expected, (a, p)
+            assert _euler_criterion(a, p) == expected, (a, p)
