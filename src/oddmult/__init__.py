@@ -8,7 +8,7 @@ independent ground truth; and on top sit the parity characterizations
 experiments (`density`). The `oddmult` CLI exposes all of it.
 """
 
-from .characterize import Parity, ParityVerdict, odd_flag_windows, predict_parity
+from .characterize import odd_flag_windows, predict_parity
 from .congruence import (
     CongruenceFamily,
     FamilyVerification,

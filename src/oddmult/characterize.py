@@ -4,17 +4,14 @@
 alone (squareness, or the shape of the prime factorization), with no series
 computation. `odd_flag_windows` gives the same flags for a whole range, one
 window at a time, by marking the odd sets directly, without factorizing
-anything. A verdict follows from the odd flag and the case of n, which
-`cases` alone gives, through the one table `VERDICTS`; its reason names the
-branch, so a failed comparison against the series names the branch that
-lied. The class n == 7 (mod 8) has no characterization: its flag is
-meaningless and its verdict is Unknown.
+anything. The reason for a flag is the entry of the flag and the case of n,
+which `cases` alone gives, in the one table `REASONS`; it names the branch,
+so a failed comparison against the series names the branch that lied. The
+class n == 7 (mod 8) has no characterization: its flag is meaningless.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
@@ -23,28 +20,14 @@ import numpy as np
 from .numtheory import _sieve, factorize, is_square, is_three_times_square
 
 __all__ = [
-    "Parity",
-    "ParityVerdict",
     "predict_parity",
-    "VERDICTS",
+    "REASONS",
     "cases",
     "odd_flag_windows",
 ]
 
 
-class Parity(enum.Enum):
-    ODD = "odd"
-    EVEN = "even"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class ParityVerdict:
-    parity: Parity
-    reason: str
-
-
-# The verdict of every case and odd flag, at index 2 * case + odd, "{0}"
+# The reason of every case and odd flag, at index 2 * case + odd, "{0}"
 # standing for n in the reason. The case of n is n mod 24, save the two even n
 # whose reason that does not fix: n = 0 (ZERO) and n = 18 j^2 with j >= 1
 # (TRIPLE_ROOT). The residue fixes the class of n and, in the odd classes,
@@ -69,7 +52,7 @@ def _fixed(reason: str, odd: bool) -> tuple[str, str]:
     return (wrong, reason) if odd else (reason, wrong)
 
 
-def _case_verdicts() -> tuple[ParityVerdict, ...]:
+def _case_reasons() -> tuple[str, ...]:
     four, eight = _odd_class_reasons("4m+1", "a square"), _odd_class_reasons("8m+3", "3 times a square")
     reasons = []
     for r in range(24):
@@ -82,14 +65,10 @@ def _case_verdicts() -> tuple[ParityVerdict, ...]:
         else:
             reasons.append(("8m+7: uncharacterized class",) * 2)
     reasons += [_fixed("2m: m = 0", True), _fixed("2m: m = k^2 but 3 | k", False)]
-    return tuple(
-        ParityVerdict(Parity.UNKNOWN if case % 8 == 7 else Parity.ODD if odd else Parity.EVEN, reason)
-        for case, pair in enumerate(reasons)
-        for odd, reason in enumerate(pair)
-    )
+    return tuple(reason for pair in reasons for reason in pair)
 
 
-VERDICTS = _case_verdicts()
+REASONS = _case_reasons()
 
 
 def cases(lo: int, hi: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .characterize import VERDICTS, Parity, ParityVerdict, cases, odd_flag_windows, predict_parity
+from .characterize import REASONS, cases, odd_flag_windows, predict_parity
 from .congruence import all_families, generate_12p_family, generate_24p_family, verify_family
 from .density import density_8m7, predicate_mismatches, sparse_odd_census
 from .numtheory import is_prime
@@ -46,23 +46,23 @@ def _cmd_value(args) -> int:
     return 0
 
 
-def _line_format(verdict: ParityVerdict, parity_bit: int) -> tuple[str, bool]:
-    """The a-parity line of verdict and the series bit, "{0}" standing for n,
-    and whether the two agree."""
-    actual = "odd" if parity_bit else "even"
-    if verdict.parity is Parity.UNKNOWN:
-        return f"n={{0}}: unknown [{verdict.reason}] series={actual}\n", True
-    agree = verdict.parity.value == actual
-    return (
-        f"n={{0}}: {verdict.parity.value} [{verdict.reason}] series={actual} "
-        f"agree={'yes' if agree else 'NO'}\n",
-        agree,
-    )
+# The word for a parity bit, wherever one is printed.
+_WORDS = ("even", "odd")
+
+
+def _line_format(key: int) -> tuple[str, bool]:
+    """The a-parity line of key = 4 * case + 2 * flag + bit, "{0}" standing
+    for n, and whether the flag and the series bit agree."""
+    case, flag, bit = key >> 2, key >> 1 & 1, key & 1
+    line = f"[{REASONS[key >> 1]}] series={_WORDS[bit]}"
+    if case % 8 == 7:
+        return f"n={{0}}: unknown {line}\n", True
+    return f"n={{0}}: {_WORDS[flag]} {line} agree={'yes' if flag == bit else 'NO'}\n", flag == bit
 
 
 # The line format and agreement of every case, odd flag and series bit, at
 # index 4 * case + 2 * flag + bit.
-_FORMATS, _AGREES = zip(*(_line_format(verdict, bit) for verdict in VERDICTS for bit in (0, 1)))
+_FORMATS, _AGREES = zip(*map(_line_format, range(2 * len(REASONS))))
 
 
 def _cmd_parity(args) -> int:
@@ -118,11 +118,10 @@ def _verify_theorems(limit: int) -> int:
     discrepancies = 0
     for ns in predicate_mismatches(series, limit):
         for n in ns.tolist():
-            # the flag's verdict and reason, which are the opposite of the series bit
-            verdict = VERDICTS[2 * int(cases(n, n + 1)[0]) + 1 - series[n]]
-            actual = "odd" if series[n] else "even"
-            print(f"FAIL n={n}: predicted {verdict.parity.value} via [{verdict.reason.format(n)}], "
-                  f"series says {actual}")
+            # the flag, and so its reason, is the opposite of the series bit
+            bit = series[n]
+            reason = REASONS[2 * int(cases(n, n + 1)[0]) + 1 - bit]
+            print(f"FAIL n={n}: predicted {_WORDS[1 - bit]} via [{reason.format(n)}], series says {_WORDS[bit]}")
             discrepancies += 1
     print(f"checked {limit - limit // 8} values below {limit} (class 8m+7 excluded): "
           f"{discrepancies} discrepancies")

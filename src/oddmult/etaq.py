@@ -242,14 +242,8 @@ def identity_suite(trunc_len: int) -> list[tuple[str, Gf2Series, Gf2Series]]:
     def ev(factors: dict[int, int]) -> Gf2Series:
         return EtaQuotient.of(factors).eval(trunc_len)
 
-    # exponents k(3k-2) for k in Z, the support of f_3^3 / f_1
-    eq33_support = [0]
-    k = 1
-    while k * (3 * k - 2) < trunc_len:
-        eq33_support.append(k * (3 * k - 2))
-        if k * (3 * k + 2) < trunc_len:
-            eq33_support.append(k * (3 * k + 2))
-        k += 1
+    # the support k(3k-2), k in Z, of f_3^3 / f_1 is the (j^2 - 1) / 3 with 3 not | j: 3k(3k-2) + 1 = (3k-1)^2
+    eq33_support = [(j * j - 1) // 3 for j in range(1, isqrt(3 * trunc_len) + 1) if j % 3]
 
     return [
         ("f1^3 = f3 + q f9^3", ev({1: 3}), ev({3: 1}) + ev({9: 3}).shift(1)),

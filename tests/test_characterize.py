@@ -8,14 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddmult import characterize
-from oddmult.characterize import Parity, ParityVerdict, odd_flag_windows, predict_parity
+from oddmult.characterize import odd_flag_windows, predict_parity
+from oddmult.cli import main
 from oddmult.numtheory import is_square
 
 
-def verdict(n: int) -> ParityVerdict:
-    """The verdict on n as `a-parity n` prints it: the entry of n's case and odd flag in VERDICTS."""
-    template = characterize.VERDICTS[2 * int(characterize.cases(n, n + 1)[0]) + predict_parity(n)]
-    return ParityVerdict(template.parity, template.reason.format(n))
+def verdict(n: int) -> str:
+    """The reason `a-parity n` prints: the entry of n's case and odd flag in REASONS."""
+    return characterize.REASONS[2 * int(characterize.cases(n, n + 1)[0]) + predict_parity(n)].format(n)
+
+
+def unknown(n: int, capsys) -> bool:
+    """Whether `a-parity n` prints its verdict as unknown."""
+    main(["a-parity", str(n)])
+    return f"n={n}: unknown [" in capsys.readouterr().out
 
 
 def test_even_index_examples():
@@ -28,7 +34,7 @@ def test_even_index_examples():
 
 def test_even_index_m_zero_precedes_square_test():
     # 0 = 0^2 with root divisible by 3, but the m = 0 case wins
-    assert predict_parity(2 * 0) is True and "m = 0" in verdict(0).reason
+    assert predict_parity(2 * 0) is True and "m = 0" in verdict(0)
 
 
 def test_4m1_examples():
@@ -45,15 +51,15 @@ def test_8m3_examples():
     assert predict_parity(8 * 2 + 3) is False  # m == 2 (mod 3)
 
 
-def test_predict_examples():
+def test_predict_examples(capsys):
     assert predict_parity(0) is True
     assert predict_parity(9) is False  # a(12n+9) even
-    assert verdict(7).parity is Parity.UNKNOWN
+    assert unknown(7, capsys)
 
 
-def test_unknown_exactly_on_7_mod_8():
+def test_unknown_exactly_on_7_mod_8(capsys):
     for n in range(500):
-        assert (verdict(n).parity is Parity.UNKNOWN) == (n % 8 == 7), n
+        assert unknown(n, capsys) == (n % 8 == 7), n
 
 
 def test_each_case_gives_its_reason():
@@ -76,12 +82,12 @@ def test_each_case_gives_its_reason():
         7: "8m+7: uncharacterized class",
     }
     for n, reason in reasons.items():
-        assert verdict(n).reason == reason, n
+        assert verdict(n) == reason, n
 
 
 def test_reasons_are_never_empty():
     for n in range(200):
-        assert verdict(n).reason
+        assert verdict(n)
 
 
 def test_domain_errors():
@@ -94,7 +100,7 @@ def test_agreement_with_series_to_10k(parity_10k):
     for n in range(10_000):
         if n % 8 == 7:
             continue
-        assert predict_parity(n) == parity_10k[n], (n, verdict(n).reason)
+        assert predict_parity(n) == parity_10k[n], (n, verdict(n))
 
 
 def test_agreement_with_exact_oracle(oracle_2000):
@@ -212,9 +218,11 @@ def test_windows_straddling_a_seam_match_one_window(point, shift, data):
 
 
 def test_verdicts_of_opposite_parity_never_share_a_reason():
-    # a case whose parity is fixed names the contradiction under the other flag
+    # a case whose parity is fixed names the contradiction under the other
+    # flag; entry i is the reason of case i >> 1 and odd flag i & 1
     parities = {}
-    for verdict in characterize.VERDICTS:
-        parities.setdefault(verdict.reason, set()).add(verdict.parity)
-    assert len(characterize.VERDICTS) == 52
-    assert [reason for reason, seen in parities.items() if {Parity.ODD, Parity.EVEN} <= seen] == []
+    for i, reason in enumerate(characterize.REASONS):
+        if (i >> 1) % 8 != 7:
+            parities.setdefault(reason, set()).add(i & 1)
+    assert len(characterize.REASONS) == 52
+    assert [reason for reason, seen in parities.items() if {0, 1} <= seen] == []

@@ -184,6 +184,26 @@ def test_a_flag_against_a_fixed_parity_prints_the_contradiction(flip_flags, caps
     ]
 
 
+# exit code and sha256 of stdout, clean and with every flag below 10^4
+# flipped. All 26 cases occur below 10^4, so the two a-parity runs print the
+# line of every case, flag and series bit that the series can give, and the
+# flipped verify run the FAIL line of every reason a wrong flag can get.
+EVERY_VERDICT_RUNS = {
+    ("clean", "a-parity", "0..9999"): (0, "21109f8b27a77f3918caf84dc65878a7d72dcaf26239da3a3cb900a39e0ed538"),
+    ("flipped", "a-parity", "0..9999"): (1, "f48e7f1355c28c5f62841ea8504bc21913ae0a7e20da6f6707382141fabc7417"),
+    ("flipped", "verify", "theorems", "--limit", "10000"):
+        (1, "9f6f06ad709166dc860678a15ca476c816fa088f64acbb5c9de698c30d12029a"),
+}
+
+
+@pytest.mark.parametrize("run", EVERY_VERDICT_RUNS, ids=" ".join)
+def test_every_verdict_line_is_pinned(run, flip_flags, capsys):
+    if run[0] == "flipped":
+        flip_flags(*range(10_000))
+    code, out = run_cli(capsys, *run[1:])
+    assert (code, sha256(out)) == EVERY_VERDICT_RUNS[run]
+
+
 # sha256 of the stdout of `verify congruences --limit 5000`
 CONGRUENCES_5000_STDOUT = "0496e38fcff25dbcc470e86438d0b57913118518876a19c734e65b718edaf179"
 
