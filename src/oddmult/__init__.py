@@ -28,8 +28,7 @@ from .etaq import (
 )
 from .gf2series import Gf2Series
 from .numtheory import (
-    count_reps_c2_plus_2d2,
-    count_reps_two_squares_constrained,
+    count_theta_pairs,
     factorize,
     is_prime,
     is_square,

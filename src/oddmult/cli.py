@@ -19,7 +19,7 @@ from .characterize import REASONS, cases, odd_flag_windows, predict_parity
 from .congruence import all_families, generate_12p_family, generate_24p_family, verify_family
 from .density import density_8m7, predicate_mismatches, sparse_odd_census
 from .numtheory import is_prime
-from .etaq import DISSECTION_CLASSES, a_parity_series, identity_suite
+from .etaq import A_PARITY_QUOTIENT, DISSECTION_CLASSES, a_parity_series, identity_suite
 from .partition_oracle import RECOMMENDED_TABLE_LIMIT, build_table
 
 _DENSITY_TAGS = {"even": "even", "4m1": "4m+1", "8m3": "8m+3", "8m7": "8m+7"}
@@ -191,11 +191,11 @@ def _cmd_density(args) -> int:
             if report.cross_checked:
                 routes = "closed form and extraction"
                 check = f"cross-checked {report.cross_checked} indices against extraction"
-                series = "f3^8 / f1^3"
+                series = str(DISSECTION_CLASSES["8m+7"][2])
             else:
                 routes = "predicate and series"
                 check = f"routes agree: {'yes' if report.mismatch is None else 'NO'}"
-                series = f"f3 / f1^3 extracted at n = {tag}"
+                series = f"{A_PARITY_QUOTIENT} extracted at n = {tag}"
             if report.mismatch is not None:
                 status = 1
                 print(f"FAIL {tag}: {routes} disagree at n={report.mismatch}")

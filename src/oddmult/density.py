@@ -64,7 +64,7 @@ class DensityReport:
 
 def checkpoints_upto(limit: int) -> list[int]:
     """Decades from 10^3 up to (and then including) the limit itself."""
-    points = [10**k for k in range(3, 8) if 10**k < limit]
+    points = [10**k for k in range(3, len(str(limit))) if 10**k < limit]
     points.append(limit)
     return points
 

@@ -1,11 +1,10 @@
-"""Integer factorization, square tests, quadratic-form counters, residues.
+"""Integer factorization, square tests, the theta-pair counter, residues.
 
 Factorization is trial division for small inputs and deterministic
 Miller-Rabin plus Brent's variant of Pollard rho beyond, valid for the
-whole supported range n <= 2^63. The two representation counters, for
-(2a+1)^2 + (6b-1)^2 and c^2 + 2 d^2, count the theta-product forms of
-a(4m+1) and a(8m+3) by brute force: iterate one variable, test the
-residual for squareness.
+whole supported range n <= 2^63. One counter, count_theta_pairs, counts
+the theta-product forms of a(4m+1) and a(8m+3): the ways to write m as a
+triangular number plus 3 (resp. 6) times a generalized pentagonal number.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ __all__ = [
     "is_prime",
     "is_square",
     "is_three_times_square",
-    "count_reps_two_squares_constrained",
-    "count_reps_c2_plus_2d2",
+    "count_theta_pairs",
 ]
 
 MAX_INPUT = 2**63
@@ -68,8 +66,6 @@ def is_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n, Brent's cycle variant."""
-    if n % 2 == 0:
-        return 2
     for c in itertools.count(1):
         y, m = 2, 128
         g = r = q = 1
@@ -97,8 +93,7 @@ def _pollard_rho(n: int) -> int:
 
 
 def _factor_into(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
+    """Add the factorization of n > 1, free of primes below 10^4, to out."""
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
@@ -143,39 +138,21 @@ def is_three_times_square(n: int) -> bool:
     return n % 3 == 0 and is_square(n // 3)
 
 
-def count_reps_two_squares_constrained(n: int) -> int:
-    """Representations n = (2a+1)^2 + (6b-1)^2 with a >= 0, b in Z.
+def count_theta_pairs(m: int, scale: int) -> int:
+    """Pairs (k >= 0, j in Z) with k(k+1)/2 + scale * j(3j-1)/2 = m.
 
-    Requires n == 2 (mod 8); these arise as 8m+2 from completing the square
-    in m = a(a+1)/2 + 3b(3b-1)/2.
+    Mod 2, f1^3 f3 = T(q) f3 and f1^3 f3^2 = T(q) f6, so the count is a(4m+1)
+    at scale 3 and a(8m+3) at scale 6, mod 2. Completing the squares, they
+    count 8m+2 = (2k+1)^2 + (6j-1)^2 and 8m+3 = c^2 + 2d^2 (c, d > 0, 3 not | d).
+    x >= 0 is j(3j-1)/2 for one j if 24x + 1 is a square, for none otherwise.
     """
-    if n % 8 != 2:
-        raise ValueError(f"expected n == 2 (mod 8), got {n}")
+    if m < 0 or scale < 1:
+        raise ValueError(f"count_theta_pairs needs m >= 0 and scale >= 1, got {m}, {scale}")
     count = 0
-    a = 0
-    while (2 * a + 1) ** 2 <= n:
-        rest = n - (2 * a + 1) ** 2
-        s = isqrt(rest)
-        # rest = (6b-1)^2 has one solution b when s = +-1 (mod 6), none otherwise
-        if s * s == rest and s % 6 in (1, 5):
+    for k in range((isqrt(8 * m + 1) + 1) // 2):
+        rest = m - k * (k + 1) // 2
+        if rest % scale == 0 and is_square(24 * rest // scale + 1):
             count += 1
-        a += 1
-    return count
-
-
-def count_reps_c2_plus_2d2(n: int, d_coprime_to_3: bool = False) -> int:
-    """Positive pairs (c, d) with c^2 + 2 d^2 = n, optionally with 3 not | d."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    count = 0
-    d = 1
-    while 2 * d * d < n:
-        if not (d_coprime_to_3 and d % 3 == 0):
-            rest = n - 2 * d * d
-            s = isqrt(rest)
-            if s * s == rest:
-                count += 1
-        d += 1
     return count
 
 

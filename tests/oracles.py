@@ -2,8 +2,8 @@
 
 Divisor classes mod 8 and brute-force representation counts of c^2 + d^2
 and c^2 + 2 d^2, for criterion 5 (the Dirichlet formula and the eightfold
-relation) and their own checks. The package keeps only the counters its
-parity proofs name (numtheory.count_reps_*). Also the term-by-term loops
+relation) and their own checks. The package keeps only the counter its
+parity proofs name (numtheory.count_theta_pairs). Also the term-by-term loops
 for the pentagonal and triangular exponents, against which etaq's
 vectorized ones are checked.
 """

@@ -20,7 +20,7 @@ from oddmult.characterize import predict_parity
 from oddmult.congruence import all_families, fixed_families, generate_12p_family, generate_24p_family, verify_family
 from oddmult.density import density_8m7, sparse_odd_census
 from oddmult.etaq import a_parity_series, identity_suite
-from oddmult.numtheory import count_reps_two_squares_constrained
+from oddmult.numtheory import count_theta_pairs
 from oddmult.partition_oracle import ENUMERATION_LIMIT, build_table, enumerate_partitions, qualifying_partitions
 from oracles import divisor_classes_mod8, r2_bruteforce, signed_reps_c2_plus_2d2
 
@@ -130,8 +130,7 @@ def test_criterion_5_dirichlet_formula():
     for m in range(1, 10_000 + 1):
         if m % 3 != 1:
             continue
-        n = 8 * m + 2
-        if r2_bruteforce(n) != 8 * count_reps_two_squares_constrained(n):
+        if r2_bruteforce(8 * m + 2) != 8 * count_theta_pairs(m, 3):
             eightfold_bad.append(m)
 
     ok = not divisor_bad and not eightfold_bad

@@ -290,6 +290,17 @@ def test_density_csv(tmp_path, capsys):
     assert all(len(r.split(",")) == 3 for r in rows)
 
 
+def test_density_csv_names_each_series(tmp_path, capsys):
+    target = tmp_path / "all.csv"
+    run_cli(capsys, "density", "all", "--limit", "2000", "--csv", str(target))
+    assert [line for line in target.read_text().splitlines() if line.startswith("# series:")] == [
+        "# series: f3 / f1^3 extracted at n = even",
+        "# series: f3 / f1^3 extracted at n = 4m+1",
+        "# series: f3 / f1^3 extracted at n = 8m+3",
+        "# series: f3^8 / f1^3",
+    ]
+
+
 def test_density_csv_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(capsys, "density", "all", "--limit", "5000", "--csv", str(a))
@@ -521,6 +532,16 @@ def test_limit_refusal_is_one_line(monkeypatch, capsys):
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"oddmult: error: --limit supports at most 10000000, got {argv[-1]}"
         )
+
+
+def test_limit_below_one_is_refused_in_one_line(monkeypatch, capsys):
+    for name in ("_cmd_verify", "_cmd_density"):
+        monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
+    for argv in (["verify", "theorems", "--limit", "0"], ["density", "all", "--limit", "-5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.splitlines()[-1] == "oddmult: error: --limit must be >= 1"
 
 
 def test_limit_accepts_the_cap(monkeypatch):

@@ -19,6 +19,7 @@ def test_checkpoints_upto():
     assert checkpoints_upto(10**6) == [10**3, 10**4, 10**5, 10**6]
     assert checkpoints_upto(500) == [500]
     assert checkpoints_upto(2_500_000) == [10**3, 10**4, 10**5, 10**6, 2_500_000]
+    assert checkpoints_upto(10**9) == [10**k for k in range(3, 10)]
 
 
 def test_density_8m7_structure():

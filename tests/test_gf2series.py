@@ -573,6 +573,8 @@ def test_odd_count_prefix():
     assert s.odd_count() == 4
     assert s.odd_count(upto=4) == 2
     assert s.odd_count(upto=100) == 4
+    with pytest.raises(ValueError):
+        s.odd_count(-1)
 
 
 def test_repr_lists_first_eight_degrees():

@@ -1,12 +1,14 @@
 import random
+from collections import Counter
+from math import isqrt
 
 import pytest
 
+from oddmult.etaq import a_parity_series
 from oddmult.numtheory import (
     MAX_INPUT,
     _euler_criterion,
-    count_reps_c2_plus_2d2,
-    count_reps_two_squares_constrained,
+    count_theta_pairs,
     factorize,
     is_prime,
     is_square,
@@ -98,6 +100,8 @@ def test_is_three_times_square():
     assert is_three_times_square(75)  # 3 * 5^2
     assert not is_three_times_square(51)  # 3 * 17
     assert not is_three_times_square(25)
+    with pytest.raises(ValueError):
+        is_three_times_square(-3)
 
 
 # -- the test oracles of tests/oracles.py -------------------------------------
@@ -134,15 +138,39 @@ def test_d5_equals_d7_for_3_mod_8():
 
 
 def test_constrained_two_square_examples():
-    assert count_reps_two_squares_constrained(10) == 1  # 3^2 + 1^2, a=1, b=0
-    assert count_reps_two_squares_constrained(2) == 1  # 1^2 + 1^2, a=0, b=0
-    with pytest.raises(ValueError):
-        count_reps_two_squares_constrained(12)
+    assert count_theta_pairs(1, 3) == 1  # 8m+2 = 10 = 3^2 + 1^2, k=1, j=0
+    assert count_theta_pairs(0, 3) == 1  # 8m+2 = 2 = 1^2 + 1^2, k=0, j=0
+    assert count_theta_pairs(0, 6) == 1  # 8m+3 = 3 = 1^2 + 2*1^2
+    # 8m+3 = 19 = 1^2 + 2*3^2 only, and 3 divides d
+    assert count_theta_pairs(2, 6) == 0
+    for m, scale in ((-1, 3), (1, 0)):
+        with pytest.raises(ValueError):
+            count_theta_pairs(m, scale)
 
 
 def test_constrained_count_vanishes_for_m_2_mod_3():
     for m in range(2, 400, 3):
-        assert count_reps_two_squares_constrained(8 * m + 2) == 0, m
+        assert count_theta_pairs(m, 3) == 0, m
+
+
+def test_theta_pair_parity_is_a_parity():
+    # a(4m+1) and a(8m+3) mod 2 are the pair counts at scales 3 and 6
+    bits = a_parity_series(8 * 5000).to_bit_array()
+    for m in range(5000):
+        assert count_theta_pairs(m, 3) & 1 == bits[4 * m + 1], m
+        assert count_theta_pairs(m, 6) & 1 == bits[8 * m + 3], m
+
+
+def test_theta_pairs_count_the_quadratic_forms():
+    # every pair of the forms' own variables up to 8 * 2000 + 3: (a >= 0,
+    # b in Z) for (2a+1)^2 + (6b-1)^2 = 8m+2, and c, d > 0 with 3 not | d
+    # for c^2 + 2d^2 = 8m+3
+    r = isqrt(8 * 2000 + 3)
+    two_squares = Counter((2 * a + 1) ** 2 + (6 * b - 1) ** 2 for a in range(r + 1) for b in range(-r, r + 1))
+    c2_plus_2d2 = Counter(c * c + 2 * d * d for c in range(1, r + 1) for d in range(1, r + 1) if d % 3)
+    for m in range(2000):
+        assert count_theta_pairs(m, 3) == two_squares[8 * m + 2], m
+        assert count_theta_pairs(m, 6) == c2_plus_2d2[8 * m + 3], m
 
 
 def test_r2_examples():
@@ -163,18 +191,7 @@ def test_r2_eightfold_relation_small():
     # m == 1 (mod 3): every representation of 8m+2 = c^2+d^2 has exactly one
     # side divisible by 3, so ordered signed pairs come in groups of 8
     for m in range(1, 3000, 3):
-        n = 8 * m + 2
-        assert r2_bruteforce(n) == 8 * count_reps_two_squares_constrained(n), m
-
-
-def test_c2_plus_2d2_examples():
-    assert count_reps_c2_plus_2d2(11) == 1  # 3^2 + 2*1^2
-    assert count_reps_c2_plus_2d2(3, d_coprime_to_3=True) == 1  # 1 + 2
-    # 19 = 1^2 + 2*3^2 only, so the 3-coprime restriction kills it
-    assert count_reps_c2_plus_2d2(19) == 1
-    assert count_reps_c2_plus_2d2(19, d_coprime_to_3=True) == 0
-    with pytest.raises(ValueError):
-        count_reps_c2_plus_2d2(0)
+        assert r2_bruteforce(8 * m + 2) == 8 * count_theta_pairs(m, 3), m
 
 
 def test_signed_c2_plus_2d2_dirichlet_small():
