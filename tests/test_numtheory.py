@@ -140,9 +140,6 @@ def test_d5_equals_d7_for_3_mod_8():
 def test_constrained_two_square_examples():
     assert count_theta_pairs(1, 3) == 1  # 8m+2 = 10 = 3^2 + 1^2, k=1, j=0
     assert count_theta_pairs(0, 3) == 1  # 8m+2 = 2 = 1^2 + 1^2, k=0, j=0
-    assert count_theta_pairs(0, 6) == 1  # 8m+3 = 3 = 1^2 + 2*1^2
-    # 8m+3 = 19 = 1^2 + 2*3^2 only, and 3 divides d
-    assert count_theta_pairs(2, 6) == 0
     for m, scale in ((-1, 3), (1, 0)):
         with pytest.raises(ValueError):
             count_theta_pairs(m, scale)
@@ -192,6 +189,16 @@ def test_r2_eightfold_relation_small():
     # side divisible by 3, so ordered signed pairs come in groups of 8
     for m in range(1, 3000, 3):
         assert r2_bruteforce(8 * m + 2) == 8 * count_theta_pairs(m, 3), m
+
+
+def test_c2_plus_2d2_examples():
+    assert count_theta_pairs(1, 6) == 1  # 8m+3 = 11 = 3^2 + 2*1^2
+    assert count_theta_pairs(0, 6) == 1  # 8m+3 = 3 = 1^2 + 2*1^2
+    # 19 = 1^2 + 2*3^2 only: one positive pair, but 3 divides d
+    assert signed_reps_c2_plus_2d2(19) == 4
+    assert count_theta_pairs(2, 6) == 0
+    with pytest.raises(ValueError):
+        signed_reps_c2_plus_2d2(0)
 
 
 def test_signed_c2_plus_2d2_dirichlet_small():
