@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .numtheory import _sieve, factorize, is_square, is_three_times_square
+from .numtheory import MAX_INPUT, _sieve, factorize, is_square, is_three_times_square
 
 __all__ = [
     "predict_parity",
@@ -84,15 +84,16 @@ def cases(lo: int, hi: int) -> np.ndarray:
 
 
 def predict_parity(n: int) -> bool:
-    """Whether a(n) is odd, for any n >= 0; the flag is meaningless when n == 7 (mod 8).
+    """Whether a(n) is odd, for 0 <= n <= MAX_INPUT = 2^63, the range of factorize;
+    any other n is refused with ValueError. The flag is meaningless when n == 7 (mod 8).
 
     a(2m) is odd iff m = 0 or m = k^2 with 3 not | k. For n = 4m+1 or 8m+3,
     a(n) is even when m == 2 (mod 3); when m == 0 (mod 3) it is odd iff n is
     a square (4m+1) or 3 times a square (8m+3); when m == 1 (mod 3) it is odd
     iff exactly one prime exponent of n is odd, and that one is 1 (mod 4).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= MAX_INPUT:
+        raise ValueError(f"predict_parity supports 0 <= n <= 2^63, got {n}")
     if n % 2 == 0:
         root = isqrt(n // 2)
         # 0 = 0^2 has a root 3 divides, yet a(0) = 1 is odd

@@ -63,28 +63,25 @@ def _line_format(key: int) -> tuple[str, bool]:
 # The line format and agreement of every case, odd flag and series bit, at
 # index 4 * case + 2 * flag + bit.
 _FORMATS, _AGREES = zip(*map(_line_format, range(2 * len(REASONS))))
+_AGREES = np.array(_AGREES)
 
 
 def _cmd_parity(args) -> int:
     lo, hi = args.range
     series = a_parity_series(hi + 1)
-    if lo == hi:
-        # one n takes its flag from predict_parity: a one-entry window would
-        # first sieve every prime below n / 25
-        key = 4 * int(cases(lo, lo + 1)[0]) + 2 * predict_parity(lo) + series[lo]
-        sys.stdout.write(_FORMATS[key].format(lo))
-        return 0 if _AGREES[key] else 1
-    agrees = np.array(_AGREES)
+    # one n is a one-entry window whose flag comes from predict_parity: a
+    # window of odd_flag_windows would first sieve every prime below n / 25
+    windows = [(lo, np.array([predict_parity(lo)]))] if lo == hi else odd_flag_windows(hi + 1, lo)
     ok = True
     # one window at a time, its bits read straight from the series, so memory
     # does not grow with the range
-    for start, flags in odd_flag_windows(hi + 1, lo):
+    for start, flags in windows:
         stop = start + len(flags)
         keys = cases(start, stop) * np.uint8(4)
         keys += flags * np.uint8(2)
         keys += series.to_bit_array(start, stop)
         sys.stdout.writelines(map(str.format, map(_FORMATS.__getitem__, keys.tolist()), range(start, stop)))
-        ok = ok and bool(agrees[keys].all())
+        ok = ok and bool(_AGREES[keys].all())
     return 0 if ok else 1
 
 

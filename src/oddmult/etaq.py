@@ -171,7 +171,7 @@ def _inverse_f1(trunc_len: int) -> Gf2Series:
     global _longest_inverse
     if _longest_inverse is None or trunc_len > _longest_inverse.trunc_len:
         if trunc_len == 1:
-            _longest_inverse = Gf2Series.one(1)
+            _longest_inverse = Gf2Series.from_support([0], 1)
         else:
             inner = _inverse_f1(-(-trunc_len // 4))
             _longest_inverse = inner.mul_dilated(triangular_exponents(trunc_len), 4, trunc_len)

@@ -132,17 +132,9 @@ def _scatter(words: np.ndarray, factor: int, offset: int, out: np.ndarray) -> No
 
 
 class Gf2Series:
-    """A power series over GF(2) truncated to ``trunc_len`` coefficients."""
+    """A power series over GF(2) truncated to ``trunc_len`` coefficients, made by from_support or an operation."""
 
     __slots__ = ("trunc_len", "_words")
-
-    def __init__(self, trunc_len: int, bits: int = 0):
-        """The series whose coefficient k is bit k of the Python int bits."""
-        nbytes = 8 * _nwords(trunc_len)
-        low = bits & ((1 << trunc_len) - 1)
-        self.trunc_len = trunc_len
-        # an array over a bytes object is read-only
-        self._words = np.frombuffer(low.to_bytes(nbytes, "little"), dtype="<u8")
 
     @classmethod
     def _of_words(cls, trunc_len: int, words: np.ndarray) -> Gf2Series:
@@ -155,10 +147,6 @@ class Gf2Series:
         series.trunc_len = trunc_len
         series._words = words
         return series
-
-    @classmethod
-    def one(cls, trunc_len: int) -> Gf2Series:
-        return cls(trunc_len, 1)
 
     @classmethod
     def from_support(cls, exponents: Iterable[int], trunc_len: int) -> Gf2Series:

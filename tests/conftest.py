@@ -4,7 +4,8 @@ The reference holds a truncated series as a Python int whose bit k is the
 coefficient of q^k. It shares no code with gf2series or with the plan of
 EtaQuotient.eval: a product is one shift-XOR per set bit of the sparser
 operand, f(q^d) spreads the bits of f, an inverse is Newton lifting, and
-an eta factor comes from Euler's pentagonal number theorem.
+an eta factor comes from Euler's pentagonal number theorem. int_series
+turns such an int into a series, through from_support, to compare with.
 """
 
 from math import isqrt
@@ -13,7 +14,7 @@ import pytest
 
 import oddmult.cli
 import oddmult.density
-from oddmult import a_parity_series, build_table, odd_flag_windows, predict_parity
+from oddmult import Gf2Series, a_parity_series, build_table, odd_flag_windows, predict_parity
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +58,11 @@ def set_bits(a: int) -> list[int]:
         out.append(k)
         k = digits.find("1", k + 1)
     return out
+
+
+def int_series(n: int, bits: int = 0) -> Gf2Series:
+    """The series of n coefficients whose coefficient k is bit k of bits, through from_support."""
+    return Gf2Series.from_support(set_bits(bits & ((1 << n) - 1)), n)
 
 
 def ref_mul(a: int, b: int, n: int) -> int:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oddmult import characterize
 from oddmult.characterize import odd_flag_windows, predict_parity
 from oddmult.cli import main
-from oddmult.numtheory import is_square
+from oddmult.numtheory import MAX_INPUT, is_square
 
 
 def verdict(n: int) -> str:
@@ -94,6 +94,15 @@ def test_domain_errors():
     for fn in (predict_parity, odd_flag_windows):
         with pytest.raises(ValueError):
             fn(-1)
+
+
+def test_predict_parity_refuses_every_n_past_max_input():
+    # 2^63 + 9 is 4m+1 with m == 1 (mod 3), whose branch factorizes; 2^63 + 19
+    # is 8m+3 with m == 0 (mod 3), whose branch does not. Both are refused alike.
+    for n in (MAX_INPUT + 9, MAX_INPUT + 19):
+        with pytest.raises(ValueError, match=r"^predict_parity supports 0 <= n <= 2\^63, got \d+$"):
+            predict_parity(n)
+    assert predict_parity(MAX_INPUT) is True  # 2^63 = 2m with m = (2^31)^2 and 3 not | 2^31
 
 
 def test_agreement_with_series_to_10k(parity_10k):

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oddmult
@@ -202,6 +203,31 @@ def test_every_verdict_line_is_pinned(run, flip_flags, capsys):
         flip_flags(*range(10_000))
     code, out = run_cli(capsys, *run[1:])
     assert (code, sha256(out)) == EVERY_VERDICT_RUNS[run]
+
+
+def last_n_of_each_case(limit):
+    """The last n below limit of each case of characterize.cases, in case order."""
+    found = characterize.cases(0, limit)
+    return [int(np.flatnonzero(found == case)[-1]) for case in range(len(characterize.REASONS) // 2)]
+
+
+ONE_N_PER_CASE = last_n_of_each_case(10**6)
+
+
+@pytest.mark.parametrize("flipped", [False, True], ids=["clean", "flipped"])
+def test_one_n_prints_what_a_range_prints(flipped, flip_flags, capsys):
+    # a-parity n, a-parity n..n and the first line of a-parity n..n+1, a range
+    # that walks odd_flag_windows, print the same bytes, for one n of every
+    # case, n = 0 and an 18 j^2 among them, with true and with flipped flags
+    assert len(ONE_N_PER_CASE) == 26 and ONE_N_PER_CASE[characterize.ZERO] == 0
+    assert ONE_N_PER_CASE[characterize.TRIPLE_ROOT] == 18 * 235**2
+    if flipped:
+        flip_flags(*ONE_N_PER_CASE)
+    for n in ONE_N_PER_CASE:
+        code, out = run_cli(capsys, "a-parity", str(n))
+        assert code == (flipped and n % 8 != 7) and out.count("\n") == 1, n
+        assert run_cli(capsys, "a-parity", f"{n}..{n}") == (code, out), n
+        assert run_cli(capsys, "a-parity", f"{n}..{n + 1}")[1].splitlines(keepends=True)[0] == out, n
 
 
 # sha256 of the stdout of `verify congruences --limit 5000`

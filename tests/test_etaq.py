@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import ref_eta, ref_inverse, ref_mul, reference_eval
+from conftest import int_series, ref_eta, ref_inverse, ref_mul, reference_eval
 from oracles import pentagonal_exponents_loop, triangular_exponents_loop
 from oddmult import etaq, gf2series
 from oddmult.etaq import (
@@ -223,7 +223,7 @@ def test_parity_series_rejects_empty_truncation_after_a_build():
 
 def reference(quotient, trunc_len):
     """reference_eval of tests/conftest.py as a series, to compare with eval."""
-    return Gf2Series(trunc_len, reference_eval(quotient, trunc_len))
+    return int_series(trunc_len, reference_eval(quotient, trunc_len))
 
 
 def test_reference_matches_the_definition(oracle_2000):
@@ -357,10 +357,10 @@ def test_dilate_matches_scaled_support(factor, trunc_len):
 
 def test_dilate_rejects_extension_and_bad_factor():
     with pytest.raises(ValueError, match="cannot extend"):
-        Gf2Series.one(10).mul_dilated([0], 3, 31)
+        Gf2Series.from_support([0], 10).mul_dilated([0], 3, 31)
     with pytest.raises(ValueError):
-        Gf2Series.one(10).mul_dilated([0], 0, 10)
-    assert Gf2Series.one(10).mul_dilated([0], 3, 30) == Gf2Series.one(30)
+        Gf2Series.from_support([0], 10).mul_dilated([0], 0, 10)
+    assert Gf2Series.from_support([0], 10).mul_dilated([0], 3, 30) == Gf2Series.from_support([0], 30)
 
 
 @pytest.mark.parametrize("factors, scale", [({1: 3}, 1), ({1: 3, 3: 1}, 1), ({9: 3}, 9), ({3: 7}, 3)])
@@ -400,7 +400,7 @@ def test_longer_inverse_recurses_down_to_the_cached_one(monkeypatch):
     # 1/f1 = f1^3 / f4 = T(q) P(q^4): P to n is one class-split product of T
     # against P to ceil(n/4), recursing until the cached P is long enough
     lengths = (*range(1, 10), 63, 64, 65, 4097, 100_003)
-    fresh = {n: Gf2Series(n, ref_inverse([ref_eta(1, n)], n)) for n in lengths}
+    fresh = {n: int_series(n, ref_inverse([ref_eta(1, n)], n)) for n in lengths}
     products = []
     real_mul_dilated = Gf2Series.mul_dilated
 

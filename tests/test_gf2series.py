@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import ref_dilate, ref_eta, ref_inverse, ref_mul, set_bits
+from conftest import int_series, ref_dilate, ref_eta, ref_inverse, ref_mul, set_bits
 from oddmult import gf2series
 from oddmult.etaq import EtaQuotient, pentagonal_exponents, triangular_exponents
 from oddmult.gf2series import Gf2Series
@@ -24,7 +24,7 @@ def convolution(a: Gf2Series, b: Gf2Series) -> Gf2Series:
         for j in b.support():
             if i + j < n:
                 out ^= 1 << (i + j)
-    return Gf2Series(n, out)
+    return int_series(n, out)
 
 
 def bits_of(exponents) -> int:
@@ -70,7 +70,7 @@ def test_from_support_and_support_at_word_edges(n):
     edges = sorted(e for e in {0, 63, 64, 65, last_word, n - 1} if e < n)
     s = series(n, *edges, n, n + 1, n + 64, 10**30)
     assert s.support() == edges
-    assert s == Gf2Series(n, bits_of(edges))
+    assert s == int_series(n, bits_of(edges))
     assert s.odd_count() == len(edges)
     with pytest.raises(ValueError):
         series(n, 0, n - 1, n - 1)
@@ -80,7 +80,7 @@ def test_from_support_and_support_at_word_edges(n):
 
 @pytest.mark.parametrize("n", [100, 4097, 100_003])
 def test_support_of_dense_series(n):
-    s = Gf2Series(n, random.Random(n).getrandbits(n))
+    s = int_series(n, random.Random(n).getrandbits(n))
     assert s.support() == np.flatnonzero(s.to_bit_array()).tolist()
     assert Gf2Series.from_support(s.support(), n) == s
 
@@ -88,7 +88,7 @@ def test_support_of_dense_series(n):
 @pytest.mark.parametrize("n", [100, 4097])
 def test_to_bit_array_window(n):
     value = random.Random(n).getrandbits(n)
-    s = Gf2Series(n, value)
+    s = int_series(n, value)
     rng = random.Random(n + 1)
     windows = [(0, n), (0, 0), (n, n), (1, 9), (63, 65), (7, n)]
     windows += [tuple(sorted((rng.randrange(n + 1), rng.randrange(n + 1)))) for _ in range(50)]
@@ -126,7 +126,7 @@ def test_from_support_drops_exponents_past_the_truncation_before_validating():
 
 def test_trunc_len_must_be_positive():
     with pytest.raises(ValueError):
-        Gf2Series(0)
+        int_series(0)
 
 
 # -- add ---------------------------------------------------------------------
@@ -165,8 +165,8 @@ def test_mul_frobenius_on_binomial():
 def test_mul_inverse_is_one():
     # the plan's P = 1/f1 times f1, and P against the reference inverse
     p = EtaQuotient.of({1: -1}).eval(64)
-    assert p.mul_dilated(pentagonal_exponents(64), 1, 64) == Gf2Series.one(64)
-    assert p == Gf2Series(64, ref_inverse([ref_eta(1, 64)], 64))
+    assert p.mul_dilated(pentagonal_exponents(64), 1, 64) == series(64, 0)
+    assert p == int_series(64, ref_inverse([ref_eta(1, 64)], 64))
 
 
 def test_mul_eq22_identity():
@@ -180,8 +180,8 @@ def test_mul_matches_reference_convolution():
     rng = random.Random(20260810)
     for _ in range(200):
         n = rng.randrange(1, 80)
-        a = Gf2Series(n, rng.getrandbits(n))
-        b = Gf2Series(n, rng.getrandbits(n))
+        a = int_series(n, rng.getrandbits(n))
+        b = int_series(n, rng.getrandbits(n))
         assert times(a, b) == convolution(a, b)
         assert times(b, a) == convolution(a, b)
 
@@ -194,11 +194,11 @@ def test_mul_word_path_matches_shift_xor(n):
     rng = random.Random(n)
     sparse = bits_of([0, 63, 64, 65, n - 1] + [rng.randrange(n) for _ in range(60)])
     dense = rng.getrandbits(n)
-    expected = Gf2Series(n, ref_mul(sparse, dense, n))
-    assert Gf2Series(n, dense).mul_dilated(set_bits(sparse), 1, n) == expected
-    assert Gf2Series(n, sparse).mul_dilated(set_bits(dense), 1, n) == expected
+    expected = int_series(n, ref_mul(sparse, dense, n))
+    assert int_series(n, dense).mul_dilated(set_bits(sparse), 1, n) == expected
+    assert int_series(n, sparse).mul_dilated(set_bits(dense), 1, n) == expected
     # the top exponent keeps only the constant term of the other operand
-    assert Gf2Series(n, dense).mul_dilated([n - 1], 1, n).support() == [n - 1] * (dense & 1)
+    assert int_series(n, dense).mul_dilated([n - 1], 1, n).support() == [n - 1] * (dense & 1)
 
 
 @pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
@@ -216,18 +216,18 @@ def test_mul_word_path_drops_bits_above_truncation(n):
     sparse = bits_of([0, 5, 64, n - 1])
     dense = rng.getrandbits(n + 200)
     assert dense >> n
-    # the constructor clears every stored bit at and above n, in the last word too
-    stored = Gf2Series(n, dense)._words
+    # the stored words hold no bit at or above n, in the last word too
+    stored = int_series(n, dense)._words
     assert int.from_bytes(stored.tobytes(), "little") == dense & ((1 << n) - 1)
-    expected = Gf2Series(n, ref_mul(sparse, dense & ((1 << n) - 1), n))
-    assert Gf2Series(n, dense).mul_dilated(set_bits(sparse), 1, n) == expected
-    assert Gf2Series(n, sparse).mul_dilated(set_bits(dense & ((1 << n) - 1)), 1, n) == expected
+    expected = int_series(n, ref_mul(sparse, dense & ((1 << n) - 1), n))
+    assert int_series(n, dense).mul_dilated(set_bits(sparse), 1, n) == expected
+    assert int_series(n, sparse).mul_dilated(set_bits(dense & ((1 << n) - 1)), 1, n) == expected
 
 
 @pytest.mark.parametrize("n", WORD_PATH_LENGTHS)
 def test_mul_word_path_zero_operand(n):
-    dense = Gf2Series(n, random.Random(n + 3).getrandbits(n))
-    zero = Gf2Series(n)
+    dense = int_series(n, random.Random(n + 3).getrandbits(n))
+    zero = int_series(n)
     assert dense.mul_dilated([], 1, n).is_zero() and zero.mul_dilated(dense.support(), 1, n).is_zero()
     assert zero.mul_dilated([], 1, n).is_zero()
 
@@ -239,14 +239,14 @@ def test_mul_word_path_many_exponents_in_one_word(n):
     sparse = full_word | bits_of(rng.sample(range(1280, 1344), 20))
     dense = rng.getrandbits(n)
     expected = ref_mul(sparse, dense, n)
-    assert Gf2Series(n, dense).mul_dilated(set_bits(sparse), 1, n) == Gf2Series(n, expected)
+    assert int_series(n, dense).mul_dilated(set_bits(sparse), 1, n) == int_series(n, expected)
 
 
 def test_inverse_through_word_path():
     # 1/f1^3 = f1 P(q^4) by the plan, times f1^3 = T(q)
     n = 65537
     inverse = EtaQuotient.of({1: -3}).eval(n)
-    assert inverse.mul_dilated(triangular_exponents(n), 1, n) == Gf2Series.one(n)
+    assert inverse.mul_dilated(triangular_exponents(n), 1, n) == series(n, 0)
 
 
 # -- square: the Frobenius map f(q)^2 = f(q^2) is mul_dilated([0], 2, n) -----
@@ -266,7 +266,7 @@ def test_triple_square_is_eighth_power():
     by_squares = f3
     for _ in range(3):
         by_squares = by_squares.mul_dilated([0], 2, 200)
-    by_products = Gf2Series.one(200)
+    by_products = series(200, 0)
     for _ in range(8):
         by_products = times(f3, by_products)
     assert by_squares == by_products
@@ -306,7 +306,7 @@ def test_newton_lifting_doubles_every_step(monkeypatch, n):
     inverse = ref_inverse([f1], n)
     assert steps == [min(2**i, n) for i in range(1, (n - 1).bit_length() + 1)]
     assert ref_mul(f1, inverse, n) == 1
-    assert EtaQuotient.of({1: -1}).eval(n) == Gf2Series(n, inverse)
+    assert EtaQuotient.of({1: -1}).eval(n) == int_series(n, inverse)
 
 
 # -- sparse times dilated, one residue class at a time -----------------------
@@ -332,7 +332,7 @@ def test_mul_dilated_matches_product_with_dilated_copy(s, n):
     for name, exponents in sparse_factors.items():
         got = dense.mul_dilated(exponents, s, n)
         assert got.trunc_len == n
-        assert got == Gf2Series(n, ref_mul(bits_of(exponents), ref_dilate(to_int(dense), s, n), n)), (name, s, n)
+        assert got == int_series(n, ref_mul(bits_of(exponents), ref_dilate(to_int(dense), s, n), n)), (name, s, n)
         assert got == dense.truncate(-(-n // s)).mul_dilated(exponents, s, n), (name, s, n)
         assert got == dense.mul_dilated(exponents + [n, n + s + 1], s, n), (name, s, n)
 
@@ -352,9 +352,9 @@ def test_factor_one_is_the_plain_product_without_a_scatter(data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gf2series, "_scatter", forbidden)
-        got = Gf2Series(m, dense).mul_dilated(exponents, 1, n)
-        empty = Gf2Series(m, dense).mul_dilated([], 1, n)
-    assert got.trunc_len == n and got == Gf2Series(n, ref_mul(bits_of(exponents), dense, n))
+        got = int_series(m, dense).mul_dilated(exponents, 1, n)
+        empty = int_series(m, dense).mul_dilated([], 1, n)
+    assert got.trunc_len == n and got == int_series(n, ref_mul(bits_of(exponents), dense, n))
     assert empty.trunc_len == n and empty.is_zero()
 
 
@@ -401,18 +401,18 @@ def test_scatter_past_one_gather_chunk(factor, offset, nout):
 
 def test_mul_dilated_rejects_extension_and_bad_factor():
     with pytest.raises(ValueError, match="cannot extend"):
-        Gf2Series.one(10).mul_dilated([0], 3, 31)
+        series(10, 0).mul_dilated([0], 3, 31)
     with pytest.raises(ValueError):
-        Gf2Series.one(10).mul_dilated([0], 0, 10)
+        series(10, 0).mul_dilated([0], 0, 10)
     with pytest.raises(ValueError, match="non-negative"):
-        Gf2Series.one(10).mul_dilated([-3, 1], 3, 30)
-    assert Gf2Series.one(10).mul_dilated([1, 29], 3, 30) == series(30, 1, 29)
+        series(10, 0).mul_dilated([-3, 1], 3, 30)
+    assert series(10, 0).mul_dilated([1, 29], 3, 30) == series(30, 1, 29)
 
 
 def test_factor_one_product_drives_by_its_exponents():
     dense = EtaQuotient.of({1: -1}).eval(4097)
     sparse = EtaQuotient.of({5: 1}).eval(4097)
-    product = Gf2Series(4097, ref_mul(to_int(sparse), to_int(dense), 4097))
+    product = int_series(4097, ref_mul(to_int(sparse), to_int(dense), 4097))
     assert dense.mul_dilated(sparse.support(), 1, 4097) == product == sparse.mul_dilated(dense.support(), 1, 4097)
     # exponents at or past the truncation add nothing
     assert dense.mul_dilated(sparse.support() + [4097, 4160, 5000, 10**6], 1, 4097) == product
@@ -465,7 +465,7 @@ def test_sparse_product_at_matches_a_per_degree_sum(data):
     # unsorted and repeated degrees, exponents above the degrees, residues
     # mod 8 with no exponent, and more degrees than one gather chunk holds
     n = data.draw(st.integers(1, 300))
-    dense = Gf2Series(n, data.draw(st.integers(0, (1 << n) - 1)))
+    dense = int_series(n, data.draw(st.integers(0, (1 << n) - 1)))
     empty = data.draw(st.sets(st.integers(0, 7), max_size=7))
     exponents = [e for e in data.draw(st.sets(st.integers(0, n + 40), max_size=40)) if e % 8 not in empty]
     degrees = data.draw(st.lists(st.integers(0, n - 1), max_size=80))
@@ -521,7 +521,7 @@ def extract_span(step):
 @pytest.mark.parametrize("chunks, delta", [(1, -1), (1, 1), (2, 1)])
 def test_extract_by_chunks_matches_bit_array_slice(step, chunks, delta):
     n = chunks * extract_span(step) * step + delta
-    s = Gf2Series(n, random.Random(step + delta).getrandbits(n))
+    s = int_series(n, random.Random(step + delta).getrandbits(n))
     for offset in (0, step - 1):
         want = s.to_bit_array()[offset::step]
         got = s.extract(step, offset)
@@ -540,7 +540,7 @@ def test_getitem_and_iter():
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 4097])
 def test_queries_and_shape_at_word_edges(n):
     bits = random.Random(n + 5).getrandbits(n) | 1 | 1 << (n - 1)
-    s = Gf2Series(n, bits)
+    s = int_series(n, bits)
     assert [s[i] for i in range(n)] == [bits >> i & 1 for i in range(n)]
     for outside in (-1, n):
         with pytest.raises(IndexError):
@@ -548,24 +548,24 @@ def test_queries_and_shape_at_word_edges(n):
     for upto in sorted({0, 1, 32, 63, 64, 65, 96, n - 1, n, n + 1}):
         assert s.odd_count(upto) == (bits & ((1 << min(upto, n)) - 1)).bit_count(), upto
     for k in sorted({0, 1, 63, 64, 65, n - 1, n, n + 64}):
-        assert s.shift(k) == Gf2Series(n, bits << k), k
+        assert s.shift(k) == int_series(n, bits << k), k
     for m in sorted({1, 63, 64, 65, n - 1, n} & set(range(1, n + 1))):
-        assert s.truncate(m) == Gf2Series(m, bits), m
+        assert s.truncate(m) == int_series(m, bits), m
         assert s.truncate(m).odd_count() == (bits & ((1 << m) - 1)).bit_count(), m
-    assert s == Gf2Series(n, bits)  # no operation above wrote into s
-    assert not Gf2Series(n, 1 << (n - 1)).is_zero() and Gf2Series(n).is_zero()
+    assert s == int_series(n, bits)  # no operation above wrote into s
+    assert not int_series(n, 1 << (n - 1)).is_zero() and int_series(n).is_zero()
 
 
 def test_stored_words_are_read_only():
-    s = Gf2Series(200, (1 << 200) - 1)
+    s = int_series(200, (1 << 200) - 1)
     t = series(200, 0, 3, 150)
     for made in (
-        s, t, Gf2Series.one(64), s + t, s.mul_dilated([0, 3], 1, 200), s.mul_dilated([0, 5], 3, 200), s.shift(5),
+        s, t, series(64, 0), s + t, s.mul_dilated([0, 3], 1, 200), s.mul_dilated([0, 5], 3, 200), s.shift(5),
         s.truncate(130), s.truncate(128), s.extract(1, 3), s.extract(3, 1),
     ):
         with pytest.raises(ValueError, match="read-only"):
             made._words[0] = 0
-    assert s == Gf2Series(200, (1 << 200) - 1)
+    assert s == int_series(200, (1 << 200) - 1)
 
 
 def test_odd_count_prefix():
@@ -585,6 +585,7 @@ def test_repr_lists_first_eight_degrees():
 def test_equality_and_hash():
     assert series(5, 1) == series(5, 1)
     assert series(5, 1) != series(6, 1)
+    assert (series(1, 0) == 1) is False  # not a series: left to the int, then to identity
     with pytest.raises(TypeError, match="unhashable"):
         hash(series(5, 1))
 
@@ -597,10 +598,10 @@ def test_equality_and_hash():
 def test_ring_axioms(data):
     n = data.draw(st.integers(1, 192))
     bits = st.integers(0, (1 << n) - 1)
-    a = Gf2Series(n, data.draw(bits))
-    b = Gf2Series(n, data.draw(bits))
-    c = Gf2Series(n, data.draw(bits))
-    assert times(a, b) == times(b, a) == Gf2Series(n, ref_mul(to_int(a), to_int(b), n))
+    a = int_series(n, data.draw(bits))
+    b = int_series(n, data.draw(bits))
+    c = int_series(n, data.draw(bits))
+    assert times(a, b) == times(b, a) == int_series(n, ref_mul(to_int(a), to_int(b), n))
     assert times(times(a, b), c) == times(a, times(b, c))
     assert times(a, b + c) == times(a, b) + times(a, c)
 
@@ -610,8 +611,8 @@ def test_ring_axioms(data):
 def test_square_is_self_product(data):
     n = data.draw(st.integers(1, 256))
     bits = data.draw(st.integers(0, (1 << n) - 1))
-    a = Gf2Series(n, bits)
-    assert a.mul_dilated([0], 2, n) == times(a, a) == Gf2Series(n, ref_dilate(bits, 2, n))
+    a = int_series(n, bits)
+    assert a.mul_dilated([0], 2, n) == times(a, a) == int_series(n, ref_dilate(bits, 2, n))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -622,4 +623,4 @@ def test_inverse_round_trip(data):
     a = data.draw(st.integers(0, (1 << n) - 1)) | 1
     inverse = ref_inverse([a], n)
     assert ref_mul(a, inverse, n) == 1
-    assert Gf2Series(n, a).mul_dilated(set_bits(inverse), 1, n) == Gf2Series.one(n)
+    assert int_series(n, a).mul_dilated(set_bits(inverse), 1, n) == series(n, 0)

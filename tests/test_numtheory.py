@@ -8,6 +8,7 @@ from oddmult.etaq import a_parity_series
 from oddmult.numtheory import (
     MAX_INPUT,
     _euler_criterion,
+    _pollard_rho,
     count_theta_pairs,
     factorize,
     is_prime,
@@ -76,6 +77,14 @@ def test_factorize_hard_composites():
     p = 2147483647  # 2^31 - 1
     assert factorize(p * p) == ((p, 2),)
     assert factorize(2**61 - 1) == ((2**61 - 1, 1),)
+
+
+@pytest.mark.parametrize("n", [25, 35, 143, 169])
+def test_pollard_rho_backtracks_when_a_batch_overshoots(n):
+    # the batched gcd of these n is n itself, so Brent's variant steps back
+    # one iterate at a time from the batch's start to find the factor
+    d = _pollard_rho(n)
+    assert 1 < d < n and n % d == 0
 
 
 def test_is_prime_witness_set():
