@@ -211,16 +211,21 @@ def _cmd_density(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """text as an int if it is ASCII digits after at most one minus sign."""
+    if not (text.isascii() and text.removeprefix("-").isdecimal()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     """Parse "N" or "A..B" with 0 <= A <= B; ValueError "bad range" otherwise."""
     parts = text.split("..")
-    try:
-        lo, hi = int(parts[0]), int(parts[-1])
-    except ValueError:
-        raise ValueError(f"bad range {text!r}") from None
-    if len(parts) > 2 or lo < 0 or hi < lo:
-        raise ValueError(f"bad range {text!r}")
-    return lo, hi
+    with contextlib.suppress(argparse.ArgumentTypeError):
+        lo, hi = _integer(parts[0]), _integer(parts[-1])
+        if len(parts) <= 2 and 0 <= lo <= hi:
+            return lo, hi
+    raise ValueError(f"bad range {text!r}")
 
 
 @functools.cache
@@ -238,22 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_value = sub.add_parser("a-value", help="print a(n) exactly")
-    p_value.add_argument("n", type=int)
+    p_value.add_argument("n", type=_integer)
 
     p_parity = sub.add_parser("a-parity", help="parity verdict for n or a range A..B")
     p_parity.add_argument("range", type=str)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=["identities", "theorems", "congruences"])
-    p_verify.add_argument("--limit", type=int, default=10_000)
+    p_verify.add_argument("--limit", type=_integer, default=10_000)
 
     p_cong = sub.add_parser("congruences", help="list congruence families")
     p_cong.add_argument("action", choices=["list"])
-    p_cong.add_argument("--p", type=int, default=None, help="only families for this prime")
+    p_cong.add_argument("--p", type=_integer, default=None, help="only families for this prime")
 
     p_density = sub.add_parser("density", help="odd-density experiment per residue class")
     p_density.add_argument("cls", choices=[*_DENSITY_TAGS, "all"])
-    p_density.add_argument("--limit", type=int, default=1_000_000)
+    p_density.add_argument("--limit", type=_integer, default=1_000_000)
     p_density.add_argument("--csv", type=str, default=None)
 
     return parser

@@ -28,9 +28,7 @@ import numpy as np
 
 __all__ = ["Gf2Series"]
 
-# Every byte value, and the number of set bits of each.
 _BYTES = np.arange(256, dtype=np.uint8)
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 # Bytes gathered per chunk, by sparse_product_at (whose int32 byte indices
 # take four times as much) and by _scatter (whose output takes factor times
@@ -54,13 +52,6 @@ def _nwords(trunc_len: int) -> int:
     if trunc_len < 1:
         raise ValueError("trunc_len must be >= 1")
     return (trunc_len + 63) >> 6
-
-
-def _word_support(words: np.ndarray) -> np.ndarray:
-    """Positions of set bits, ascending, unpacking only the nonzero words."""
-    nonzero = np.flatnonzero(words)
-    bits = np.flatnonzero(np.unpackbits(words[nonzero].view(np.uint8), bitorder="little"))
-    return nonzero[bits >> 6] * 64 + (bits & 63)
 
 
 def _mul_words(exponents: np.ndarray, dense: np.ndarray) -> np.ndarray:
@@ -166,10 +157,10 @@ class Gf2Series:
     def __getitem__(self, degree: int) -> int:
         if not 0 <= degree < self.trunc_len:
             raise IndexError(f"degree {degree} outside 0..{self.trunc_len - 1}")
-        return int(self._words[degree >> 6]) >> (degree & 63) & 1
+        return int(self.to_bit_array(degree, degree + 1)[0])
 
     def support(self) -> list[int]:
-        return _word_support(self._words).tolist()
+        return np.flatnonzero(self.to_bit_array()).tolist()
 
     def is_zero(self) -> bool:
         return not self._words.any()
@@ -177,17 +168,11 @@ class Gf2Series:
     def odd_count(self, upto: int | None = None) -> int:
         """Number of nonzero coefficients among degrees < upto (default: all)."""
         n = self.trunc_len if upto is None else min(upto, self.trunc_len)
-        if n < 0:
-            raise ValueError("upto must be non-negative")
-        count = int(_BYTE_POPCOUNT[self._words[: n >> 6].view(np.uint8)].sum())
-        if n & 63:
-            count += (int(self._words[n >> 6]) & ((1 << (n & 63)) - 1)).bit_count()
-        return count
+        return int(self.to_bit_array(0, n).sum())  # to_bit_array refuses n < 0
 
     def to_bit_array(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Coefficients lo .. hi-1 (default: all) as a uint8 0/1 array.
-
-        Only the bytes that hold those degrees are unpacked.
+        """Coefficients lo .. hi-1 (default: all) as a uint8 0/1 array: the one
+        reader of a series' bits, which unpacks only the bytes that hold them.
         """
         hi = self.trunc_len if hi is None else hi
         if not 0 <= lo <= hi <= self.trunc_len:

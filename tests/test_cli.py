@@ -119,7 +119,9 @@ def test_a_parity_range_reports_a_flipped_flag(flip_flags, capsys):
 
 def test_a_parity_bad_range(monkeypatch, capsys):
     monkeypatch.setattr("oddmult.cli.a_parity_series", no_series)
-    for text in ("9..3", "5..x", "x", "1..2..3", "", "..5", "5..", "-1", "10**12"):
+    # int() alone takes "+5", " 5", "1_000" and the Arabic-Indic three
+    for text in ("9..3", "5..x", "x", "1..2..3", "", "..5", "5..", "-1", "10**12", "+5", " 5", "1_000", "\u0663",
+                 "5..+7"):
         with pytest.raises(SystemExit) as exc:
             main(["a-parity", text])
         assert exc.value.code == 2, text
@@ -578,6 +580,21 @@ def test_limit_accepts_the_cap(monkeypatch):
     assert main(["verify", "identities", "--limit", "10000000"]) == 0
     assert main(["density", "8m7", "--limit", "10000000"]) == 0
     assert seen == [10**7, 10**7]
+
+
+def test_integer_arguments_take_ascii_digits_only(monkeypatch, capsys):
+    # int() alone would take each of these as 5, 1000 and 13
+    for name in ("build_table", "_cmd_verify", "_cmd_congruences"):
+        monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
+    for argv, shown in (
+        (["a-value", "+5"], "argument n: invalid int value: '+5'"),
+        (["verify", "theorems", "--limit", "1_000"], "argument --limit: invalid int value: '1_000'"),
+        (["congruences", "list", "--p", "+13"], "argument --p: invalid int value: '+13'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.splitlines()[-1].endswith(shown), argv
 
 
 def test_congruences_prime_cap_is_one_line(monkeypatch, capsys):

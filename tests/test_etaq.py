@@ -6,7 +6,7 @@ import pytest
 
 from conftest import int_series, ref_eta, ref_inverse, ref_mul, reference_eval
 from oracles import pentagonal_exponents_loop, triangular_exponents_loop
-from oddmult import etaq, gf2series
+from oddmult import etaq
 from oddmult.etaq import (
     A_PARITY_QUOTIENT,
     DISSECTION_CLASSES,
@@ -430,11 +430,12 @@ def test_plan_products_count_no_bits_and_build_no_dilated_copy(monkeypatch, quot
     n = 100_003
 
     def forbidden(*args):
-        raise AssertionError("the plan's products must not count bits")
+        raise AssertionError("the plan's products must not count or unpack bits")
 
     monkeypatch.setattr(Gf2Series, "odd_count", forbidden)
     # sparse factors reach the kernel as exponents, never as series to unpack
-    monkeypatch.setattr(gf2series, "_word_support", forbidden)
+    monkeypatch.setattr(Gf2Series, "support", forbidden)
+    monkeypatch.setattr(Gf2Series, "to_bit_array", forbidden)
     got = quotient.eval(n)
     monkeypatch.undo()
     assert got == reference(quotient, n)
