@@ -266,6 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    text = "".join(argv[1:2]) if argv[:1] == ["a-parity"] else ""
+    if text[:1] == "-" and text != "-h" and not "--help".startswith(text):  # a range such as -1..5, not an option
+        argv.insert(1, "--")
     args = parser.parse_args(argv)
 
     if args.subcommand == "a-value":

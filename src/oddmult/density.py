@@ -73,9 +73,9 @@ def density_8m7(limit_m: int) -> DensityReport:
     """Running odd-density of the first limit_m coefficients of f_3^8 / f_1^3.
 
     Coefficient m is a(8m+7) mod 2. A seeded sample of min(1000, limit_m)
-    indices is cross-checked against a(8m+7) read from f_3 / f_1^3 =
-    f_1 * (f_3 / f_4) at those degrees alone (a_parity_at), which uses no
-    dissection identity; the report keeps the first sampled n = 8m+7 where
+    indices is cross-checked against a(8m+7) read from the plan of f_3 /
+    f_1^3 at those degrees alone (a_parity_at), which uses no dissection
+    identity; the report keeps the first sampled n = 8m+7 where
     the two disagree, which would mean a kernel inconsistency. Identical
     calls give identical reports.
     """

@@ -20,8 +20,9 @@ The parity of a(n), the number of partitions of n whose parts all appear
 with odd multiplicity, is the coefficient series of f_3 / f_1^3. Its 2-,
 4- and 8-dissections are also available in closed form (DISSECTION_CLASSES),
 and every closed form is cross-checkable against coefficient extraction
-from the parity series itself. A few scattered a(n) are read without the
-parity series as coefficients of f_1 * (f_3 / f_4) (a_parity_at).
+from the parity series itself. A few scattered a(n) are read without it:
+its plan is run less the first factor, which is applied at those degrees
+alone (a_parity_at). The identity suite is a table of quotients.
 """
 
 from __future__ import annotations
@@ -144,15 +145,19 @@ class EtaQuotient:
 
     def eval(self, trunc_len: int) -> Gf2Series:
         """Evaluate to a truncated GF(2) series by running plan(trunc_len), exact mod 2."""
-        t, factors = self.plan(trunc_len)
-        first = factors[0][1] if factors else [0]
-        if t:
-            acc = _inverse_f1(-(-trunc_len // t)).mul_dilated(first, t, trunc_len)
-        else:
-            acc = Gf2Series.from_support(first, trunc_len)
-        for _, exponents in factors[1:]:
-            acc = acc.mul_dilated(exponents, 1, trunc_len)
-        return acc
+        return _run(*self.plan(trunc_len), trunc_len)
+
+
+def _run(t: int, factors: list[tuple[int, list[int]]], trunc_len: int) -> Gf2Series:
+    """The product that the plan (t, factors) stands for, to trunc_len."""
+    first = factors[0][1] if factors else [0]
+    if t:
+        acc = _inverse_f1(-(-trunc_len // t)).mul_dilated(first, t, trunc_len)
+    else:
+        acc = Gf2Series.from_support(first, trunc_len)
+    for _, exponents in factors[1:]:
+        acc = acc.mul_dilated(exponents, 1, trunc_len)
+    return acc
 
 
 # The longest P = 1/f_1 built so far. Like the parity series below it is
@@ -213,61 +218,44 @@ def a_parity_series(trunc_len: int) -> Gf2Series:
     return _longest_parity.truncate(trunc_len)
 
 
-# f_3 / f_4 = f_3 * P(q^4); the parity series is f_1 times it, as f_1^4 = f_4.
-_F3_OVER_F4 = EtaQuotient.of({3: 1, 4: -1})
-
-
 def a_parity_at(degrees: Iterable[int]) -> np.ndarray:
     """a(n) mod 2 for each n in degrees, as uint8 0/1.
 
-    Mod 2, f_3 / f_1^3 = f_1 * (f_3 / f_4). So only H = f_3 / f_4 is
-    evaluated, to the largest degree, and a(n) is the XOR of coefficients
-    n - e of H over the pentagonal e <= n, read for the listed n alone.
-    No dissection identity is used, so this checks the closed forms.
+    The parity plan is run without its first factor F, the one with the
+    most terms, to the largest degree, and a(n) is the XOR of coefficients
+    n - e of that product over the e <= n in F, read for the listed n
+    alone. No dissection identity is used, so this checks the closed forms.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     trunc_len = int(degrees.max()) + 1 if len(degrees) else 1
-    return _F3_OVER_F4.eval(trunc_len).sparse_product_at(pentagonal_exponents(trunc_len), degrees)
+    t, (first, *rest) = A_PARITY_QUOTIENT.plan(trunc_len)
+    return _run(t, rest, trunc_len).sparse_product_at(first[1], degrees)
+
+
+# The identities lhs = rhs + q * rhs_q as (name, lhs, rhs, rhs_q), each side
+# given as {scale: exponent}: the base congruences, the three dissection steps
+# that peel f_3/f_1^3 down to the 8m+7 remainder, and the two product forms
+# used by the alternative square-detection arguments.
+IDENTITIES: list[tuple[str, dict[int, int], dict[int, int], dict[int, int]]] = [
+    ("f1^3 = f3 + q f9^3", {1: 3}, {3: 1}, {9: 3}),
+    ("f1^3 f3^3 = f1^12 + q f3^12", {1: 3, 3: 3}, {1: 12}, {3: 12}),
+    ("f3/f1^3 = f1^6/f3^2 + q f3^10/f1^6", {3: 1, 1: -3}, {1: 6, 3: -2}, {3: 10, 1: -6}),
+    ("f3^5/f1^3 = f1^6 f3^2 + q f3^14/f1^6", {3: 5, 1: -3}, {1: 6, 3: 2}, {3: 14, 1: -6}),
+    ("f3^7/f1^3 = f1^6 f3^4 + q f3^16/f1^6", {3: 7, 1: -3}, {1: 6, 3: 4}, {3: 16, 1: -6}),
+    ("f1^3 f3 = f3^2 + q f3 f9^3", {1: 3, 3: 1}, {3: 2}, {3: 1, 9: 3}),
+    ("f1^3 f3^2 = f3^3 + q f3^2 f9^3", {1: 3, 3: 2}, {3: 3}, {3: 2, 9: 3}),
+]
 
 
 def identity_suite(trunc_len: int) -> list[tuple[str, Gf2Series, Gf2Series]]:
-    """The reduction-chain identities as (name, lhs, rhs), each exact mod 2.
-
-    Covers the three base congruences (pentagonal/Jacobi consequences and
-    the f_1^3 f_3^3 split), the three dissection steps that peel f_3/f_1^3
-    down to the 8m+7 remainder, and the two product forms used by the
-    alternative square-detection arguments.
-    """
+    """The identities as (name, lhs, rhs), each exact mod 2: the rows of
+    IDENTITIES, with f_3^3/f_1 against its explicit support third."""
 
     def ev(factors: dict[int, int]) -> Gf2Series:
         return EtaQuotient.of(factors).eval(trunc_len)
 
+    suite = [(name, ev(lhs), ev(rhs) + ev(q).mul_dilated([1], 1, trunc_len)) for name, lhs, rhs, q in IDENTITIES]
     # the support k(3k-2), k in Z, of f_3^3 / f_1 is the (j^2 - 1) / 3 with 3 not | j: 3k(3k-2) + 1 = (3k-1)^2
     eq33_support = [(j * j - 1) // 3 for j in range(1, isqrt(3 * trunc_len) + 1) if j % 3]
-
-    return [
-        ("f1^3 = f3 + q f9^3", ev({1: 3}), ev({3: 1}) + ev({9: 3}).shift(1)),
-        ("f1^3 f3^3 = f1^12 + q f3^12", ev({1: 3, 3: 3}), ev({1: 12}) + ev({3: 12}).shift(1)),
-        (
-            "f3^3/f1 = sum_k q^(k(3k-2))",
-            ev({3: 3, 1: -1}),
-            Gf2Series.from_support(eq33_support, trunc_len),
-        ),
-        (
-            "f3/f1^3 = f1^6/f3^2 + q f3^10/f1^6",
-            ev({3: 1, 1: -3}),
-            ev({1: 6, 3: -2}) + ev({3: 10, 1: -6}).shift(1),
-        ),
-        (
-            "f3^5/f1^3 = f1^6 f3^2 + q f3^14/f1^6",
-            ev({3: 5, 1: -3}),
-            ev({1: 6, 3: 2}) + ev({3: 14, 1: -6}).shift(1),
-        ),
-        (
-            "f3^7/f1^3 = f1^6 f3^4 + q f3^16/f1^6",
-            ev({3: 7, 1: -3}),
-            ev({1: 6, 3: 4}) + ev({3: 16, 1: -6}).shift(1),
-        ),
-        ("f1^3 f3 = f3^2 + q f3 f9^3", ev({1: 3, 3: 1}), ev({3: 2}) + ev({3: 1, 9: 3}).shift(1)),
-        ("f1^3 f3^2 = f3^3 + q f3^2 f9^3", ev({1: 3, 3: 2}), ev({3: 3}) + ev({3: 2, 9: 3}).shift(1)),
-    ]
+    suite.insert(2, ("f3^3/f1 = sum_k q^(k(3k-2))", ev({3: 3, 1: -1}), Gf2Series.from_support(eq33_support, trunc_len)))
+    return suite

@@ -260,10 +260,6 @@ class Gf2Series:
                 out[first : first + span] ^= bits & 1
         return out
 
-    def shift(self, k: int) -> Gf2Series:
-        """Multiply by the monomial q^k (k >= 0), truncating as usual."""
-        return self.mul_dilated([k], 1, self.trunc_len)
-
     def truncate(self, new_len: int) -> Gf2Series:
         if new_len > self.trunc_len:
             raise ValueError("cannot extend a truncated series")

@@ -120,8 +120,9 @@ def test_a_parity_range_reports_a_flipped_flag(flip_flags, capsys):
 def test_a_parity_bad_range(monkeypatch, capsys):
     monkeypatch.setattr("oddmult.cli.a_parity_series", no_series)
     # int() alone takes "+5", " 5", "1_000" and the Arabic-Indic three
+    # argparse alone would read "-1..5", "-x" and "--5" as options
     for text in ("9..3", "5..x", "x", "1..2..3", "", "..5", "5..", "-1", "10**12", "+5", " 5", "1_000", "\u0663",
-                 "5..+7"):
+                 "5..+7", "-1..5", "-x", "--5"):
         with pytest.raises(SystemExit) as exc:
             main(["a-parity", text])
         assert exc.value.code == 2, text
@@ -133,6 +134,19 @@ def test_verify_identities(capsys):
     assert code == 0
     assert out.strip().endswith("PASS")
     assert out.count("ok ") == 14  # 8 identities + 6 dissections
+    identities = [
+        "f1^3 = f3 + q f9^3",
+        "f1^3 f3^3 = f1^12 + q f3^12",
+        "f3^3/f1 = sum_k q^(k(3k-2))",
+        "f3/f1^3 = f1^6/f3^2 + q f3^10/f1^6",
+        "f3^5/f1^3 = f1^6 f3^2 + q f3^14/f1^6",
+        "f3^7/f1^3 = f1^6 f3^4 + q f3^16/f1^6",
+        "f1^3 f3 = f3^2 + q f3 f9^3",
+        "f1^3 f3^2 = f3^3 + q f3^2 f9^3",
+    ]
+    tags = ["2m", "2m+1", "4m+1", "4m+3", "8m+3", "8m+7"]
+    dissections = [f"dissection {tag}: closed form matches extraction" for tag in tags]
+    assert out.splitlines() == [f"ok   {line}  [to 1500]" for line in identities + dissections] + ["PASS"]
 
 
 def test_verify_theorems(capsys):
@@ -342,6 +356,8 @@ def test_verify_identities_builds_the_parity_series_once(monkeypatch, capsys):
     quotient = oddmult.etaq.A_PARITY_QUOTIENT
 
     class CountingQuotient:
+        plan = quotient.plan
+
         def eval(self, trunc_len):
             built.append(trunc_len)
             return quotient.eval(trunc_len)
@@ -361,6 +377,8 @@ def test_density_all_builds_the_parity_series_once(monkeypatch, capsys):
     real_parity_at = oddmult.density.a_parity_at
 
     class CountingQuotient:
+        plan = quotient.plan
+
         def eval(self, trunc_len):
             built.append(trunc_len)
             return quotient.eval(trunc_len)

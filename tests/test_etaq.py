@@ -441,24 +441,16 @@ def test_plan_products_count_no_bits_and_build_no_dilated_copy(monkeypatch, quot
     assert got == reference(quotient, n)
 
 
-def identity_quotients(monkeypatch, trunc_len):
-    """The distinct quotients identity_suite(trunc_len) evaluates."""
-    asked = set()
-    real_eval = EtaQuotient.eval
-
-    def recording_eval(self, n):
-        asked.add(self)
-        return real_eval(self, n)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(EtaQuotient, "eval", recording_eval)
-        identity_suite(trunc_len)
-    return asked
+def identity_quotients():
+    """The distinct quotients identity_suite evaluates: every side of the
+    IDENTITIES table, and the left side of f3^3/f1 = sum_k q^(k(3k-2))."""
+    sides = [side for _, *row in etaq.IDENTITIES for side in row] + [{3: 3, 1: -1}]
+    return {EtaQuotient.of(side) for side in sides}
 
 
 @pytest.mark.parametrize("trunc_len", [2**16 - 5, 2**16 + 5])
 def test_package_quotients_match_reference(monkeypatch, trunc_len):
-    asked = identity_quotients(monkeypatch, trunc_len)
+    asked = identity_quotients()
     assert len(asked) == 22
     monkeypatch.setattr(etaq, "_longest_inverse", None)
     for quotient in sorted(asked | {q for _, _, q in DISSECTION_CLASSES.values()}, key=str):
@@ -476,7 +468,7 @@ PENT, TRI = pentagonal_exponents, triangular_exponents
         ({3: 1, 1: -3}, 4, [(PENT, 1), (PENT, 3)]),
         ({3: 5, 1: -3}, 4, [(PENT, 1), (PENT, 12), (PENT, 3)]),
         ({1: 1, 3: 1, 6: 1, 5: -1}, 5, [(PENT, 1), (TRI, 3)]),
-        (dict(etaq._F3_OVER_F4.factors), 4, [(PENT, 3)]),
+        ({3: 1, 4: -1}, 4, [(PENT, 3)]),
         (dict(DISSECTION_CLASSES["8m+7"][2].factors), 4, [(PENT, 1), (PENT, 24)]),
     ],
     ids=["factors0", "factors1", "factors2", "f3_over_f4", "8m+7"],
@@ -494,12 +486,12 @@ def test_split_takes_the_factor_with_most_terms(factors, t, plan):
 
 @pytest.mark.parametrize("n", [1, 64, 65, 4099, 300_001])
 def test_eval_runs_exactly_its_plan(monkeypatch, n):
-    # each of the package's 25 quotients (the identity suite's, the closed
-    # forms and f3/f4): the first factor multiplies P class by class mod t,
-    # then every other factor follows at factor 1, in plan order
-    quotients = identity_quotients(monkeypatch, 16) | {q for _, _, q in DISSECTION_CLASSES.values()}
-    quotients.add(etaq._F3_OVER_F4)
-    assert len(quotients) == 25
+    # each of the package's 24 quotients (the identity suite's and the closed
+    # forms): the first factor multiplies P class by class mod t, then every
+    # other factor follows at factor 1, in plan order. a_parity_at runs the
+    # parity plan less its first factor, the one it reads at the degrees.
+    quotients = identity_quotients() | {q for _, _, q in DISSECTION_CLASSES.values()}
+    assert len(quotients) == 24
     etaq._inverse_f1(n)  # P is itself built by mul_dilated; build it before the recorder
     calls = []
     real_mul_dilated = Gf2Series.mul_dilated
@@ -508,6 +500,11 @@ def test_eval_runs_exactly_its_plan(monkeypatch, n):
         calls.append((self, list(exponents), factor, trunc_len))
         return real_mul_dilated(self, exponents, factor, trunc_len)
 
+    def want_calls(t, factors):
+        if t:
+            return [(factors[0][1] if factors else [0], t, n)] + [(e, 1, n) for _, e in factors[1:]]
+        return [(e, 1, n) for _, e in factors[1:]]
+
     monkeypatch.setattr(Gf2Series, "mul_dilated", recording)
     for quotient in sorted(quotients, key=str):
         t, factors = quotient.plan(n)
@@ -515,7 +512,9 @@ def test_eval_runs_exactly_its_plan(monkeypatch, n):
         quotient.eval(n)
         if t:
             assert calls[0][0] == etaq._inverse_f1(-(-n // t)), quotient
-            want = [(factors[0][1] if factors else [0], t, n)] + [(e, 1, n) for _, e in factors[1:]]
-        else:
-            want = [(e, 1, n) for _, e in factors[1:]]
-        assert [call[1:] for call in calls] == want, quotient
+        assert [call[1:] for call in calls] == want_calls(t, factors), quotient
+    t, factors = A_PARITY_QUOTIENT.plan(n)
+    calls.clear()
+    a_parity_at([n - 1])
+    assert calls[0][0] == etaq._inverse_f1(-(-n // t))
+    assert [call[1:] for call in calls] == want_calls(t, factors[1:])

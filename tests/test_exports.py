@@ -66,3 +66,50 @@ def test_no_module_imports_a_name_it_never_uses():
     paths = [path for path in pathlib.Path(oddmult.__file__).parent.glob("*.py") if path.name != "__init__.py"]
     unused = {path.name: unused_imports(path.read_text()) for path in paths}
     assert not any(unused.values()), unused
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level _names (not __dunder__) defined in sources that none
+    of them reads.
+
+    A name counts as read where it appears as a bare name that is loaded, as
+    an attribute, or in a from-import.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name, node.lineno) for name in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return sorted(
+        f"{module}: {name} (line {line})"
+        for module, name, line in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+def test_unread_private_names_are_found():
+    sources = {
+        "a": "_A = 1\n_B, _C = 2, 3\n_D: int = 4\ndef _f(): return _A\nclass _K: pass\n__all__ = []\n",
+        "b": "from .a import _C\nimport a\na._D\n",
+    }
+    assert unread_private_names(sources) == ["a: _B (line 2)", "a: _K (line 5)", "a: _f (line 4)"]
+
+
+def test_no_private_name_goes_unread():
+    paths = pathlib.Path(oddmult.__file__).parent.glob("*.py")
+    unread = unread_private_names({path.name: path.read_text() for path in paths})
+    assert not unread, unread

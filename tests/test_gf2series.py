@@ -146,7 +146,7 @@ def test_add_eq11_identity():
     f1_cubed = EtaQuotient.of({1: 3}).eval(20)
     f3 = EtaQuotient.of({3: 1}).eval(20)
     f9_cubed = EtaQuotient.of({9: 3}).eval(20)
-    assert f3 + f9_cubed.shift(1) == f1_cubed
+    assert f3 + f9_cubed.mul_dilated([1], 1, 20) == f1_cubed
 
 
 def test_add_length_mismatch():
@@ -172,7 +172,7 @@ def test_mul_inverse_is_one():
 def test_mul_eq22_identity():
     # f1^3 f3^3 = f1^12 + q f3^12 at truncation 50
     lhs = EtaQuotient.of({1: 3}).eval(50).mul_dilated(triangular_exponents(50, 3), 1, 50)
-    rhs = EtaQuotient.of({1: 12}).eval(50) + EtaQuotient.of({3: 12}).eval(50).shift(1)
+    rhs = EtaQuotient.of({1: 12}).eval(50) + EtaQuotient.of({3: 12}).eval(50).mul_dilated([1], 1, 50)
     assert lhs == rhs
 
 
@@ -491,13 +491,13 @@ def test_sparse_product_at_rejects_bad_degrees_and_exponents():
 
 def test_shift_and_truncate():
     s = series(6, 0, 2)
-    assert s.shift(1).support() == [1, 3]
-    assert s.shift(5).support() == [5]
+    assert s.mul_dilated([1], 1, 6).support() == [1, 3]
+    assert s.mul_dilated([5], 1, 6).support() == [5]
     assert s.truncate(3).support() == [0, 2]
     with pytest.raises(ValueError):
         s.truncate(7)
     with pytest.raises(ValueError):
-        s.shift(-1)
+        s.mul_dilated([-1], 1, 6)
 
 
 def test_extract_decimation():
@@ -548,7 +548,7 @@ def test_queries_and_shape_at_word_edges(n):
     for upto in sorted({0, 1, 32, 63, 64, 65, 96, n - 1, n, n + 1}):
         assert s.odd_count(upto) == (bits & ((1 << min(upto, n)) - 1)).bit_count(), upto
     for k in sorted({0, 1, 63, 64, 65, n - 1, n, n + 64}):
-        assert s.shift(k) == int_series(n, bits << k), k
+        assert s.mul_dilated([k], 1, n) == int_series(n, bits << k), k
     for m in sorted({1, 63, 64, 65, n - 1, n} & set(range(1, n + 1))):
         assert s.truncate(m) == int_series(m, bits), m
         assert s.truncate(m).odd_count() == (bits & ((1 << m) - 1)).bit_count(), m
@@ -560,8 +560,8 @@ def test_stored_words_are_read_only():
     s = int_series(200, (1 << 200) - 1)
     t = series(200, 0, 3, 150)
     for made in (
-        s, t, series(64, 0), s + t, s.mul_dilated([0, 3], 1, 200), s.mul_dilated([0, 5], 3, 200), s.shift(5),
-        s.truncate(130), s.truncate(128), s.extract(1, 3), s.extract(3, 1),
+        s, t, series(64, 0), s + t, s.mul_dilated([0, 3], 1, 200), s.mul_dilated([0, 5], 3, 200),
+        s.mul_dilated([5], 1, 200), s.truncate(130), s.truncate(128), s.extract(1, 3), s.extract(3, 1),
     ):
         with pytest.raises(ValueError, match="read-only"):
             made._words[0] = 0
