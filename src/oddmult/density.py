@@ -8,7 +8,10 @@ walk `verify theorems` shares. In the leftover class n == 7 (mod 8) the
 conjectured picture is density 1/2; the experiment evaluates f_3^8 / f_1^3
 directly and reports the running density at logarithmically spaced
 checkpoints. Nothing here proves anything; the checks that matter are the
-exact cross-route agreements.
+exact cross-route agreements. Both read bits in bounded parts: counts go
+through odd_count, the census compares each flag window in eighths, and the
+8m+7 cross-check reads its sample from both routes without building
+either one's series to 8 * limit.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .characterize import odd_flag_windows
+from .characterize import FLAG_WINDOW, odd_flag_windows
 from .etaq import DISSECTION_CLASSES, a_parity_at, a_parity_series
 from .gf2series import Gf2Series
 
@@ -73,11 +76,12 @@ def density_8m7(limit_m: int) -> DensityReport:
     """Running odd-density of the first limit_m coefficients of f_3^8 / f_1^3.
 
     Coefficient m is a(8m+7) mod 2. A seeded sample of min(1000, limit_m)
-    indices is cross-checked against a(8m+7) read from the plan of f_3 /
-    f_1^3 at those degrees alone (a_parity_at), which uses no dissection
-    identity; the report keeps the first sampled n = 8m+7 where
-    the two disagree, which would mean a kernel inconsistency. Identical
-    calls give identical reports.
+    indices is cross-checked against a(8m+7) read from the class rows of
+    the plan of f_3 / f_1^3 at those degrees alone (a_parity_at), which uses
+    no dissection identity, so the longest series held is 1/f_1 to about
+    2 * limit_m. The report keeps the first sampled n = 8m+7 where the two
+    disagree, which would mean a kernel inconsistency. Identical calls give
+    identical reports.
     """
     if limit_m < 1:
         raise ValueError("limit_m must be >= 1")
@@ -92,19 +96,29 @@ def density_8m7(limit_m: int) -> DensityReport:
         odd = series.odd_count(upto=x)
         marks.append(DensityCheckpoint(x, odd, odd / x))
 
-    mismatches = np.flatnonzero(series.to_bit_array()[sample] != extracted)
+    mismatches = np.flatnonzero(series.sparse_product_at([0], sample) != extracted)
     mismatch = degrees[mismatches[0]] if mismatches.size else None
     return DensityReport("8m+7", tuple(marks), mismatch, len(sample))
 
 
 def predicate_mismatches(parity: Gf2Series, limit: int) -> Iterator[np.ndarray]:
     """Per window of odd_flag_windows(limit), the n != 7 (mod 8), ascending,
-    whose odd flag differs from the bit of the parity series."""
+    whose odd flag differs from the bit of the parity series.
+
+    Each window is compared in parts of FLAG_WINDOW // 8 flags, so the
+    unpacked bits take an eighth of the window's flags, and each window is
+    dropped before the next is built, so one is held at a time.
+    """
+    part = FLAG_WINDOW // 8
     for lo, flags in odd_flag_windows(limit):
-        mismatch = parity.to_bit_array(lo, lo + len(flags))
-        mismatch ^= flags
-        mismatch[(7 - lo) % 8 :: 8] = 0  # the uncharacterized class
-        yield lo + np.flatnonzero(mismatch)
+        found = []
+        for at in range(lo, lo + len(flags), part):
+            mismatch = parity.to_bit_array(at, min(at + part, lo + len(flags)))
+            mismatch ^= flags[at - lo : at - lo + part]
+            mismatch[(7 - at) % 8 :: 8] = 0  # the uncharacterized class
+            found.append(at + np.flatnonzero(mismatch))
+        del flags  # before the next window is built
+        yield np.concatenate(found)
 
 
 def sparse_odd_census(limit_n: int) -> list[DensityReport]:

@@ -20,9 +20,9 @@ The parity of a(n), the number of partitions of n whose parts all appear
 with odd multiplicity, is the coefficient series of f_3 / f_1^3. Its 2-,
 4- and 8-dissections are also available in closed form (DISSECTION_CLASSES),
 and every closed form is cross-checkable against coefficient extraction
-from the parity series itself. A few scattered a(n) are read without it:
-its plan is run less the first factor, which is applied at those degrees
-alone (a_parity_at). The identity suite is a table of quotients.
+from the parity series itself. A few scattered a(n) are read without it,
+from the class rows of its plan at those degrees alone (a_parity_at). The
+identity suite is a table of quotients.
 """
 
 from __future__ import annotations
@@ -221,15 +221,17 @@ def a_parity_series(trunc_len: int) -> Gf2Series:
 def a_parity_at(degrees: Iterable[int]) -> np.ndarray:
     """a(n) mod 2 for each n in degrees, as uint8 0/1.
 
-    The parity plan is run without its first factor F, the one with the
-    most terms, to the largest degree, and a(n) is the XOR of coefficients
-    n - e of that product over the e <= n in F, read for the listed n
-    alone. No dissection identity is used, so this checks the closed forms.
+    The parity plan to the largest degree is (t, [F, G]): a(n) is
+    coefficient n of F * G * P(q^t). G times P(q^t) is taken one class row
+    mod t at a time, and each row is read at the listed n alone, through F
+    (mul_dilated_at), so neither G * P(q^t) nor any series longer than P
+    is built. No dissection identity is used, so this checks the closed
+    forms.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     trunc_len = int(degrees.max()) + 1 if len(degrees) else 1
-    t, (first, *rest) = A_PARITY_QUOTIENT.plan(trunc_len)
-    return _run(t, rest, trunc_len).sparse_product_at(first[1], degrees)
+    t, (first, second) = A_PARITY_QUOTIENT.plan(trunc_len)
+    return _inverse_f1(-(-trunc_len // t)).mul_dilated_at(second[1], t, first[1], degrees)
 
 
 # The identities lhs = rhs + q * rhs_q as (name, lhs, rhs, rhs_q), each side

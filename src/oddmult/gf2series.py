@@ -8,11 +8,14 @@ every product is mul_dilated, a sparse factor F = sum_e q^e, given by its
 exponents, times f(q^d). At d = 1 it multiplies f by one bit-shifted copy
 of f per residue e mod 8, XORed in place at byte offset e // 8. At d > 1
 it does the same one residue class of F's exponents mod d at a time
-against the undilated f, and scatters each partial product into one
+against the undilated f, and scatters each of these class rows into one
 output through a table of the 256 byte values spread by d, one gather per
 chunk of source bytes. A few coefficients of a sparse F times f can be
-read without forming the product (sparse_product_at). No product of
-two dense series is ever formed.
+read without forming the product (sparse_product_at), and so can those of
+a sparse G times F * f(q^d): each class row is read at the degrees it
+reaches and dropped before the next is built (mul_dilated_at), so nothing
+longer than N/d bits is held. No product of two dense series is ever
+formed, and odd_count unpacks a series' bits a chunk at a time.
 
 Series objects are immutable: every operation returns a fresh value, and
 the word arrays are read-only, so instances can be shared freely, across
@@ -22,7 +25,7 @@ threads too.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,9 +33,9 @@ __all__ = ["Gf2Series"]
 
 _BYTES = np.arange(256, dtype=np.uint8)
 
-# Bytes gathered per chunk, by sparse_product_at (whose int32 byte indices
-# take four times as much) and by _scatter (whose output takes factor times
-# as much).
+# Bytes gathered per chunk, by _sparse_gather (whose int32 byte indices take
+# four times as much) and by _scatter (whose output takes factor times as
+# much); odd_count unpacks 8 * _GATHER bits at a time.
 _GATHER = 1 << 14
 
 
@@ -122,6 +125,34 @@ def _scatter(words: np.ndarray, factor: int, offset: int, out: np.ndarray) -> No
         out[factor * groups :] |= table.take(src[groups : groups + 1]).view(np.uint8)[:tail]
 
 
+def _sparse_gather(src: np.ndarray, support: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Coefficient n of (sum_e q^e) * s for each n in degrees, as uint8 0/1,
+    where src holds the bytes of s and every degree indexes a bit of src.
+
+    Exponent e <= n adds bit n - e of s. The exponents e = 8k + r of one
+    residue r mod 8 read bit (n - r) & 7 of the bytes ((n - r) >> 3) - k, so
+    each residue XORs whole bytes and shifts once per degree. The byte
+    indices are int32 unless s has 2^31 bytes or more, and degrees go in
+    chunks of about _GATHER gathered bytes, so the temporaries stay that
+    small however many degrees and exponents there are.
+    """
+    index = np.int32 if len(src) < 1 << 31 else np.int64
+    # Exponents above every degree add nothing, and the rest index src.
+    support = support[support <= degrees.max(initial=-1)]
+    out = np.zeros(len(degrees), dtype=np.uint8)
+    for r in range(8):
+        k = (support[(support & 7) == r] >> 3).astype(index)
+        span = _GATHER // max(len(k), 1) + 1
+        for first in range(0, len(degrees) if len(k) else 0, span):
+            d = degrees[first : first + span] - r
+            byte = (d >> 3).astype(index)[:, None] - k  # negative where e > n
+            gathered = src.take(byte, mode="clip")
+            gathered[byte < 0] = 0
+            bits = np.bitwise_xor.reduce(gathered, axis=1) >> (d & 7).astype(np.uint8)
+            out[first : first + span] ^= bits & 1
+    return out
+
+
 class Gf2Series:
     """A power series over GF(2) truncated to ``trunc_len`` coefficients, made by from_support or an operation."""
 
@@ -168,7 +199,10 @@ class Gf2Series:
     def odd_count(self, upto: int | None = None) -> int:
         """Number of nonzero coefficients among degrees < upto (default: all)."""
         n = self.trunc_len if upto is None else min(upto, self.trunc_len)
-        return int(self.to_bit_array(0, n).sum())  # to_bit_array refuses n < 0
+        if n < 0:
+            raise ValueError(f"upto {n} is negative")
+        chunk = 8 * _GATHER  # bits unpacked at a time
+        return sum(int(self.to_bit_array(lo, min(lo + chunk, n)).sum()) for lo in range(0, n, chunk))
 
     def to_bit_array(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Coefficients lo .. hi-1 (default: all) as a uint8 0/1 array: the one
@@ -201,9 +235,7 @@ class Gf2Series:
     def mul_dilated(self, exponents: Iterable[int], factor: int, trunc_len: int) -> Gf2Series:
         """The product (sum_e q^e) * f(q^factor), truncated to trunc_len.
 
-        Write the sparse factor as sum_{j<factor} q^j F_j(q^factor). Each
-        F_j multiplies this series undilated, to ceil((trunc_len - j) /
-        factor) terms, and coefficient m of that product is scattered to
+        Each class row F_j * f (_class_rows) is scattered from degree m to
         degree factor*m + j. So the XOR loop runs over trunc_len / factor
         bits per exponent, and no dilated copy of this series is built.
         Dilation f(q) -> f(q^factor) is the case exponents = [0]. At factor
@@ -212,53 +244,80 @@ class Gf2Series:
         never built as a series, and exponents at or past trunc_len add
         nothing.
         """
+        support = self._checked(exponents, factor, trunc_len)
+        if factor == 1:
+            return Gf2Series._of_words(trunc_len, _mul_words(support, self._words[: _nwords(trunc_len)]))
+        out = np.zeros(8 * _nwords(trunc_len), dtype=np.uint8)
+        for j, row in self._class_rows(support, factor, trunc_len):
+            # Bits of the row at and above its length land at or above trunc_len.
+            _scatter(row, factor, j, out)
+            del row  # before the next row is built
+        return Gf2Series._of_words(trunc_len, out.view("<u8"))
+
+    def mul_dilated_at(self, exponents: Iterable[int], factor: int, outer: Iterable[int], degrees: Iterable[int]) -> np.ndarray:
+        """Coefficient n of (sum_o q^o) * (sum_e q^e) * f(q^factor) for each n
+        in degrees, as uint8 0/1: mul_dilated(exponents, factor, N)
+        .sparse_product_at(outer, degrees) at N = max(degrees) + 1, without
+        the product.
+
+        Degree factor*m + j of the inner product is bit m of class row j
+        (_class_rows), so coefficient n XORs bit (n - o - j) / factor of row
+        j over the outer o <= n - j with o == n - j (mod factor). For the o
+        of one residue r that is a sparse read of row j, with exponents
+        o // factor, at the degrees (n - j - r) / factor of the n == j + r.
+        Each row is read and dropped before the next is built, so no
+        temporary is longer than N / factor bits.
+        """
+        degrees = np.asarray(degrees, dtype=np.int64)
+        if len(degrees) and degrees.min() < 0:
+            raise ValueError("degrees must be non-negative")
+        trunc_len = int(degrees.max(initial=0)) + 1
+        inner = self._checked(exponents, factor, trunc_len)
+        outer = _exponent_array(outer)
+        by_residue = [outer[outer % factor == r] // factor for r in range(factor)]
+        residues = degrees % factor
+        out = np.zeros(len(degrees), dtype=np.uint8)
+        for j, row in self._class_rows(inner, factor, trunc_len):
+            for r, part in enumerate(by_residue):
+                at = np.flatnonzero((residues == (j + r) % factor) & (degrees >= j + r))
+                if len(at) and len(part):
+                    out[at] ^= _sparse_gather(row.view(np.uint8), part, (degrees[at] - j - r) // factor)
+            del row  # before the next row is built
+        return out
+
+    def _checked(self, exponents: Iterable[int], factor: int, trunc_len: int) -> np.ndarray:
+        """The exponents of a product by f(q^factor) to trunc_len, validated."""
         if factor < 1:
             raise ValueError("dilation factor must be positive")
         if trunc_len > factor * self.trunc_len:
             raise ValueError("cannot extend a truncated series")
-        support = _exponent_array(exponents)
-        if factor == 1:
-            return Gf2Series._of_words(trunc_len, _mul_words(support, self._words[: _nwords(trunc_len)]))
-        out = np.zeros(8 * _nwords(trunc_len), dtype=np.uint8)
+        return _exponent_array(exponents)
+
+    def _class_rows(self, support: np.ndarray, factor: int, trunc_len: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(j, F_j * self) for each class j < factor that holds exponents.
+
+        The sparse factor is sum_{j<factor} q^j F_j(q^factor), and F_j *
+        self is taken undilated, to ceil((trunc_len - j) / factor) terms, as
+        the words of the XOR loop; bits at and above that length are junk.
+        The generator keeps no row, so a caller that drops each row holds
+        one at a time.
+        """
         for j in range(min(factor, trunc_len)):
             part = support[support % factor == j] // factor
             if len(part):
                 n = -(-(trunc_len - j) // factor)
-                # Bits of the product at and above n land at or above trunc_len.
-                _scatter(_mul_words(part, self._words[: _nwords(n)]), factor, j, out)
-        return Gf2Series._of_words(trunc_len, out.view("<u8"))
+                yield j, _mul_words(part, self._words[: _nwords(n)])
 
     def sparse_product_at(self, exponents: Iterable[int], degrees: Iterable[int]) -> np.ndarray:
         """Coefficient n of (sum_e q^e) * self for each n in degrees, as uint8 0/1.
 
-        Only those coefficients are read: exponent e <= n adds bit n - e of
-        this series. The exponents e = 8k + r of one residue r mod 8 read
-        bit (n - r) & 7 of the bytes ((n - r) >> 3) - k, so each residue
-        XORs whole bytes and shifts once per degree. The byte indices are
-        int32 unless this series has 2^31 bytes or more, and degrees go in
-        chunks of about _GATHER gathered bytes, so the temporaries stay that
-        small however many degrees and exponents there are.
+        Only those coefficients are read (_sparse_gather).
         """
         support = _exponent_array(exponents)
         degrees = np.asarray(degrees, dtype=np.int64)
         if len(degrees) and not 0 <= degrees.min() <= degrees.max() < self.trunc_len:
             raise ValueError(f"degrees must lie in 0..{self.trunc_len - 1}")
-        src = self._words.view(np.uint8)
-        index = np.int32 if len(src) < 1 << 31 else np.int64
-        # Exponents above every degree add nothing, and the rest index src.
-        support = support[support <= degrees.max(initial=-1)]
-        out = np.zeros(len(degrees), dtype=np.uint8)
-        for r in range(8):
-            k = (support[(support & 7) == r] >> 3).astype(index)
-            span = _GATHER // max(len(k), 1) + 1
-            for first in range(0, len(degrees) if len(k) else 0, span):
-                d = degrees[first : first + span] - r
-                byte = (d >> 3).astype(index)[:, None] - k  # negative where e > n
-                gathered = src.take(byte, mode="clip")
-                gathered[byte < 0] = 0
-                bits = np.bitwise_xor.reduce(gathered, axis=1) >> (d & 7).astype(np.uint8)
-                out[first : first + span] ^= bits & 1
-        return out
+        return _sparse_gather(self._words.view(np.uint8), support, degrees)
 
     def truncate(self, new_len: int) -> Gf2Series:
         if new_len > self.trunc_len:

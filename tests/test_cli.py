@@ -156,17 +156,29 @@ def test_verify_theorems(capsys):
 
 
 def test_verify_theorems_reports_each_discrepancy(flip_flags, capsys):
-    # a(5) = 5 and a(25) are odd; each line gives the flipped flag's verdict
-    # and the reason for that verdict, from the case of n
-    flip_flags(5, 25)
-    code, out = run_cli(capsys, "verify", "theorems", "--limit", "100")
-    assert code == 1
-    assert out.splitlines() == [
-        "FAIL n=5: predicted even via [4m+1: m == 1 (mod 3), exponent pattern fails], series says odd",
-        "FAIL n=25: predicted even via [4m+1: m == 0 (mod 3), 25 not a square], series says odd",
-        "checked 88 values below 100 (class 8m+7 excluded): 2 discrepancies",
-        "FAIL (2 discrepancies)",
-    ]
+    # each line gives the flipped flag's verdict and the reason for that
+    # verdict, from the case of n
+    cases = {
+        # a(5) = 5 and a(25) are odd
+        (100, (5, 25)): [
+            "FAIL n=5: predicted even via [4m+1: m == 1 (mod 3), exponent pattern fails], series says odd",
+            "FAIL n=25: predicted even via [4m+1: m == 0 (mod 3), 25 not a square], series says odd",
+            "checked 88 values below 100 (class 8m+7 excluded): 2 discrepancies",
+        ],
+        # either side of 32768 = FLAG_WINDOW // 8, where a window's comparison
+        # goes on in its next part; 32767 is 7 (mod 8), where flags are not read
+        (40_000, (32767, 32768, 32769)): [
+            "FAIL n=32768: predicted even via [2m: m not a square], series says odd",
+            "FAIL n=32769: predicted odd via [4m+1: m == 2 (mod 3) is always even, but 32769 is flagged odd], "
+            "series says even",
+            "checked 35000 values below 40000 (class 8m+7 excluded): 2 discrepancies",
+        ],
+    }
+    for (limit, flips), lines in cases.items():
+        flip_flags(*flips)
+        code, out = run_cli(capsys, "verify", "theorems", "--limit", str(limit))
+        assert code == 1
+        assert out.splitlines() == lines + ["FAIL (2 discrepancies)"], limit
 
 
 def test_a_flag_against_a_fixed_parity_prints_the_contradiction(flip_flags, capsys):

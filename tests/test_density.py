@@ -1,6 +1,6 @@
 import pytest
 
-from oddmult import characterize
+from oddmult import characterize, etaq
 from oddmult.characterize import odd_flag_windows
 from oddmult.density import (
     CENSUS_CLASSES,
@@ -62,6 +62,24 @@ def test_density_8m7_cross_check_reports_first_mismatch(monkeypatch):
     assert report.cross_checked == 100
     odd = flipped.odd_count(upto=100)
     assert report.checkpoints == (DensityCheckpoint(100, odd, odd / 100),)
+
+
+@pytest.mark.parametrize("limit", [1, 1000, 20_000])
+def test_density_8m7_holds_no_series_past_twice_its_limit(monkeypatch, limit):
+    # the cross-check reads the class rows of f3 * P(q^4) at the sampled
+    # degrees, so nothing as long as the 8 * limit degrees it reads is built:
+    # the longest series is P = 1/f1 to 2 * limit
+    made = []
+    real_of_words = Gf2Series._of_words
+
+    def recording(cls, trunc_len, words):
+        made.append(trunc_len)
+        return real_of_words(trunc_len, words)
+
+    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    monkeypatch.setattr(Gf2Series, "_of_words", classmethod(recording))
+    density_8m7(limit)
+    assert made and max(made) <= 2 * limit + 2, max(made)
 
 
 def test_density_8m7_rejects_bad_limit():

@@ -488,8 +488,9 @@ def test_split_takes_the_factor_with_most_terms(factors, t, plan):
 def test_eval_runs_exactly_its_plan(monkeypatch, n):
     # each of the package's 24 quotients (the identity suite's and the closed
     # forms): the first factor multiplies P class by class mod t, then every
-    # other factor follows at factor 1, in plan order. a_parity_at runs the
-    # parity plan less its first factor, the one it reads at the degrees.
+    # other factor follows at factor 1, in plan order. a_parity_at forms no
+    # product: it reads the class rows of the parity plan's second factor
+    # times P at the degrees, through the first factor.
     quotients = identity_quotients() | {q for _, _, q in DISSECTION_CLASSES.values()}
     assert len(quotients) == 24
     etaq._inverse_f1(n)  # P is itself built by mul_dilated; build it before the recorder
@@ -513,8 +514,17 @@ def test_eval_runs_exactly_its_plan(monkeypatch, n):
         if t:
             assert calls[0][0] == etaq._inverse_f1(-(-n // t)), quotient
         assert [call[1:] for call in calls] == want_calls(t, factors), quotient
-    t, factors = A_PARITY_QUOTIENT.plan(n)
+    t, (first, second) = A_PARITY_QUOTIENT.plan(n)
+    reads = []
+    real_mul_dilated_at = Gf2Series.mul_dilated_at
+
+    def recording_at(self, exponents, factor, outer, degrees):
+        reads.append((self, list(exponents), factor, list(outer)))
+        return real_mul_dilated_at(self, exponents, factor, outer, degrees)
+
+    monkeypatch.setattr(Gf2Series, "mul_dilated_at", recording_at)
     calls.clear()
     a_parity_at([n - 1])
-    assert calls[0][0] == etaq._inverse_f1(-(-n // t))
-    assert [call[1:] for call in calls] == want_calls(t, factors[1:])
+    assert calls == []
+    assert len(reads) == 1 and reads[0][0] == etaq._inverse_f1(-(-n // t))
+    assert reads[0][1:] == (second[1], t, first[1])

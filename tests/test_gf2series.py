@@ -486,6 +486,48 @@ def test_sparse_product_at_rejects_bad_degrees_and_exponents():
         dense.sparse_product_at([-1], [5])
 
 
+# -- coefficients of a sparse times a dilated product, one class row at a time --
+
+
+@pytest.mark.parametrize("factor", [*range(1, 9), 12])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mul_dilated_at_is_the_sparse_read_of_the_product(factor, data):
+    # random sparse factors with empty classes mod factor, rows of one to
+    # five words, outer exponents past the degrees, degrees in every residue
+    # and below factor (down to N = 1), no degrees at all, and gather chunks
+    # of one degree
+    m = data.draw(st.integers(1, 300))
+    dense = int_series(m, data.draw(st.integers(0, (1 << m) - 1)))
+    empty = data.draw(st.sets(st.integers(0, factor - 1), max_size=factor))
+    inner = [e for e in data.draw(st.sets(st.integers(0, factor * m + 9), max_size=40)) if e % factor not in empty]
+    outer = data.draw(st.sets(st.integers(0, factor * m + 9), max_size=40))
+    degrees = data.draw(st.one_of(
+        st.lists(st.integers(0, factor * m - 1), max_size=60),
+        st.just(list(range(min(2 * factor, factor * m)))),
+        st.just([0]),
+    ))
+    gather = data.draw(st.sampled_from([1, 5, 1 << 14]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gf2series, "_GATHER", gather)
+        got = dense.mul_dilated_at(inner, factor, outer, degrees)
+    want = dense.mul_dilated(inner, factor, max(degrees, default=0) + 1).sparse_product_at(outer, degrees)
+    assert got.dtype == np.uint8 and got.tolist() == want.tolist()
+
+
+def test_mul_dilated_at_rejects_what_mul_dilated_rejects():
+    dense = series(10, 0, 3)
+    with pytest.raises(ValueError, match="cannot extend"):
+        dense.mul_dilated_at([0], 3, [0], [30])
+    with pytest.raises(ValueError, match="positive"):
+        dense.mul_dilated_at([0], 0, [0], [5])
+    with pytest.raises(ValueError, match="non-negative"):
+        dense.mul_dilated_at([0], 3, [0], [-1, 5])
+    with pytest.raises(ValueError, match="non-negative"):
+        dense.mul_dilated_at([0], 3, [-2], [5])
+    assert dense.mul_dilated_at([1], 3, [0, 1], [29, 10, 11]).tolist() == [0, 1, 1]
+
+
 # -- shape operations --------------------------------------------------------
 
 
@@ -573,6 +615,15 @@ def test_odd_count_prefix():
     assert s.odd_count() == 4
     assert s.odd_count(upto=4) == 2
     assert s.odd_count(upto=100) == 4
+    with pytest.raises(ValueError):
+        s.odd_count(-1)
+    # odd_count unpacks 8 * _GATHER bits at a time: counts at the chunk edges
+    chunk = 8 * gf2series._GATHER
+    n = 2 * chunk + 77
+    bits = random.Random(n).getrandbits(n)
+    s = int_series(n, bits)
+    for upto in (0, chunk - 1, chunk, chunk + 1, n - 1, n):
+        assert s.odd_count(upto) == (bits & ((1 << upto) - 1)).bit_count(), upto
     with pytest.raises(ValueError):
         s.odd_count(-1)
 
