@@ -34,12 +34,6 @@ from .numtheory import (
     is_square,
     is_three_times_square,
 )
-from .partition_oracle import (
-    ENUMERATION_LIMIT,
-    PartitionCountTable,
-    build_table,
-    enumerate_partitions,
-    qualifying_partitions,
-)
+from .partition_oracle import PartitionCountTable, build_table
 
 __version__ = "0.1.0"

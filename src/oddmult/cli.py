@@ -211,11 +211,21 @@ def _cmd_density(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+def _head(text: str) -> str:
+    """text as an error line shows it: its first 40 characters, then "..."."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _integer(text: str) -> int:
-    """text as an int if it is ASCII digits after at most one minus sign."""
-    if not (text.isascii() and text.removeprefix("-").isdecimal()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    """text as an int if it is ASCII digits after at most one minus sign, and
+    no more of them than int() converts (4300 by default)."""
+    digits = text.removeprefix("-")
+    if not (text.isascii() and digits.isdecimal()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {_head(repr(text))}")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"int value of {len(digits)} digits is too long: {_head(text)}") from None
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -225,7 +235,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = _integer(parts[0]), _integer(parts[-1])
         if len(parts) <= 2 and 0 <= lo <= hi:
             return lo, hi
-    raise ValueError(f"bad range {text!r}")
+    raise ValueError(f"bad range {_head(repr(text))}")
 
 
 @functools.cache
@@ -286,10 +296,10 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "limit", 1) < 1:
             parser.error("--limit must be >= 1")
         if getattr(args, "limit", 1) > LIMIT_MAX:
-            parser.error(f"--limit supports at most {LIMIT_MAX}, got {args.limit}")
+            parser.error(f"--limit supports at most {LIMIT_MAX}, got {_head(str(args.limit))}")
         if getattr(args, "p", None) is not None:
             if args.p >= CONGRUENCE_P_LIMIT:
-                parser.error(f"--p supports primes below {CONGRUENCE_P_LIMIT}, got {args.p}")
+                parser.error(f"--p supports primes below {CONGRUENCE_P_LIMIT}, got {_head(str(args.p))}")
             if args.p < 3 or not is_prime(args.p):
                 parser.error(f"--p must be an odd prime, got {args.p}")
         if getattr(args, "csv", None) is not None:

@@ -219,12 +219,6 @@ class Gf2Series:
             return NotImplemented
         return self.trunc_len == other.trunc_len and np.array_equal(self._words, other._words)
 
-    def __repr__(self) -> str:
-        support = self.support()
-        head = support[:8]
-        tail = ", ..." if len(support) > 8 else ""
-        return f"Gf2Series(trunc_len={self.trunc_len}, support=[{', '.join(map(str, head))}{tail}])"
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: Gf2Series) -> Gf2Series:

@@ -1,30 +1,20 @@
 """Exact values of a(n): partitions whose parts all appear with odd multiplicity.
 
 Ground truth for every parity claim in the package, deliberately computed
-with exact integer arithmetic and no GF(2) machinery. Two independent
-routes are provided: a generating-function DP over the per-part factors
-1 + q^i + q^{3i} + q^{5i} + ... on 40-bit limbs in int64 words, and, for
-small n, explicit enumeration of the qualifying partitions themselves.
+with exact integer arithmetic and no GF(2) machinery: a generating-function
+DP over the per-part factors 1 + q^i + q^{3i} + q^{5i} + ... on 40-bit limbs
+in int64 words. The tests check it, for small n, against an explicit
+enumeration of the qualifying partitions (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-__all__ = [
-    "PartitionCountTable",
-    "build_table",
-    "enumerate_partitions",
-    "qualifying_partitions",
-    "ENUMERATION_LIMIT",
-]
-
-# Enumeration is a desk-scale spot check; past this it stops being one.
-ENUMERATION_LIMIT = 45
+__all__ = ["PartitionCountTable", "build_table"]
 
 # The DP is quadratic: a fresh build takes about 0.8 s at 10^4 and 4-5 s at
 # this limit on one core of a 2-core Xeon VM.
@@ -111,33 +101,3 @@ def _carry(v: np.ndarray) -> None:
     for i in range(v.shape[1] - 1):
         v[:, i + 1] += v[:, i] >> _LIMB_BITS
         v[:, i] &= _LIMB_MASK
-
-
-def qualifying_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the partitions of n in which every part has odd multiplicity.
-
-    Parts appear in decreasing order within each partition; partitions come
-    out ordered by largest part descending.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-    def gen(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            for count in range(1, remaining // part + 1, 2):
-                for rest in gen(remaining - part * count, part - 1):
-                    yield (part,) * count + rest
-
-    return gen(n, n)
-
-
-def enumerate_partitions(n: int) -> int:
-    """Count the qualifying partitions of n by explicit generation."""
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"enumeration guard: n={n} exceeds {ENUMERATION_LIMIT}; use build_table"
-        )
-    return sum(1 for _ in qualifying_partitions(n))

@@ -1,5 +1,9 @@
 """Exact oracles that only the tests use.
 
+The qualifying partitions of n listed one by one, and their count, against
+which the DP of partition_oracle.build_table is checked for small n
+(criteria 1 and 3, the paper's worked example a(5) = 5).
+
 Divisor classes mod 8 and brute-force representation counts of c^2 + d^2
 and c^2 + 2 d^2, for criterion 5 (the Dirichlet formula and the eightfold
 relation) and their own checks. The package keeps only the counter its
@@ -10,8 +14,42 @@ vectorized ones are checked.
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterator
 
 from oddmult.numtheory import factorize
+
+# Enumeration is a desk-scale spot check; past this it stops being one.
+ENUMERATION_LIMIT = 45
+
+
+def qualifying_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the partitions of n in which every part has odd multiplicity.
+
+    Parts appear in decreasing order within each partition; partitions come
+    out ordered by largest part descending.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+    def gen(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(max_part, remaining), 0, -1):
+            for count in range(1, remaining // part + 1, 2):
+                for rest in gen(remaining - part * count, part - 1):
+                    yield (part,) * count + rest
+
+    return gen(n, n)
+
+
+def enumerate_partitions(n: int) -> int:
+    """Count the qualifying partitions of n by explicit generation."""
+    if n > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"enumeration guard: n={n} exceeds {ENUMERATION_LIMIT}; use build_table"
+        )
+    return sum(1 for _ in qualifying_partitions(n))
 
 
 def divisors(factorization: tuple[tuple[int, int], ...]) -> list[int]:

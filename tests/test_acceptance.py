@@ -21,8 +21,15 @@ from oddmult.congruence import all_families, fixed_families, generate_12p_family
 from oddmult.density import density_8m7, sparse_odd_census
 from oddmult.etaq import a_parity_series, identity_suite
 from oddmult.numtheory import count_theta_pairs
-from oddmult.partition_oracle import ENUMERATION_LIMIT, build_table, enumerate_partitions, qualifying_partitions
-from oracles import divisor_classes_mod8, r2_bruteforce, signed_reps_c2_plus_2d2
+from oddmult.partition_oracle import build_table
+from oracles import (
+    ENUMERATION_LIMIT,
+    divisor_classes_mod8,
+    enumerate_partitions,
+    qualifying_partitions,
+    r2_bruteforce,
+    signed_reps_c2_plus_2d2,
+)
 
 
 def report(number, ok: bool, detail: str) -> None:

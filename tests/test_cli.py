@@ -627,6 +627,26 @@ def test_integer_arguments_take_ascii_digits_only(monkeypatch, capsys):
         assert capsys.readouterr().err.splitlines()[-1].endswith(shown), argv
 
 
+def test_integer_arguments_past_int_digit_limit_are_one_short_line(monkeypatch, capsys):
+    # int() refuses more than 4300 digits with a message naming sys.set_int_max_str_digits
+    for name in ("build_table", "a_parity_series", "_cmd_verify", "_cmd_congruences"):
+        monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
+    digits = "7" * 5000
+    for argv, names in (
+        (["a-value", digits], "argument n: int value of 5000 digits is too long: 7777"),
+        (["a-parity", digits], "bad range '7777"),
+        (["a-parity", f"0..{digits}"], "bad range '0..7777"),
+        (["verify", "theorems", "--limit", digits], "argument --limit: int value of 5000 digits"),
+        (["congruences", "list", "--p", digits], "argument --p: int value of 5000 digits"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv[:-1]
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and len(errors[0]) <= 200, errors
+        assert names in errors[0], errors
+
+
 def test_congruences_prime_cap_is_one_line(monkeypatch, capsys):
     # refused before any family is generated
     monkeypatch.setattr("oddmult.congruence.generate_12p_family", no_series)

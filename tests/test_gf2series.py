@@ -628,11 +628,6 @@ def test_odd_count_prefix():
         s.odd_count(-1)
 
 
-def test_repr_lists_first_eight_degrees():
-    assert repr(series(20, 1, 3)) == "Gf2Series(trunc_len=20, support=[1, 3])"
-    assert repr(series(20, *range(10))) == "Gf2Series(trunc_len=20, support=[0, 1, 2, 3, 4, 5, 6, 7, ...])"
-
-
 def test_equality_and_hash():
     assert series(5, 1) == series(5, 1)
     assert series(5, 1) != series(6, 1)

@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 
 from oddmult import partition_oracle
 from oddmult.etaq import a_parity_series
-from oddmult.partition_oracle import (
-    ENUMERATION_LIMIT,
-    build_table,
-    enumerate_partitions,
-    qualifying_partitions,
-)
+from oddmult.partition_oracle import build_table
+from oracles import ENUMERATION_LIMIT, enumerate_partitions, qualifying_partitions
 
 
 def test_worked_example_a5():
