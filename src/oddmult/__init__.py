@@ -32,7 +32,6 @@ from .numtheory import (
     factorize,
     is_prime,
     is_square,
-    is_three_times_square,
 )
 from .partition_oracle import PartitionCountTable, build_table
 

@@ -4,10 +4,11 @@
 alone (squareness, or the shape of the prime factorization), with no series
 computation. `odd_flag_windows` gives the same flags for a whole range, one
 window at a time, by marking the odd sets directly, without factorizing
-anything. The reason for a flag is the entry of the flag and the case of n,
-which `cases` alone gives, in the one table `REASONS`; it names the branch,
-so a failed comparison against the series names the branch that lied. The
-class n == 7 (mod 8) has no characterization: its flag is meaningless.
+anything. Each case of n, which `cases` alone gives, has one row of the table
+`CASES`: its odd set and its reasons for an even and an odd flag. The reason
+names the branch, so a failed comparison against the series names the branch
+that lied. The class n == 7 (mod 8) has no characterization: its flag is
+meaningless.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .numtheory import MAX_INPUT, _sieve, factorize, is_square, is_three_times_square
+from .numtheory import MAX_INPUT, _sieve, factorize, is_square
 
 __all__ = [
     "predict_parity",
@@ -27,57 +28,59 @@ __all__ = [
 ]
 
 
-# The reason of every case and odd flag, at index 2 * case + odd, "{0}"
-# standing for n in the reason. The case of n is n mod 24, save the two even n
-# whose reason that does not fix: n = 0 (ZERO) and n = 18 j^2 with j >= 1
-# (TRIPLE_ROOT). The residue fixes the class of n and, in the odd classes,
-# m mod 3. A case of fixed parity names the contradiction under the other flag.
-# Neither extra case is 7 (mod 8), so a case is 7 (mod 8) exactly when its n is.
+# The case of n is n mod 24, save the two even n whose odd set the residue does
+# not fix: n = 0 (ZERO) and n = 18 j^2 with j >= 1 (TRIPLE_ROOT). It fixes
+# the class of n and, in the odd classes, m mod 3. Neither extra case is
+# 7 (mod 8), so a case is 7 (mod 8) exactly when its n is.
 ZERO, TRIPLE_ROOT = 24, 25
 
 
-def _odd_class_reasons(tag: str, square_desc: str) -> list[tuple[str, str]]:
-    """The reasons of the odd class tag for an even and an odd flag, by m mod 3."""
+def _odd_class(tag: str, c: int, square_desc: str) -> list[tuple]:
+    """The rows of the odd class tag, whose m == 0 (mod 3) are odd at c k^2, by m mod 3."""
     return [
-        (f"{tag}: m == 0 (mod 3), {{0}} not {square_desc}", f"{tag}: m == 0 (mod 3), {{0}} {square_desc}"),
-        (f"{tag}: m == 1 (mod 3), exponent pattern fails",
+        (c, f"{tag}: m == 0 (mod 3), {{0}} not {square_desc}", f"{tag}: m == 0 (mod 3), {{0}} {square_desc}"),
+        ("prime", f"{tag}: m == 1 (mod 3), exponent pattern fails",
          f"{tag}: m == 1 (mod 3), lone odd prime exponent == 1 (mod 4)"),
         _fixed(f"{tag}: m == 2 (mod 3)", False),
     ]
 
 
-def _fixed(reason: str, odd: bool) -> tuple[str, str]:
-    """The reasons for an even and an odd flag of a case that is always odd, or always even."""
+def _fixed(reason: str, odd: bool) -> tuple:
+    """The row of a case of fixed parity, whose reason under the other flag names the contradiction."""
     wrong = f"{reason} is always {('even', 'odd')[odd]}, but {{0}} is flagged {('odd', 'even')[odd]}"
-    return (wrong, reason) if odd else (reason, wrong)
+    return ("all", wrong, reason) if odd else ("none", reason, wrong)
 
 
-def _case_reasons() -> tuple[str, ...]:
-    four, eight = _odd_class_reasons("4m+1", "a square"), _odd_class_reasons("8m+3", "3 times a square")
-    reasons = []
+def _case_table() -> tuple[tuple, ...]:
+    four, eight = _odd_class("4m+1", 1, "a square"), _odd_class("8m+3", 3, "3 times a square")
+    rows = []
     for r in range(24):
         if r % 2 == 0:
-            reasons.append(("2m: m not a square", "2m: m = k^2 with 3 not | k"))
+            rows.append((2, "2m: m not a square", "2m: m = k^2 with 3 not | k"))
         elif r % 4 == 1:
-            reasons.append(four[(r - 1) // 4 % 3])
+            rows.append(four[(r - 1) // 4 % 3])
         elif r % 8 == 3:
-            reasons.append(eight[(r - 3) // 8 % 3])
+            rows.append(eight[(r - 3) // 8 % 3])
         else:
-            reasons.append(("8m+7: uncharacterized class",) * 2)
-    reasons += [_fixed("2m: m = 0", True), _fixed("2m: m = k^2 but 3 | k", False)]
-    return tuple(reason for pair in reasons for reason in pair)
+            rows.append(("none", *("8m+7: uncharacterized class",) * 2))
+    return (*rows, _fixed("2m: m = 0", True), _fixed("2m: m = k^2 but 3 | k", False))
 
 
-REASONS = _case_reasons()
+# Row i is case i's (odd set, reason for an even flag, reason for an odd
+# flag), "{0}" standing for n in a reason. The odd set, the n of the case
+# whose a(n) is odd, is "all", "none", an int c for the n = c k^2, or "prime"
+# for the n with exactly one odd prime exponent, that one == 1 (mod 4).
+CASES = _case_table()
+
+# The reason of every case and odd flag, at index 2 * case + odd.
+REASONS = tuple(reason for _, *pair in CASES for reason in pair)
 
 
 def cases(lo: int, hi: int) -> np.ndarray:
-    """The case of each n in [lo, hi), lo < hi, as uint8."""
-    # int32, not int64: its remainders cost a quarter as much on a 2^18 window
-    out = (np.arange(lo % 24, lo % 24 + hi - lo, dtype=np.int32) % 24).astype(np.uint8)
-    # j runs from the least j >= 1 with 18 j^2 >= lo
-    j = np.arange(isqrt(max(lo - 1, 0) // 18) + 1, isqrt((hi - 1) // 18) + 1)
-    out[18 * j * j - lo] = TRIPLE_ROOT
+    """The case of each n in [lo, hi), 0 <= lo < hi, as uint8."""
+    out = np.tile(np.arange(lo % 24, lo % 24 + 24, dtype=np.uint8) % 24, -(-(hi - lo) // 24))[: hi - lo]
+    # the 18 j^2 in [lo, hi) with j >= 1, in Python ints: near 2^63 they overflow int64
+    out[[18 * j * j - lo for j in range(isqrt(max(lo - 1, 0) // 18) + 1, isqrt((hi - 1) // 18) + 1)]] = TRIPLE_ROOT
     if lo == 0:
         out[0] = ZERO
     return out
@@ -87,24 +90,17 @@ def predict_parity(n: int) -> bool:
     """Whether a(n) is odd, for 0 <= n <= MAX_INPUT = 2^63, the range of factorize;
     any other n is refused with ValueError. The flag is meaningless when n == 7 (mod 8).
 
-    a(2m) is odd iff m = 0 or m = k^2 with 3 not | k. For n = 4m+1 or 8m+3,
-    a(n) is even when m == 2 (mod 3); when m == 0 (mod 3) it is odd iff n is
-    a square (4m+1) or 3 times a square (8m+3); when m == 1 (mod 3) it is odd
-    iff exactly one prime exponent of n is odd, and that one is 1 (mod 4).
+    n is odd-valued iff it lies in the odd set of its case in CASES.
     """
     if not 0 <= n <= MAX_INPUT:
         raise ValueError(f"predict_parity supports 0 <= n <= 2^63, got {n}")
-    if n % 2 == 0:
-        root = isqrt(n // 2)
-        # 0 = 0^2 has a root 3 divides, yet a(0) = 1 is odd
-        return n == 0 or (root * root == n // 2 and root % 3 != 0)
-    m = n // 4 if n % 4 == 1 else n // 8
-    if n % 8 == 7 or m % 3 == 2:
-        return False
-    if m % 3 == 0:
-        return is_square(n) if n % 4 == 1 else is_three_times_square(n)
-    odd_exponents = [e for _, e in factorize(n) if e % 2]
-    return len(odd_exponents) == 1 and odd_exponents[0] % 4 == 1
+    odd_set = CASES[cases(n, n + 1)[0]][0]
+    if odd_set == "prime":
+        odd_exponents = [e for _, e in factorize(n) if e % 2]
+        return len(odd_exponents) == 1 and odd_exponents[0] % 4 == 1
+    if odd_set in ("all", "none"):
+        return odd_set == "all"
+    return n % odd_set == 0 and is_square(n // odd_set)
 
 
 # Width of the windows odd_flag_windows yields. A window costs a few bytes per
@@ -113,10 +109,10 @@ def predict_parity(n: int) -> bool:
 # 2.7 times as long, and 2^20 peaked at 2.5 MB.
 FLAG_WINDOW = 1 << 18
 
-# p^e * k^2 with p not | k and e == 1 (mod 4) is odd-valued in the classes
-# n == 5 (mod 12) and n == 11 (mod 24). There 3 not | n and n is odd, so k is
-# prime to 6, k^2 == 1 and p^e == p (mod 24): the classes pick out p mod 24.
-_PRIME_RESIDUES = (5, 11, 17)
+# The residues whose odd set is "prime". There 3 not | n and n is odd, so in
+# p^e * k^2 with p not | k the k is prime to 6, k^2 == 1 and, with e == 1
+# (mod 4), p^e == p (mod 24): the residues pick out p mod 24.
+_PRIME_RESIDUES = tuple(r for r, (odd_set, *_) in enumerate(CASES) if odd_set == "prime")
 
 
 def odd_flag_windows(limit: int, start: int = 0) -> Iterator[tuple[int, np.ndarray]]:

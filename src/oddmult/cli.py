@@ -212,7 +212,8 @@ def _cmd_density(args) -> int:
 
 
 def _head(text: str) -> str:
-    """text as an error line shows it: its first 40 characters, then "..."."""
+    """text as an error line shows it: on one line, its first 40 characters, then "..."."""
+    text = text.replace("\n", "\\n")
     return text if len(text) <= 40 else text[:40] + "..."
 
 
@@ -238,6 +239,15 @@ def _parse_range(text: str) -> tuple[int, int]:
     raise ValueError(f"bad range {_head(repr(text))}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser (and so its subparsers'), its _check_value echoing an invalid choice's head."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {_head(repr(value))} (choose from {choices})")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The oddmult parser, built on the first call and shared after it.
@@ -245,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     main may be called many times in one process; building the argparse tree
     each time cost more than most queries it parsed.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oddmult",
         description="Parity of a(n), the number of partitions of n whose parts "
         "all appear with odd multiplicity.",
@@ -280,7 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     text = "".join(argv[1:2]) if argv[:1] == ["a-parity"] else ""
     if text[:1] == "-" and text != "-h" and not "--help".startswith(text):  # a range such as -1..5, not an option
         argv.insert(1, "--")
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.error(f"unrecognized arguments: {_head(' '.join(extra))}")
 
     if args.subcommand == "a-value":
         if not 0 <= args.n <= RECOMMENDED_TABLE_LIMIT:
@@ -308,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 args.csv = open(args.csv, "w", encoding="utf-8")
             except OSError as exc:
-                parser.error(f"cannot write --csv {args.csv}: {exc.strerror}")
+                parser.error(f"cannot write --csv {_head(args.csv)}: {exc.strerror}")
 
     commands = {
         "a-value": _cmd_value,

@@ -18,7 +18,6 @@ __all__ = [
     "factorize",
     "is_prime",
     "is_square",
-    "is_three_times_square",
     "count_theta_pairs",
 ]
 
@@ -130,12 +129,6 @@ def is_square(n: int) -> bool:
         raise ValueError("n must be >= 0")
     r = isqrt(n)
     return r * r == n
-
-
-def is_three_times_square(n: int) -> bool:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return n % 3 == 0 and is_square(n // 3)
 
 
 def count_theta_pairs(m: int, scale: int) -> int:

@@ -1,4 +1,8 @@
-"""Fixtures, and a Python-int reference for GF(2) series and eta-quotients.
+"""Fixtures, the hypothesis profile, and a Python-int reference for GF(2)
+series and eta-quotients.
+
+Every hypothesis test draws the same examples on every run: the profile
+loaded here derandomizes them all, so tier-1 is deterministic.
 
 The reference holds a truncated series as a Python int whose bit k is the
 coefficient of q^k. It shares no code with gf2series or with the plan of
@@ -11,10 +15,14 @@ turns such an int into a series, through from_support, to compare with.
 from math import isqrt
 
 import pytest
+from hypothesis import settings
 
 import oddmult.cli
 import oddmult.density
 from oddmult import Gf2Series, a_parity_series, build_table, odd_flag_windows, predict_parity
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

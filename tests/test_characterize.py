@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from math import isqrt
 from unittest import mock
 
@@ -200,6 +201,53 @@ def test_cases_mark_zero_and_the_even_squares_whose_root_3_divides():
             for n in range(lo, hi)
         ]
         assert characterize.cases(lo, hi).tolist() == expected, (lo, hi)
+
+
+def test_cases_at_the_top_of_the_domain():
+    # an index past 2^63 - 1 overflows int64; j is the largest with 18 j^2 <= 2^63
+    j = isqrt(MAX_INPUT // 18)
+    assert characterize.cases(MAX_INPUT - 2, MAX_INPUT + 1).tolist() == [6, 7, 8]
+    for n, case, odd in (
+        (18 * j * j, characterize.TRIPLE_ROOT, False),
+        (18 * (2**29) ** 2, characterize.TRIPLE_ROOT, False),
+        (2 * (2**30) ** 2, 2**61 % 24, True),
+        (MAX_INPUT, 8, True),
+    ):
+        assert characterize.cases(n - 1, n + 2).tolist() == [(n - 1) % 24, case, (n + 1) % 24], n
+        assert characterize.cases(n, n + 1).tolist() == [case], n
+        assert predict_parity(n) is odd, n
+
+
+def test_cases_of_one_flag_window_stay_small():
+    # a window's cases are one uint8 per n; building them through int32 remainders peaked at 2.0 MiB
+    characterize.cases(10**6, 10**6 + 2**18)
+    tracemalloc.start()
+    try:
+        characterize.cases(10**6, 10**6 + 2**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20, peak
+
+
+# The odd set of every case, from the paper rather than from the table: a(2m)
+# is odd iff m = 0 or m = k^2 with 3 not | k; a(4m+1) and a(8m+3) are even at
+# m == 2 (mod 3), odd at m == 0 (mod 3) iff n is a square (4m+1) or 3 times a
+# square (8m+3), and odd at m == 1 (mod 3) iff n has one odd prime exponent,
+# that one == 1 (mod 4); 8m+7 is flagged even.
+ODD_SETS = {
+    **{r: 2 for r in range(0, 24, 2)},
+    1: 1, 13: 1, 5: "prime", 17: "prime", 9: "none", 21: "none",
+    3: 3, 11: "prime", 19: "none",
+    7: "none", 15: "none", 23: "none",
+    characterize.ZERO: "all", characterize.TRIPLE_ROOT: "none",
+}
+
+
+def test_each_case_has_the_odd_set_of_the_paper():
+    assert [odd_set for odd_set, *_ in characterize.CASES] == [ODD_SETS[case] for case in range(26)]
+    assert characterize._PRIME_RESIDUES == (5, 11, 17)
+    assert characterize.REASONS == tuple(reason for _, *pair in characterize.CASES for reason in pair)
 
 
 WHOLE = 1_953_126  # just past 5^9

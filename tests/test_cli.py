@@ -522,11 +522,12 @@ def test_census_and_verify_theorems_memory_envelope(monkeypatch, capsys):
 def test_density_refuses_an_unwritable_csv_before_computing(monkeypatch, capsys, tmp_path):
     for name in ("density_8m7", "sparse_odd_census"):
         monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
-    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+    # relative paths, shorter than the 40 characters an error line echoes
+    monkeypatch.chdir(tmp_path)
+    for target, reason in (("missing/x.csv", "No such file or directory"), (".", "Is a directory")):
         with pytest.raises(SystemExit) as exc:
-            main(["density", "even", "--limit", "1000", "--csv", str(target)])
+            main(["density", "even", "--limit", "1000", "--csv", target])
         assert exc.value.code == 2
-        reason = "No such file or directory" if target != tmp_path else "Is a directory"
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"oddmult: error: cannot write --csv {target}: {reason}"
         )
@@ -645,6 +646,35 @@ def test_integer_arguments_past_int_digit_limit_are_one_short_line(monkeypatch, 
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and len(errors[0]) <= 200, errors
         assert names in errors[0], errors
+
+
+def test_every_echo_of_a_long_argument_is_cut_to_40_characters(monkeypatch, capsys, tmp_path):
+    # argparse's own refusals echoed a 300-character argument whole, in lines of 340-430 characters
+    monkeypatch.setattr("oddmult.cli._cmd_density", no_series)
+    monkeypatch.chdir(tmp_path)
+    long, head = "x" * 300, "x" * 40 + "..."
+    for argv, line in (
+        ([long], f"oddmult: error: argument subcommand: invalid choice: '{head[1:]} "
+                 "(choose from 'a-value', 'a-parity', 'verify', 'congruences', 'density')"),
+        (["density", long], f"oddmult density: error: argument cls: invalid choice: '{head[1:]} "
+                            "(choose from 'even', '4m1', '8m3', '8m7', 'all')"),
+        (["verify", long], f"oddmult verify: error: argument suite: invalid choice: '{head[1:]} "
+                           "(choose from 'identities', 'theorems', 'congruences')"),
+        (["congruences", long], f"oddmult congruences: error: argument action: invalid choice: '{head[1:]} "
+                                "(choose from 'list')"),
+        (["a-value", "5", long], f"oddmult: error: unrecognized arguments: {head}"),
+        (["a-value", "5", "two\nlines"], "oddmult: error: unrecognized arguments: two\\nlines"),
+        (["density", "all", "--csv", f"{long}/a.csv"],
+         f"oddmult: error: cannot write --csv {head}: {os.strerror(errno.ENAMETOOLONG)}"),
+        # short echoes are whole, as before
+        (["density", "bogus-class"], "oddmult density: error: argument cls: invalid choice: 'bogus-class' "
+                                     "(choose from 'even', '4m1', '8m3', '8m7', 'all')"),
+        (["verify", "theorems", "--threads", "2"], "oddmult: error: unrecognized arguments: --threads 2"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv[:1]
+        assert capsys.readouterr().err.split("\n")[-2:] == [line, ""], argv[:1]
 
 
 def test_congruences_prime_cap_is_one_line(monkeypatch, capsys):

@@ -337,7 +337,7 @@ def test_mul_dilated_matches_product_with_dilated_copy(s, n):
         assert got == dense.mul_dilated(exponents + [n, n + s + 1], s, n), (name, s, n)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_factor_one_is_the_plain_product_without_a_scatter(data):
     # lengths 0, 1 and 63 mod 64, operands longer than the product, exponents
@@ -369,7 +369,7 @@ def scatter_reference(words, factor, offset, out):
 
 
 @pytest.mark.parametrize("factor, offset", [(f, j) for f in range(1, 10) for j in range(f)])
-@settings(max_examples=12, deadline=None, derandomize=True)
+@settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_scatter_matches_a_bit_by_bit_spread(factor, offset, data):
     # sources shorter and longer than the output's groups, output lengths
@@ -459,7 +459,7 @@ def per_degree_reference(dense, exponents, degrees):
     return out
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_sparse_product_at_matches_a_per_degree_sum(data):
     # unsorted and repeated degrees, exponents above the degrees, residues
@@ -490,7 +490,7 @@ def test_sparse_product_at_rejects_bad_degrees_and_exponents():
 
 
 @pytest.mark.parametrize("factor", [*range(1, 9), 12])
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_mul_dilated_at_is_the_sparse_read_of_the_product(factor, data):
     # random sparse factors with empty classes mod factor, rows of one to
@@ -639,7 +639,7 @@ def test_equality_and_hash():
 # -- algebraic laws ----------------------------------------------------------
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True)
+@settings(max_examples=1000, deadline=None)
 @given(st.data())
 def test_ring_axioms(data):
     n = data.draw(st.integers(1, 192))
@@ -652,7 +652,7 @@ def test_ring_axioms(data):
     assert times(a, b + c) == times(a, b) + times(a, c)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_square_is_self_product(data):
     n = data.draw(st.integers(1, 256))
@@ -661,7 +661,7 @@ def test_square_is_self_product(data):
     assert a.mul_dilated([0], 2, n) == times(a, a) == int_series(n, ref_dilate(bits, 2, n))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_inverse_round_trip(data):
     # the reference inverse, checked by the reference product and by the kernel

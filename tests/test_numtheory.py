@@ -13,7 +13,6 @@ from oddmult.numtheory import (
     factorize,
     is_prime,
     is_square,
-    is_three_times_square,
 )
 from oracles import divisor_classes_mod8, divisors, r2_bruteforce, r2_from_divisors, signed_reps_c2_plus_2d2
 
@@ -102,15 +101,6 @@ def test_is_square():
     assert not is_square(26)
     with pytest.raises(ValueError):
         is_square(-1)
-
-
-def test_is_three_times_square():
-    assert is_three_times_square(27)  # 3 * 3^2
-    assert is_three_times_square(75)  # 3 * 5^2
-    assert not is_three_times_square(51)  # 3 * 17
-    assert not is_three_times_square(25)
-    with pytest.raises(ValueError):
-        is_three_times_square(-3)
 
 
 # -- the test oracles of tests/oracles.py -------------------------------------

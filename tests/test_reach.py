@@ -23,7 +23,9 @@ from oddmult.cli import build_parser
 
 PACKAGE = pathlib.Path(oddmult.__file__).resolve().parent
 
-# 0, 2, 9, 17, 25, 27, 7 and 450 = 18 * 5^2 take each branch of predict_parity
+# a single a-parity n for each kind of odd set that predict_parity reads from
+# its case's row: all (0), 2k^2 (2), none (9, 7 and 450 = 18 * 5^2, the last
+# the case TRIPLE_ROOT), prime (17), k^2 (25) and 3k^2 (27)
 RUNS = [
     ["a-value", "100"],
     *(["a-parity", str(n)] for n in (0, 2, 9, 17, 25, 27, 7, 450)),
