@@ -80,7 +80,9 @@ def _cmd_parity(args) -> int:
         keys = cases(start, stop) * np.uint8(4)
         keys += flags * np.uint8(2)
         keys += series.to_bit_array(start, stop)
-        sys.stdout.writelines(map(str.format, map(_FORMATS.__getitem__, keys.tolist()), range(start, stop)))
+        for i in range(0, len(keys), 1 << 15):  # in parts: no list of a whole window's keys is held
+            formats = map(_FORMATS.__getitem__, keys[i : i + (1 << 15)].tolist())
+            sys.stdout.writelines(map(str.format, formats, range(start + i, stop)))
         ok = ok and bool(_AGREES[keys].all())
     return 0 if ok else 1
 
@@ -130,12 +132,11 @@ def _verify_congruences(limit: int) -> int:
     failures = 0
     for family in all_families():
         result = verify_family(family, limit, parity)
-        origin = f" (p={family.p}, r={family.r})" if family.p is not None else ""
         if result.ok:
-            print(f"ok   {family.label} == 0 (mod 2){origin}: {result.checked} indices below {limit}")
+            print(f"ok   {family.label} == 0 (mod 2){family.origin}: {result.checked} indices below {limit}")
         else:
             failures += 1
-            print(f"FAIL {family.label}{origin}: a({result.counterexample}) is odd")
+            print(f"FAIL {family.label}{family.origin}: a({result.counterexample}) is odd")
     return failures
 
 
@@ -162,8 +163,7 @@ def _cmd_congruences(args) -> int:
     else:
         families = all_families()
     for family in families:
-        origin = f" (p={family.p}, r={family.r})" if family.p is not None else ""
-        print(f"{family.label} == 0 (mod 2){origin}  [{family.source}]")
+        print(f"{family.label} == 0 (mod 2){family.origin}  [{family.source}]")
     return 0
 
 
@@ -240,12 +240,30 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser (and so its subparsers'), its _check_value echoing an invalid choice's head."""
+    """argparse's parser (and so its subparsers'), echoing only the head of
+    an invalid choice, an ambiguous option or an ignored explicit argument."""
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
             choices = ", ".join(map(repr, action.choices))
             raise argparse.ArgumentError(action, f"invalid choice: {_head(repr(value))} (choose from {choices})")
+
+    def _get_option_tuples(self, option_string):
+        # refused here, before argparse's own refusal echoes all of option_string
+        matches = super()._get_option_tuples(option_string)
+        if len(matches) > 1:
+            options = ", ".join(match[1] for match in matches)
+            self.error(f"ambiguous option: {_head(option_string)} could match {options}")
+        return matches
+
+    def _parse_known_args(self, *args):
+        try:
+            return super()._parse_known_args(*args)
+        except argparse.ArgumentError as exc:
+            echo = exc.message.removeprefix("ignored explicit argument ")
+            if echo != exc.message:
+                exc.message = f"ignored explicit argument {_head(echo)}"
+            raise
 
 
 @functools.cache

@@ -44,6 +44,11 @@ class CongruenceFamily:
     def label(self) -> str:
         return f"a({self.modulus}n+{self.residue})"
 
+    @property
+    def origin(self) -> str:
+        """' (p=..., r=...)' after the congruence of a family made from a prime, '' for a fixed one."""
+        return f" (p={self.p}, r={self.r})" if self.p is not None else ""
+
 
 @dataclass(frozen=True)
 class FamilyVerification:

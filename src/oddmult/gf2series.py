@@ -5,17 +5,18 @@ read-only array of little-endian uint64 words whose bit k (bit k & 63 of
 word k >> 6) is the coefficient of q^k; every bit at or above trunc_len is
 zero. Every operation works on these words: addition is one XOR, and
 every product is mul_dilated, a sparse factor F = sum_e q^e, given by its
-exponents, times f(q^d). At d = 1 it multiplies f by one bit-shifted copy
-of f per residue e mod 8, XORed in place at byte offset e // 8. At d > 1
-it does the same one residue class of F's exponents mod d at a time
-against the undilated f, and scatters each of these class rows into one
-output through a table of the 256 byte values spread by d, one gather per
-chunk of source bytes. A few coefficients of a sparse F times f can be
-read without forming the product (sparse_product_at), and so can those of
-a sparse G times F * f(q^d): each class row is read at the degrees it
-reaches and dropped before the next is built (mul_dilated_at), so nothing
-longer than N/d bits is held. No product of two dense series is ever
-formed, and odd_count unpacks a series' bits a chunk at a time.
+exponents, times f(q^d). At d = 1 it XORs f into one accumulator in place
+at byte offset e // 8, by Horner's rule over the residues e mod 8, and
+moves the accumulator up in place between them. At d > 1 it does the same
+one residue class of F's exponents mod d at a time against the undilated
+f, and scatters each of these class rows into one output through a table
+of the 256 byte values spread by d, one gather per chunk of source bytes.
+A few coefficients of a sparse F times f can be read without forming the
+product (sparse_product_at), and so can those of a sparse G times
+F * f(q^d): each class row is read at the degrees it reaches and dropped
+before the next is built (mul_dilated_at), so nothing longer than N/d bits
+is held. No product of two dense series is ever formed, and odd_count
+unpacks a series' bits a chunk at a time.
 
 Series objects are immutable: every operation returns a fresh value, and
 the word arrays are read-only, so instances can be shared freely, across
@@ -35,7 +36,8 @@ _BYTES = np.arange(256, dtype=np.uint8)
 
 # Bytes gathered per chunk, by _sparse_gather (whose int32 byte indices take
 # four times as much) and by _scatter (whose output takes factor times as
-# much); odd_count unpacks 8 * _GATHER bits at a time.
+# much); odd_count unpacks 8 * _GATHER bits at a time, and _mul_words moves
+# its accumulator up _GATHER words at a time.
 _GATHER = 1 << 14
 
 
@@ -60,32 +62,29 @@ def _nwords(trunc_len: int) -> int:
 def _mul_words(exponents: np.ndarray, dense: np.ndarray) -> np.ndarray:
     """Carryless product of sum_e q^e and the words dense, cut to their length.
 
-    One bit-shifted copy of dense is built per residue e % 8 of the
-    non-negative exponents, at most eight; every e then costs one in-place
-    XOR of that copy, moved by e // 8 whole bytes, into a byte view of the
-    accumulator, which is returned. Exponents past the last byte add nothing.
+    Horner's rule over the residues r = e % 8, highest first: each e of
+    residue r XORs dense's bytes in place, e // 8 bytes up, into a byte view
+    of the accumulator, which then moves up in place by the gap to the next
+    residue present, or to 0. So the returned accumulator is the one buffer
+    as long as dense. Exponents past its last byte add nothing.
     """
     nbytes = 8 * len(dense)
     exponents = exponents[exponents < 8 * nbytes]
     acc = np.zeros(len(dense), dtype="<u8")
-    out = acc.view(np.uint8)
-    shifted = np.empty_like(acc)
-    # Held for the whole loop, like shifted: a series-sized temporary freed
-    # per residue lets the allocator keep that much more resident.
-    carry = np.empty(len(dense) - 1, dtype="<u8")
-    for r in range(8):
-        offsets = (exponents[(exponents & 7) == r] >> 3).tolist()
-        if not offsets:
-            continue
-        if r:
-            np.left_shift(dense, r, out=shifted)
-            np.right_shift(dense[:-1], 64 - r, out=carry)
-            shifted[1:] |= carry
-            source = shifted.view(np.uint8)
-        else:
-            source = dense.view(np.uint8)
-        for b in offsets:
+    out, source = acc.view(np.uint8), dense.view(np.uint8)
+    offsets = [(exponents[(exponents & 7) == r] >> 3).tolist() for r in range(8)]
+    residues = [r for r in range(7, -1, -1) if offsets[r]]
+    for r, below in zip(residues, residues[1:] + [0]):
+        for b in offsets[r]:
             out[b:] ^= source[: nbytes - b]
+        if r > below:  # acc <<= r - below, top chunk first: each spill is read before its word moves
+            gap = np.uint64(r - below)
+            for hi in range(len(acc), 1, -_GATHER):
+                lo = max(hi - _GATHER, 1)
+                spill = acc[lo - 1 : hi - 1] >> (64 - gap)
+                acc[lo:hi] <<= gap
+                acc[lo:hi] |= spill
+            acc[0] <<= gap
     return acc
 
 

@@ -666,7 +666,12 @@ def test_every_echo_of_a_long_argument_is_cut_to_40_characters(monkeypatch, caps
         (["a-value", "5", "two\nlines"], "oddmult: error: unrecognized arguments: two\\nlines"),
         (["density", "all", "--csv", f"{long}/a.csv"],
          f"oddmult: error: cannot write --csv {head}: {os.strerror(errno.ENAMETOOLONG)}"),
+        (["density", "all", f"--={long}"],
+         f"oddmult density: error: ambiguous option: --={head[3:]} could match --help, --limit, --csv"),
+        ([f"--help={long}"], f"oddmult: error: argument -h/--help: ignored explicit argument '{head[1:]}"),
         # short echoes are whole, as before
+        (["density", "all", "--=5"], "oddmult density: error: ambiguous option: --=5 could match --help, --limit, --csv"),
+        (["--help=5"], "oddmult: error: argument -h/--help: ignored explicit argument '5'"),
         (["density", "bogus-class"], "oddmult density: error: argument cls: invalid choice: 'bogus-class' "
                                      "(choose from 'even', '4m1', '8m3', '8m7', 'all')"),
         (["verify", "theorems", "--threads", "2"], "oddmult: error: unrecognized arguments: --threads 2"),

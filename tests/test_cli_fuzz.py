@@ -1,9 +1,11 @@
 """A grammar-driven fuzz of the command line: every argv is answered, or refused in one short line.
 
 hypothesis draws argv from the grammar of `oddmult`: each subcommand with its
-positionals and options, where any slot may hold a wrong word; integers that
-are small, huge, signed, zero-padded or not ASCII digits; ranges; and --csv
-paths that are writable, in a missing directory, a directory, or too long.
+positionals and options, where any slot may hold a wrong word; an option's
+value in the next word or joined to it by `=`, and `--=…` and `--help=…`;
+integers that are small, huge, signed, zero-padded or not ASCII digits;
+ranges; and --csv paths that are writable, in a missing directory, a
+directory, or too long.
 Each argv runs through cli.main in process, twice. Sizes stay small (no
 integer between 3000 and 10^7), so every answered argv takes milliseconds.
 An unwritable stdout and /dev/full are left to the subprocess tests of
@@ -59,10 +61,14 @@ def argvs(draw):
     words = [sub]
     if sub in positionals:
         words += draw(st.lists(positionals[sub] | junk, max_size=2))
-        for name in draw(st.lists(st.sampled_from([*options[sub], "--threads", "-h"]), max_size=3)):
-            words.append(name)
-            if name in options[sub]:
-                words.append(draw(options[sub][name] | junk))
+        for name in draw(st.lists(st.sampled_from([*options[sub], "--threads", "-h", "--", "--help"]), max_size=3)):
+            if name in ("--", "--help"):  # drawn joined only: `--=…` and `--help=…`
+                words.append(f"{name}={draw(junk)}")
+            elif name in options[sub]:
+                value = draw(options[sub][name] | junk)
+                words += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+            else:
+                words.append(name)
     return [sub, *draw(st.permutations(words[1:]) | st.just(words[1:]))]
 
 
@@ -92,6 +98,9 @@ def root(tmp_path_factory):
 @example(argv=["a-parity", "9" * 5000])
 @example(argv=["a-value", "5", "two\nlines"])
 @example(argv=["density", "all", "--limit", "10", "--csv", "{root}/two\nlines/out.csv"])
+@example(argv=["density", "all", f"--={LONG}"])
+@example(argv=[f"--help={LONG}"])
+@example(argv=["density", "all", "--limit=10", "--csv={root}/out.csv"])
 @given(argv=argvs())
 def test_every_argv_is_answered_or_refused_in_one_short_line(root, argv):
     argv = [word.replace("{root}", root) for word in argv]

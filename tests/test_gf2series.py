@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,40 @@ def test_mul_word_path_many_exponents_in_one_word(n):
     dense = rng.getrandbits(n)
     expected = ref_mul(sparse, dense, n)
     assert int_series(n, dense).mul_dilated(set_bits(sparse), 1, n) == int_series(n, expected)
+
+
+# the residues mod 8 of a sparse factor's exponents: by Horner's rule the
+# accumulator moves up once per gap between the residues present, and to 0
+RESIDUE_PATTERNS = {"none": (), "0": (0,), "7": (7,), "0 and 7": (0, 7), "all": tuple(range(8))}
+
+
+@pytest.mark.parametrize("pattern", RESIDUE_PATTERNS)
+@pytest.mark.parametrize("gather, nwords", [(1, 14), (5, 14), (5, 15), (1 << 14, 2 * (1 << 14) + 3)])
+def test_mul_word_path_shifts_in_place_across_chunk_edges(monkeypatch, pattern, gather, nwords):
+    # the accumulator moves up a chunk of _GATHER words at a time, top chunk
+    # first, so bits cross from each chunk's lowest word into the chunk above
+    monkeypatch.setattr(gf2series, "_GATHER", gather)
+    n = 64 * nwords - 3
+    rng = random.Random(f"{pattern} {gather} {nwords}")
+    offsets = [0, 1, 8, n // 8 - 1, *rng.sample(range(n // 8), 4)]  # e // 8, up to the last whole byte
+    exponents = sorted({8 * b + r for r in RESIDUE_PATTERNS[pattern] for b in offsets})
+    dense = rng.getrandbits(n) | 1 << 63 | 1 << (64 * gather - 1)  # bits that spill into the next word and chunk
+    expected = int_series(n, ref_mul(bits_of(exponents), dense, n))
+    assert int_series(n, dense).mul_dilated(exponents, 1, n) == expected, exponents
+
+
+def test_mul_word_path_holds_one_buffer_as_long_as_its_operand():
+    dense = np.random.default_rng(17).integers(0, 2**64, 1 << 17, dtype="<u8", endpoint=False)
+    exponents = np.array([8 * 4099 * k + k % 8 for k in range(64)])  # every residue, so every shift runs
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        product = gf2series._mul_words(exponents, dense)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product.nbytes == dense.nbytes
+    assert peak <= 1.5 * dense.nbytes, peak / dense.nbytes
 
 
 def test_inverse_through_word_path():
