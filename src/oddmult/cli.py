@@ -131,7 +131,7 @@ def _verify_congruences(limit: int) -> int:
     parity = a_parity_series(limit)
     failures = 0
     for family in all_families():
-        result = verify_family(family, limit, parity)
+        result = verify_family(family, parity)
         if result.ok:
             print(f"ok   {family.label} == 0 (mod 2){family.origin}: {result.checked} indices below {limit}")
         else:

@@ -118,19 +118,15 @@ def all_families() -> list[CongruenceFamily]:
     return out
 
 
-def verify_family(family: CongruenceFamily, bound: int, parity: Gf2Series) -> FamilyVerification:
-    """Check a(An+B) even for every An+B < bound against the parity series.
+def verify_family(family: CongruenceFamily, parity: Gf2Series) -> FamilyVerification:
+    """Check a(An+B) even for every An+B < parity.trunc_len against the parity series.
 
-    A counterexample is reported, not raised. The parity series (trunc_len
-    >= bound) is passed in so that one build serves many families.
+    A counterexample is reported, not raised. The parity series is passed
+    in so that one build serves many families.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if parity.trunc_len < bound:
-        raise ValueError("parity series shorter than requested bound")
-    if family.residue >= bound:
+    if family.residue >= parity.trunc_len:
         return FamilyVerification(0, None)
-    members = parity.truncate(bound).extract(family.modulus, family.residue)
+    members = parity.extract(family.modulus, family.residue)
     odd = members.support()
     if odd:
         return FamilyVerification(odd[0], family.modulus * odd[0] + family.residue)

@@ -96,7 +96,7 @@ def density_8m7(limit_m: int) -> DensityReport:
         odd = series.odd_count(upto=x)
         marks.append(DensityCheckpoint(x, odd, odd / x))
 
-    mismatches = np.flatnonzero(series.sparse_product_at([0], sample) != extracted)
+    mismatches = np.flatnonzero(series.mul_dilated_at([0], 1, [0], sample) != extracted)
     mismatch = degrees[mismatches[0]] if mismatches.size else None
     return DensityReport("8m+7", tuple(marks), mismatch, len(sample))
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -249,15 +249,17 @@ IDENTITIES: list[tuple[str, dict[int, int], dict[int, int], dict[int, int]]] = [
 ]
 
 
-def identity_suite(trunc_len: int) -> list[tuple[str, Gf2Series, Gf2Series]]:
-    """The identities as (name, lhs, rhs), each exact mod 2: the rows of
-    IDENTITIES, with f_3^3/f_1 against its explicit support third."""
+def identity_suite(trunc_len: int) -> Iterator[tuple[str, Gf2Series, Gf2Series]]:
+    """The identities as (name, lhs, rhs), each exact mod 2, built one at a
+    time: the rows of IDENTITIES, with f_3^3/f_1 against its explicit
+    support third."""
 
     def ev(factors: dict[int, int]) -> Gf2Series:
         return EtaQuotient.of(factors).eval(trunc_len)
 
-    suite = [(name, ev(lhs), ev(rhs) + ev(q).mul_dilated([1], 1, trunc_len)) for name, lhs, rhs, q in IDENTITIES]
-    # the support k(3k-2), k in Z, of f_3^3 / f_1 is the (j^2 - 1) / 3 with 3 not | j: 3k(3k-2) + 1 = (3k-1)^2
-    eq33_support = [(j * j - 1) // 3 for j in range(1, isqrt(3 * trunc_len) + 1) if j % 3]
-    suite.insert(2, ("f3^3/f1 = sum_k q^(k(3k-2))", ev({3: 3, 1: -1}), Gf2Series.from_support(eq33_support, trunc_len)))
-    return suite
+    for i, (name, lhs, rhs, q) in enumerate(IDENTITIES):
+        if i == 2:
+            # the support k(3k-2), k in Z, of f_3^3 / f_1 is the (j^2 - 1) / 3 with 3 not | j: 3k(3k-2) + 1 = (3k-1)^2
+            eq33_support = [(j * j - 1) // 3 for j in range(1, isqrt(3 * trunc_len) + 1) if j % 3]
+            yield "f3^3/f1 = sum_k q^(k(3k-2))", ev({3: 3, 1: -1}), Gf2Series.from_support(eq33_support, trunc_len)
+        yield name, ev(lhs), ev(rhs) + ev(q).mul_dilated([1], 1, trunc_len)

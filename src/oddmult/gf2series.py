@@ -11,12 +11,12 @@ moves the accumulator up in place between them. At d > 1 it does the same
 one residue class of F's exponents mod d at a time against the undilated
 f, and scatters each of these class rows into one output through a table
 of the 256 byte values spread by d, one gather per chunk of source bytes.
-A few coefficients of a sparse F times f can be read without forming the
-product (sparse_product_at), and so can those of a sparse G times
-F * f(q^d): each class row is read at the degrees it reaches and dropped
-before the next is built (mul_dilated_at), so nothing longer than N/d bits
-is held. No product of two dense series is ever formed, and odd_count
-unpacks a series' bits a chunk at a time.
+A few coefficients of a sparse G times F * f(q^d) can be read without
+forming the product: each class row is read at the degrees it reaches and
+dropped before the next is built (mul_dilated_at), so nothing longer than
+N/d bits is held; at F = 1 and d = 1 that reads G * f. No product of two
+dense series is ever formed, and odd_count unpacks a series' bits a chunk
+at a time.
 
 Series objects are immutable: every operation returns a fresh value, and
 the word arrays are read-only, so instances can be shared freely, across
@@ -249,9 +249,9 @@ class Gf2Series:
 
     def mul_dilated_at(self, exponents: Iterable[int], factor: int, outer: Iterable[int], degrees: Iterable[int]) -> np.ndarray:
         """Coefficient n of (sum_o q^o) * (sum_e q^e) * f(q^factor) for each n
-        in degrees, as uint8 0/1: mul_dilated(exponents, factor, N)
-        .sparse_product_at(outer, degrees) at N = max(degrees) + 1, without
-        the product.
+        in degrees, as uint8 0/1, without the product: the one reader of a
+        product at given degrees, so mul_dilated_at([0], 1, outer, degrees)
+        reads (sum_o q^o) * f.
 
         Degree factor*m + j of the inner product is bit m of class row j
         (_class_rows), so coefficient n XORs bit (n - o - j) / factor of row
@@ -300,17 +300,6 @@ class Gf2Series:
             if len(part):
                 n = -(-(trunc_len - j) // factor)
                 yield j, _mul_words(part, self._words[: _nwords(n)])
-
-    def sparse_product_at(self, exponents: Iterable[int], degrees: Iterable[int]) -> np.ndarray:
-        """Coefficient n of (sum_e q^e) * self for each n in degrees, as uint8 0/1.
-
-        Only those coefficients are read (_sparse_gather).
-        """
-        support = _exponent_array(exponents)
-        degrees = np.asarray(degrees, dtype=np.int64)
-        if len(degrees) and not 0 <= degrees.min() <= degrees.max() < self.trunc_len:
-            raise ValueError(f"degrees must lie in 0..{self.trunc_len - 1}")
-        return _sparse_gather(self._words.view(np.uint8), support, degrees)
 
     def truncate(self, new_len: int) -> Gf2Series:
         if new_len > self.trunc_len:

@@ -164,7 +164,7 @@ def test_criterion_6_congruence_tables():
 
     parity = a_parity_series(100_000)
     failures = [
-        fam.label for fam in all_families() if not verify_family(fam, 100_000, parity).ok
+        fam.label for fam in all_families() if not verify_family(fam, parity).ok
     ]
 
     ok = table_ok and not failures

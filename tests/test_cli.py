@@ -519,6 +519,22 @@ def test_census_and_verify_theorems_memory_envelope(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("0 discrepancies\n")
 
 
+def test_verify_identities_memory_envelope(monkeypatch, capsys):
+    # the identities are built one at a time: holding all 16 of their sides
+    # at once peaked at 2.4 MB here, one identity's two sides at 1.4 MB
+    limit = 10**6
+    monkeypatch.setattr(oddmult.etaq, "_longest_parity", None)
+    a_parity_series(8 * limit)  # the series itself is outside the envelope
+    tracemalloc.start()
+    try:
+        assert cli._verify_identities(limit) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6e6, peak
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_density_refuses_an_unwritable_csv_before_computing(monkeypatch, capsys, tmp_path):
     for name in ("density_8m7", "sparse_odd_census"):
         monkeypatch.setattr(f"oddmult.cli.{name}", no_series)

@@ -91,24 +91,16 @@ def test_every_family_verifies_to_10k(parity_10k):
     # bound 100 lies below residues such as 219 of a(264n+219): nothing to check there
     for bound in (10_000, 100):
         for family in all_families():
-            result = verify_family(family, bound, parity_10k)
+            result = verify_family(family, parity_10k.truncate(bound))
             assert result.ok, family.label
             assert result.checked == len(range(family.residue, bound, family.modulus))
 
 
 def test_wrong_family_is_caught(parity_10k):
     bogus = CongruenceFamily(8, 7, "deliberately wrong: the open class")
-    result = verify_family(bogus, 1000, parity_10k.truncate(1000))
+    result = verify_family(bogus, parity_10k.truncate(1000))
     assert not result.ok
     assert result.counterexample == 7  # a(7) = 9 is odd
-
-
-def test_verify_family_argument_checks(parity_10k):
-    family = fixed_families()[0]
-    with pytest.raises(ValueError):
-        verify_family(family, 0, parity_10k)
-    with pytest.raises(ValueError, match="shorter"):
-        verify_family(family, 20_000, parity_10k)
 
 
 def test_verdicts_consistent_with_predicates(parity_10k):

@@ -456,6 +456,7 @@ def test_factor_one_product_drives_by_its_exponents():
 
 
 # -- coefficients of a sparse product, read without forming it ---------------
+# mul_dilated_at([0], 1, exponents, degrees) reads (sum_e q^e) * dense.
 
 
 def sampled_reference(dense, exponents, degrees):
@@ -479,11 +480,11 @@ def test_sparse_product_at_matches_the_product(monkeypatch, n, gather):
         "none": [],
     }
     for name, exponents in exponent_sets.items():
-        got = dense.sparse_product_at(exponents, degrees)
+        got = dense.mul_dilated_at([0], 1, exponents, degrees)
         assert got.dtype == np.uint8 and got.shape == (len(degrees),)
         assert np.array_equal(got, sampled_reference(dense, exponents, degrees)), (name, n)
-    assert dense.sparse_product_at([0], degrees).tolist() == [dense[d] for d in degrees]
-    assert dense.sparse_product_at([0, 1], []).shape == (0,)
+    assert dense.mul_dilated_at([0], 1, [0], degrees).tolist() == [dense[d] for d in degrees]
+    assert dense.mul_dilated_at([0], 1, [0, 1], []).shape == (0,)
 
 
 def per_degree_reference(dense, exponents, degrees):
@@ -508,17 +509,17 @@ def test_sparse_product_at_matches_a_per_degree_sum(data):
     gather = data.draw(st.sampled_from([1, 5, 1 << 14]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gf2series, "_GATHER", gather)
-        got = dense.sparse_product_at(exponents, degrees)
+        got = dense.mul_dilated_at([0], 1, exponents, degrees)
     assert got.tolist() == per_degree_reference(dense, exponents, degrees)
 
 
 def test_sparse_product_at_rejects_bad_degrees_and_exponents():
     dense = EtaQuotient.of({1: -1}).eval(100)
-    for degrees in ([100], [-1], [3, 100]):
-        with pytest.raises(ValueError, match="0..99"):
-            dense.sparse_product_at([0], degrees)
+    for degrees, reason in (([100], "cannot extend"), ([-1], "non-negative"), ([3, 100], "cannot extend")):
+        with pytest.raises(ValueError, match=reason):
+            dense.mul_dilated_at([0], 1, [0], degrees)
     with pytest.raises(ValueError, match="non-negative"):
-        dense.sparse_product_at([-1], [5])
+        dense.mul_dilated_at([0], 1, [-1], [5])
 
 
 # -- coefficients of a sparse times a dilated product, one class row at a time --
@@ -546,8 +547,8 @@ def test_mul_dilated_at_is_the_sparse_read_of_the_product(factor, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gf2series, "_GATHER", gather)
         got = dense.mul_dilated_at(inner, factor, outer, degrees)
-    want = dense.mul_dilated(inner, factor, max(degrees, default=0) + 1).sparse_product_at(outer, degrees)
-    assert got.dtype == np.uint8 and got.tolist() == want.tolist()
+    want = per_degree_reference(dense.mul_dilated(inner, factor, max(degrees, default=0) + 1), outer, degrees)
+    assert got.dtype == np.uint8 and got.tolist() == want
 
 
 def test_mul_dilated_at_rejects_what_mul_dilated_rejects():
