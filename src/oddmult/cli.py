@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from .characterize import REASONS, cases, odd_flag_windows, predict_parity
+from .characterize import REASONS
 from .congruence import all_families, generate_12p_family, generate_24p_family, verify_family
-from .density import density_8m7, predicate_mismatches, sparse_odd_census
+from .density import DISAGREES, density_8m7, parity_keys, sparse_odd_census
 from .numtheory import is_prime
 from .etaq import A_PARITY_QUOTIENT, DISSECTION_CLASSES, a_parity_series, identity_suite
 from .partition_oracle import RECOMMENDED_TABLE_LIMIT, build_table
@@ -50,40 +50,27 @@ def _cmd_value(args) -> int:
 _WORDS = ("even", "odd")
 
 
-def _line_format(key: int) -> tuple[str, bool]:
-    """The a-parity line of key = 4 * case + 2 * flag + bit, "{0}" standing
-    for n, and whether the flag and the series bit agree."""
+def _line_format(key: int) -> str:
+    """The a-parity line of key = 4 * case + 2 * flag + bit, "{0}" standing for n."""
     case, flag, bit = key >> 2, key >> 1 & 1, key & 1
     line = f"[{REASONS[key >> 1]}] series={_WORDS[bit]}"
     if case % 8 == 7:
-        return f"n={{0}}: unknown {line}\n", True
-    return f"n={{0}}: {_WORDS[flag]} {line} agree={'yes' if flag == bit else 'NO'}\n", flag == bit
+        return f"n={{0}}: unknown {line}\n"
+    return f"n={{0}}: {_WORDS[flag]} {line} agree={'NO' if DISAGREES[key] else 'yes'}\n"
 
 
-# The line format and agreement of every case, odd flag and series bit, at
-# index 4 * case + 2 * flag + bit.
-_FORMATS, _AGREES = zip(*map(_line_format, range(2 * len(REASONS))))
-_AGREES = np.array(_AGREES)
+# The line format of every key of parity_keys.
+_FORMATS = tuple(map(_line_format, range(len(DISAGREES))))
 
 
 def _cmd_parity(args) -> int:
     lo, hi = args.range
-    series = a_parity_series(hi + 1)
-    # one n is a one-entry window whose flag comes from predict_parity: a
-    # window of odd_flag_windows would first sieve every prime below n / 25
-    windows = [(lo, np.array([predict_parity(lo)]))] if lo == hi else odd_flag_windows(hi + 1, lo)
     ok = True
-    # one window at a time, its bits read straight from the series, so memory
-    # does not grow with the range
-    for start, flags in windows:
-        stop = start + len(flags)
-        keys = cases(start, stop) * np.uint8(4)
-        keys += flags * np.uint8(2)
-        keys += series.to_bit_array(start, stop)
-        for i in range(0, len(keys), 1 << 15):  # in parts: no list of a whole window's keys is held
-            formats = map(_FORMATS.__getitem__, keys[i : i + (1 << 15)].tolist())
-            sys.stdout.writelines(map(str.format, formats, range(start + i, stop)))
-        ok = ok and bool(_AGREES[keys].all())
+    # one part of keys at a time, so memory does not grow with the range
+    for start, keys in parity_keys(a_parity_series(hi + 1), lo, hi + 1):
+        formats = map(_FORMATS.__getitem__, keys.tolist())
+        sys.stdout.writelines(map(str.format, formats, range(start, start + len(keys))))
+        ok = ok and not DISAGREES[keys].any()
     return 0 if ok else 1
 
 
@@ -113,14 +100,12 @@ def _verify_identities(limit: int) -> int:
 
 
 def _verify_theorems(limit: int) -> int:
-    series = a_parity_series(limit)
     discrepancies = 0
-    for ns in predicate_mismatches(series, limit):
-        for n in ns.tolist():
-            # the flag, and so its reason, is the opposite of the series bit
-            bit = series[n]
-            reason = REASONS[2 * int(cases(n, n + 1)[0]) + 1 - bit]
-            print(f"FAIL n={n}: predicted {_WORDS[1 - bit]} via [{reason.format(n)}], series says {_WORDS[bit]}")
+    for start, keys in parity_keys(a_parity_series(limit), 0, limit):
+        for i in np.flatnonzero(DISAGREES[keys]).tolist():
+            n, key = start + i, int(keys[i])
+            print(f"FAIL n={n}: predicted {_WORDS[key >> 1 & 1]} via [{REASONS[key >> 1].format(n)}], "
+                  f"series says {_WORDS[key & 1]}")
             discrepancies += 1
     print(f"checked {limit - limit // 8} values below {limit} (class 8m+7 excluded): "
           f"{discrepancies} discrepancies")

@@ -3,15 +3,16 @@
 Two regimes coexist. In the three characterized classes (n even,
 n == 1 mod 4, n == 3 mod 8) odd values of a(n) thin out toward density
 zero; the census counts them in the GF(2) parity series and checks that
-series bit for bit against the arithmetic predicates, through the window
-walk `verify theorems` shares. In the leftover class n == 7 (mod 8) the
-conjectured picture is density 1/2; the experiment evaluates f_3^8 / f_1^3
-directly and reports the running density at logarithmically spaced
-checkpoints. Nothing here proves anything; the checks that matter are the
-exact cross-route agreements. Both read bits in bounded parts: counts go
-through odd_count, the census compares each flag window in eighths, and the
-8m+7 cross-check reads its sample from both routes without building
-either one's series to 8 * limit.
+series bit for bit against the arithmetic predicates, through the keys of
+case, flag and bit that parity_keys makes for `verify theorems` and
+`a-parity` too. In the leftover class n == 7 (mod 8) the conjectured
+picture is density 1/2; the experiment evaluates f_3^8 / f_1^3 directly and
+reports the running density at logarithmically spaced checkpoints. Nothing
+here proves anything; the checks that matter are the exact cross-route
+agreements. Both read bits in bounded parts: counts go through odd_count,
+parity_keys makes its keys in parts of at most 2^15 n, and the 8m+7
+cross-check reads its sample from both routes without building either
+one's series to 8 * limit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .characterize import FLAG_WINDOW, odd_flag_windows
+from .characterize import REASONS, cases, odd_flag_windows, predict_parity
 from .etaq import DISSECTION_CLASSES, a_parity_at, a_parity_series
 from .gf2series import Gf2Series
 
@@ -30,9 +31,10 @@ __all__ = [
     "DensityCheckpoint",
     "DensityReport",
     "CENSUS_CLASSES",
+    "DISAGREES",
     "checkpoints_upto",
     "density_8m7",
-    "predicate_mismatches",
+    "parity_keys",
     "sparse_odd_census",
 ]
 
@@ -101,24 +103,34 @@ def density_8m7(limit_m: int) -> DensityReport:
     return DensityReport("8m+7", tuple(marks), mismatch, len(sample))
 
 
-def predicate_mismatches(parity: Gf2Series, limit: int) -> Iterator[np.ndarray]:
-    """Per window of odd_flag_windows(limit), the n != 7 (mod 8), ascending,
-    whose odd flag differs from the bit of the parity series.
+# Whether the odd flag and the series bit disagree, at key 4 * case + 2 * flag
+# + bit: they differ, outside the uncharacterized class 8m+7.
+DISAGREES = np.array(
+    [flag != bit and case % 8 != 7 for case in range(len(REASONS) // 2) for flag in (0, 1) for bit in (0, 1)]
+)
 
-    Each window is compared in parts of FLAG_WINDOW // 8 flags, so the
-    unpacked bits take an eighth of the window's flags, and each window is
-    dropped before the next is built, so one is held at a time.
+
+def parity_keys(parity: Gf2Series, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, keys) for each part of at most 2^15 n of [lo, hi), in order:
+    keys[i] is 4 * case + 2 * flag + bit of n = start + i, as uint8, where
+    bit is coefficient n of the parity series.
+
+    One n takes its flag from predict_parity: a window of odd_flag_windows
+    would first sieve every prime below n / 25. Any other range walks those
+    windows, each dropped before the next is built, so one is held at a time.
     """
-    part = FLAG_WINDOW // 8
-    for lo, flags in odd_flag_windows(limit):
-        found = []
-        for at in range(lo, lo + len(flags), part):
-            mismatch = parity.to_bit_array(at, min(at + part, lo + len(flags)))
-            mismatch ^= flags[at - lo : at - lo + part]
-            mismatch[(7 - at) % 8 :: 8] = 0  # the uncharacterized class
-            found.append(at + np.flatnonzero(mismatch))
+    windows = [(lo, np.array([predict_parity(lo)]))] if hi == lo + 1 else odd_flag_windows(hi, lo)
+    for start, flags in windows:
+        stop = start + len(flags)
+        for at in range(start, stop, 1 << 15):
+            # in place; doubled by *=, since numpy 2.4 shifts uint8 about 8 times slower
+            keys = cases(at, min(at + (1 << 15), stop))
+            keys *= 2
+            keys |= flags[at - start : at - start + len(keys)]
+            keys *= 2
+            keys |= parity.to_bit_array(at, at + len(keys))
+            yield at, keys
         del flags  # before the next window is built
-        yield np.concatenate(found)
 
 
 def sparse_odd_census(limit_n: int) -> list[DensityReport]:
@@ -132,7 +144,8 @@ def sparse_odd_census(limit_n: int) -> list[DensityReport]:
         raise ValueError("limit_n must be >= 1")
     parity = a_parity_series(limit_n)
     first: dict[str, int] = {}
-    for ns in predicate_mismatches(parity, limit_n):
+    for start, keys in parity_keys(parity, 0, limit_n):
+        ns = start + np.flatnonzero(DISAGREES[keys])
         for tag, (step, offset) in CENSUS_CLASSES.items():
             hits = ns[ns % step == offset]
             if hits.size and tag not in first:

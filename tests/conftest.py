@@ -17,7 +17,6 @@ from math import isqrt
 import pytest
 from hypothesis import settings
 
-import oddmult.cli
 import oddmult.density
 from oddmult import Gf2Series, a_parity_series, build_table, odd_flag_windows, predict_parity
 
@@ -38,9 +37,9 @@ def parity_10k():
 
 @pytest.fixture
 def flip_flags(monkeypatch):
-    """flip_flags(*ns) makes the flag windows that the census, `verify
-    theorems` and `a-parity` ranges walk, and the odd flag of a single
-    `a-parity n`, give the wrong verdict at each n in ns."""
+    """flip_flags(*ns) makes the flag windows that parity_keys walks for the
+    census, `verify theorems` and `a-parity` ranges, and the odd flag it
+    takes for a single `a-parity n`, give the wrong verdict at each n in ns."""
 
     def flip(*ns):
         def flipped(limit, start=0):
@@ -51,8 +50,7 @@ def flip_flags(monkeypatch):
                 yield lo, flags
 
         monkeypatch.setattr(oddmult.density, "odd_flag_windows", flipped)
-        monkeypatch.setattr(oddmult.cli, "odd_flag_windows", flipped)
-        monkeypatch.setattr(oddmult.cli, "predict_parity", lambda n: predict_parity(n) != (n in ns))
+        monkeypatch.setattr(oddmult.density, "predict_parity", lambda n: predict_parity(n) != (n in ns))
 
     return flip
 

@@ -165,8 +165,8 @@ def test_verify_theorems_reports_each_discrepancy(flip_flags, capsys):
             "FAIL n=25: predicted even via [4m+1: m == 0 (mod 3), 25 not a square], series says odd",
             "checked 88 values below 100 (class 8m+7 excluded): 2 discrepancies",
         ],
-        # either side of 32768 = FLAG_WINDOW // 8, where a window's comparison
-        # goes on in its next part; 32767 is 7 (mod 8), where flags are not read
+        # either side of 32768 = 2^15, where parity_keys goes on in its next
+        # part of a window; 32767 is 7 (mod 8), where flags are not read
         (40_000, (32767, 32768, 32769)): [
             "FAIL n=32768: predicted even via [2m: m not a square], series says odd",
             "FAIL n=32769: predicted odd via [4m+1: m == 2 (mod 3) is always even, but 32769 is flagged odd], "
@@ -519,6 +519,23 @@ def test_census_and_verify_theorems_memory_envelope(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("0 discrepancies\n")
 
 
+def test_a_parity_range_memory_envelope(monkeypatch):
+    # keys are made one part of 2^15 n at a time: keys for a whole flag window
+    # of 2^18 n peaked at 1.32 MB here, parts at 0.84 MB. stdout is devnull,
+    # not capsys, which would hold the 78 MB of text.
+    monkeypatch.setattr(oddmult.etaq, "_longest_parity", None)
+    a_parity_series(10**6)  # the series itself is outside the envelope
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            assert main(["a-parity", "0..999999"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.0e6, peak
+
+
 def test_verify_identities_memory_envelope(monkeypatch, capsys):
     # the identities are built one at a time: holding all 16 of their sides
     # at once peaked at 2.4 MB here, one identity's two sides at 1.4 MB
@@ -567,8 +584,7 @@ def no_series(trunc_len):
 
 def test_usage_error_exit_code(monkeypatch):
     # a refused a-parity range or --limit must stop before any series or flag window is built
-    for name in ("a_parity_series", "odd_flag_windows", "predicate_mismatches", "identity_suite", "density_8m7",
-                 "sparse_odd_census"):
+    for name in ("a_parity_series", "parity_keys", "identity_suite", "density_8m7", "sparse_odd_census"):
         monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
     monkeypatch.setattr("oddmult.density.odd_flag_windows", no_series)
     for argv in (
@@ -597,7 +613,7 @@ def test_a_parity_refusal_is_one_line(monkeypatch, capsys):
 
 
 def test_limit_refusal_is_one_line(monkeypatch, capsys):
-    for name in ("a_parity_series", "predicate_mismatches", "identity_suite"):
+    for name in ("a_parity_series", "parity_keys", "identity_suite"):
         monkeypatch.setattr(f"oddmult.cli.{name}", no_series)
     monkeypatch.setattr("oddmult.density.odd_flag_windows", no_series)
     for argv in (["verify", "theorems", "--limit", "10000001"], ["verify", "identities", "--limit", str(10**10)]):

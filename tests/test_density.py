@@ -1,13 +1,16 @@
+import numpy as np
 import pytest
 
 from oddmult import characterize, etaq
-from oddmult.characterize import odd_flag_windows
+from oddmult.characterize import odd_flag_windows, predict_parity
 from oddmult.density import (
     CENSUS_CLASSES,
+    DISAGREES,
     DensityCheckpoint,
     DensityReport,
     checkpoints_upto,
     density_8m7,
+    parity_keys,
     sparse_odd_census,
 )
 from oddmult.etaq import DISSECTION_CLASSES, a_parity_series
@@ -85,6 +88,44 @@ def test_density_8m7_holds_no_series_past_twice_its_limit(monkeypatch, limit):
 def test_density_8m7_rejects_bad_limit():
     with pytest.raises(ValueError):
         density_8m7(0)
+
+
+def key_of(n, parity):
+    """4 * case + 2 * flag + bit of n, one n at a time."""
+    return 4 * int(characterize.cases(n, n + 1)[0]) + 2 * predict_parity(n) + parity[n]
+
+
+@pytest.mark.parametrize(
+    "width, lo, hi",
+    # windows of 7 and 1000 n; a window of 2^18 n whose second part starts
+    # at 1000 + 2^15
+    [(7, 157, 2100), (1000, 157, 2100), (1000, 32000, 34000), (characterize.FLAG_WINDOW, 1000, 40_000)],
+)
+def test_parity_keys_are_case_flag_and_bit(width, lo, hi, monkeypatch):
+    monkeypatch.setattr(characterize, "FLAG_WINDOW", width)
+    parity = a_parity_series(hi)
+    parts = list(parity_keys(parity, lo, hi))
+    assert [start for start, _ in parts] == list(range(lo, hi, min(width, 1 << 15)))
+    keys = np.concatenate([keys for _, keys in parts])
+    assert keys.dtype == np.uint8
+    assert keys.tolist() == [key_of(n, parity) for n in range(lo, hi)]
+
+
+def test_parity_keys_of_one_n_walk_no_window(monkeypatch):
+    # 0, the 18 j^2 450 and 1007 == 7 (mod 8) take their flags from predict_parity
+    monkeypatch.setattr("oddmult.density.odd_flag_windows", None)
+    parity = a_parity_series(2000)
+    for n in (0, 450, 1007):
+        [(start, keys)] = parity_keys(parity, n, n + 1)
+        assert (start, keys.tolist()) == (n, [key_of(n, parity)]), n
+
+
+def test_disagrees_marks_a_flag_unlike_its_bit_outside_8m7():
+    # the cases 7, 15 and 23 are the n == 7 (mod 8), whose flags mean nothing
+    expected = [
+        flag != bit and case not in (7, 15, 23) for case in range(26) for flag in (0, 1) for bit in (0, 1)
+    ]
+    assert DISAGREES.dtype == bool and DISAGREES.tolist() == expected
 
 
 def test_census_two_routes_agree_at_10k():

@@ -47,8 +47,7 @@ ALLOWED = {
     "numtheory._factor_into": "Pollard rho's recursion; kept or deleted with it",
     "numtheory.count_theta_pairs": "the O(sqrt n) second route of ROADMAP items 2 and 20, tested against the series",
     "gf2series.Gf2Series.__eq__": "a dunder method that tests compare series with",
-    "gf2series.Gf2Series.__getitem__": "a dunder method that tests read single bits with; "
-    "a command enters it only to print a verify theorems FAIL line",
+    "gf2series.Gf2Series.__getitem__": "a dunder method that tests read single bits with; no command reaches it",
 }
 
 # Runs in the fresh interpreter: argv[1] is the JSON list of runs. Prints the
