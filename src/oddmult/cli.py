@@ -17,7 +17,7 @@ import numpy as np
 
 from .characterize import REASONS
 from .congruence import all_families, generate_12p_family, generate_24p_family, verify_family
-from .density import DISAGREES, density_8m7, parity_keys, sparse_odd_census
+from .density import DISAGREES, density_8m7, key_counts, parity_keys, sparse_odd_census
 from .numtheory import is_prime
 from .etaq import A_PARITY_QUOTIENT, DISSECTION_CLASSES, a_parity_series, identity_suite
 from .partition_oracle import RECOMMENDED_TABLE_LIMIT, build_table
@@ -70,7 +70,7 @@ def _cmd_parity(args) -> int:
     for start, keys in parity_keys(a_parity_series(hi + 1), lo, hi + 1):
         formats = map(_FORMATS.__getitem__, keys.tolist())
         sys.stdout.writelines(map(str.format, formats, range(start, start + len(keys))))
-        ok = ok and not DISAGREES[keys].any()
+        ok = ok and not DISAGREES @ key_counts(keys)
     return 0 if ok else 1
 
 
@@ -102,7 +102,7 @@ def _verify_identities(limit: int) -> int:
 def _verify_theorems(limit: int) -> int:
     discrepancies = 0
     for start, keys in parity_keys(a_parity_series(limit), 0, limit):
-        for i in np.flatnonzero(DISAGREES[keys]).tolist():
+        for i in np.flatnonzero(DISAGREES[keys]).tolist() if DISAGREES @ key_counts(keys) else ():
             n, key = start + i, int(keys[i])
             print(f"FAIL n={n}: predicted {_WORDS[key >> 1 & 1]} via [{REASONS[key >> 1].format(n)}], "
                   f"series says {_WORDS[key & 1]}")

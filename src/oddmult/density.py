@@ -9,10 +9,10 @@ case, flag and bit that parity_keys makes for `verify theorems` and
 picture is density 1/2; the experiment evaluates f_3^8 / f_1^3 directly and
 reports the running density at logarithmically spaced checkpoints. Nothing
 here proves anything; the checks that matter are the exact cross-route
-agreements. Both read bits in bounded parts: counts go through odd_count,
-parity_keys makes its keys in parts of at most 2^15 n, and the 8m+7
-cross-check reads its sample from both routes without building either
-one's series to 8 * limit.
+agreements. Both read bits in bounded parts: the census counts the keys of
+each part of at most 2^15 n into one histogram, the source of all its counts,
+and the 8m+7 cross-check reads its sample from both routes without building
+either one's series to 8 * limit.
 """
 
 from __future__ import annotations
@@ -30,22 +30,16 @@ from .gf2series import Gf2Series
 __all__ = [
     "DensityCheckpoint",
     "DensityReport",
-    "CENSUS_CLASSES",
+    "CASE_CLASSES",
     "DISAGREES",
     "checkpoints_upto",
     "density_8m7",
+    "key_counts",
     "parity_keys",
     "sparse_odd_census",
 ]
 
 _SAMPLE_SEED = 0x0DD
-
-# class tag -> (step, offset): the class is n == offset (mod step)
-CENSUS_CLASSES = {
-    "even": (2, 0),
-    "4m+1": (4, 1),
-    "8m+3": (8, 3),
-}
 
 
 @dataclass(frozen=True)
@@ -93,21 +87,31 @@ def density_8m7(limit_m: int) -> DensityReport:
     degrees = [8 * m + 7 for m in sample]
     extracted = a_parity_at(degrees)
     series = DISSECTION_CLASSES["8m+7"][2].eval(limit_m)
-    marks = []
-    for x in checkpoints_upto(limit_m):
-        odd = series.odd_count(upto=x)
-        marks.append(DensityCheckpoint(x, odd, odd / x))
+    points = checkpoints_upto(limit_m)
+    odd = [series.odd_count(upto=x) for x in points]
+    marks = map(DensityCheckpoint, points, odd, [o / x for o, x in zip(odd, points)])
 
     mismatches = np.flatnonzero(series.mul_dilated_at([0], 1, [0], sample) != extracted)
     mismatch = degrees[mismatches[0]] if mismatches.size else None
     return DensityReport("8m+7", tuple(marks), mismatch, len(sample))
 
 
+# The class of n in each case: that of n mod 8, save ZERO and TRIPLE_ROOT, both even.
+CASE_CLASSES = np.array([("even", "4m+1", "even", "8m+3", "even", "4m+1", "even", "8m+7")[case % 8]
+                         if case < 24 else "even" for case in range(len(REASONS) // 2)])
+
 # Whether the odd flag and the series bit disagree, at key 4 * case + 2 * flag
 # + bit: they differ, outside the uncharacterized class 8m+7.
-DISAGREES = np.array(
-    [flag != bit and case % 8 != 7 for case in range(len(REASONS) // 2) for flag in (0, 1) for bit in (0, 1)]
-)
+DISAGREES = np.array([flag != bit and tag != "8m+7" for tag in CASE_CLASSES for flag in (0, 1) for bit in (0, 1)])
+
+
+def key_counts(keys: np.ndarray) -> np.ndarray:
+    """The number of keys of each value below len(DISAGREES), counted in slices
+    of 2^13: bincount casts what it counts to intp, 8 bytes a key."""
+    counts = np.zeros(len(DISAGREES), dtype=np.int64)
+    for at in range(0, len(keys), 1 << 13):
+        counts += np.bincount(keys[at : at + (1 << 13)], minlength=len(DISAGREES))
+    return counts
 
 
 def parity_keys(parity: Gf2Series, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -134,30 +138,27 @@ def parity_keys(parity: Gf2Series, lo: int, hi: int) -> Iterator[tuple[int, np.n
 
 
 def sparse_odd_census(limit_n: int) -> list[DensityReport]:
-    """Count odd a(n) in each characterized class for n < limit_n.
-
-    The counts decimate the parity series, which the predicates must match
-    at every n; each class keeps its first mismatch. Densities are odd
-    members over members scanned.
-    """
+    """Count odd a(n) in each characterized class for n < limit_n, in the
+    histogram of the keys of n below each checkpoint. The predicates must match
+    the series at every n; each class keeps its first mismatch. Densities are
+    odd members over members scanned."""
     if limit_n < 1:
         raise ValueError("limit_n must be >= 1")
-    parity = a_parity_series(limit_n)
-    first: dict[str, int] = {}
-    for start, keys in parity_keys(parity, 0, limit_n):
-        ns = start + np.flatnonzero(DISAGREES[keys])
-        for tag, (step, offset) in CENSUS_CLASSES.items():
-            hits = ns[ns % step == offset]
-            if hits.size and tag not in first:
-                first[tag] = int(hits[0])
+    points = checkpoints_upto(limit_n)
+    counts, at_points, first = np.zeros(len(DISAGREES), dtype=np.int64), [], {}
+    for start, keys in parity_keys(a_parity_series(limit_n), 0, limit_n):
+        # a checkpoint on the part's end is counted here, and not at the next part's start
+        at_points += [counts + key_counts(keys[: x - start]) for x in points if start < x <= start + len(keys)]
+        part = key_counts(keys)
+        counts += part
+        for i in np.flatnonzero(DISAGREES[keys]).tolist() if DISAGREES @ part else ():
+            first.setdefault(CASE_CLASSES[keys[i] >> 2], start + i)
 
+    by_case = np.array(at_points).reshape(len(points), -1, 4)  # checkpoint, case, 2 * flag + bit
     results = []
-    for tag, (step, offset) in CENSUS_CLASSES.items():
-        class_bits = parity.extract(step, offset) if limit_n > offset else None
-        marks = []
-        for x in checkpoints_upto(limit_n):
-            members = len(range(offset, x, step))
-            odd = class_bits.odd_count(upto=members) if members else 0
-            marks.append(DensityCheckpoint(x, odd, odd / (members or 1)))
+    for tag in ("even", "4m+1", "8m+3"):
+        members = by_case[:, CASE_CLASSES == tag].sum(axis=(1, 2)).tolist()
+        odd = by_case[:, CASE_CLASSES == tag, 1::2].sum(axis=(1, 2)).tolist()
+        marks = map(DensityCheckpoint, points, odd, [o / (m or 1) for o, m in zip(odd, members)])
         results.append(DensityReport(tag, tuple(marks), first.get(tag)))
     return results

@@ -425,6 +425,45 @@ def test_density_census_fails_on_mismatches_whose_counts_cancel(flip_flags, caps
     ]
 
 
+@pytest.mark.parametrize("width", [1000, characterize.FLAG_WINDOW])
+@pytest.mark.parametrize("limit", [8192, 32768, 32769, 65536, 100_000])
+def test_density_prints_one_line_per_class_and_checkpoint(capsys, monkeypatch, limit, width):
+    # windows of 1000 n end a part of keys at every decade: a checkpoint there
+    # is printed once, not again at the start of the next part
+    monkeypatch.setattr(characterize, "FLAG_WINDOW", width)
+    code, out = run_cli(capsys, "density", "all", "--limit", str(limit))
+    assert code == 0
+    bits = a_parity_series(limit).to_bit_array()
+    points = oddmult.density.checkpoints_upto(limit)
+    for tag, step, offset in (("even", 2, 0), ("4m+1", 4, 1), ("8m+3", 8, 3)):
+        odd = [int(bits[offset:x:step].sum()) for x in points]
+        expected = [
+            f"class {tag}: X={x} odd={o} density={o / len(range(offset, x, step)):.9f}" for x, o in zip(points, odd)
+        ]
+        assert [line for line in out.splitlines() if line.startswith(f"class {tag}: X=")] == expected, tag
+
+
+def test_flipped_flag_past_the_first_part(flip_flags, capsys):
+    # 40961 == 1 (mod 4) lies past the first part of 2^15 keys and the first
+    # slice of 2^13; a flipped flag at 40967 == 7 (mod 8) means nothing
+    limit = 50_000
+    clean = {r.class_tag: r.checkpoints for r in sparse_odd_census(limit)}
+    flip_flags(40961, 40967)
+    census = sparse_odd_census(limit)
+    assert {r.class_tag: r.mismatch for r in census} == {"even": None, "4m+1": 40961, "8m+3": None}
+    assert {r.class_tag: r.checkpoints for r in census} == clean
+    code, out = run_cli(capsys, "a-parity", "40000..41000")
+    assert code == 1
+    assert [line.split(":")[0] for line in out.splitlines() if "agree=NO" in line] == ["n=40961"]
+    assert "n=40967: unknown " in out
+    code, out = run_cli(capsys, "verify", "theorems", "--limit", str(limit))
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL n=40961: predicted even via [4m+1: m == 1 (mod 3), exponent pattern fails], series says odd",
+        "FAIL (1 discrepancies)",
+    ]
+
+
 def test_density_census_fail_still_writes_every_block(flip_flags, capsys, tmp_path):
     # a census mismatch fails the run but keeps the report: every class is
     # printed and written, in the order even, 4m+1, 8m+3, 8m+7

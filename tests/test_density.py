@@ -1,21 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oddmult import characterize, etaq
 from oddmult.characterize import odd_flag_windows, predict_parity
 from oddmult.density import (
-    CENSUS_CLASSES,
+    CASE_CLASSES,
     DISAGREES,
     DensityCheckpoint,
     DensityReport,
     checkpoints_upto,
     density_8m7,
+    key_counts,
     parity_keys,
     sparse_odd_census,
 )
 from oddmult.etaq import DISSECTION_CLASSES, a_parity_series
 from oddmult.gf2series import Gf2Series
 from oddmult.partition_oracle import build_table
+
+# class tag -> (step, offset): the class is n == offset (mod step), written out
+# here so that the census is checked against the residues, not its own table
+CLASSES = {"even": (2, 0), "4m+1": (4, 1), "8m+3": (8, 3)}
 
 
 def test_checkpoints_upto():
@@ -128,12 +135,43 @@ def test_disagrees_marks_a_flag_unlike_its_bit_outside_8m7():
     assert DISAGREES.dtype == bool and DISAGREES.tolist() == expected
 
 
+def test_case_classes_are_the_classes_of_n():
+    # every residue mod 24, and the cases ZERO (n = 0) and TRIPLE_ROOT (n = 18 j^2)
+    ns = range(2000)
+    tags = CASE_CLASSES[characterize.cases(0, 2000)].tolist()
+    expected = [next((t for t, (step, offset) in CLASSES.items() if n % step == offset), "8m+7") for n in ns]
+    assert tags == expected
+    assert set(characterize.cases(0, 2000).tolist()) == set(range(26))
+
+
+def test_key_counts_is_the_histogram_of_the_keys():
+    keys = np.concatenate([keys for _, keys in parity_keys(a_parity_series(50_000), 0, 50_000)])
+    for part in (keys[:1], keys[:8192], keys[:8193], keys[: 1 << 15], keys):
+        counts = key_counts(part)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == np.bincount(part, minlength=len(DISAGREES)).tolist()
+
+
+def test_key_counts_casts_a_slice_at_a_time():
+    # bincount casts the uint8 keys to intp: 263 KB traced on a whole part of
+    # 2^15 keys, about 68 KB on slices of 2^13
+    [(_, keys)] = [part for part in parity_keys(a_parity_series(1 << 15), 0, 1 << 15)]
+    assert len(keys) == 1 << 15
+    tracemalloc.start()
+    try:
+        key_counts(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100_000, peak
+
+
 def test_census_two_routes_agree_at_10k():
     flags = [bool(f) for _, window in odd_flag_windows(10_000) for f in window]
     for result in sparse_odd_census(10_000):
         assert isinstance(result, DensityReport) and result.cross_checked == 0, result
         assert result.mismatch is None, result.class_tag
-        step, offset = CENSUS_CLASSES[result.class_tag]
+        step, offset = CLASSES[result.class_tag]
         pred = [sum(flags[offset:c.x:step]) for c in result.checkpoints]
         ser = [c.odd_count for c in result.checkpoints]
         assert pred == ser
@@ -150,7 +188,7 @@ def test_census_keeps_the_first_mismatch_of_each_class(width, flip_flags, monkey
     assert {tag: r.mismatch for tag, r in census.items()} == {"even": 4, "4m+1": 5, "8m+3": 11}
     # the counts come from the series alone: the flips at 4 and 100 would add 2
     parity = a_parity_series(2000)
-    for tag, (step, offset) in CENSUS_CLASSES.items():
+    for tag, (step, offset) in CLASSES.items():
         manual = sum(parity[n] for n in range(offset, 2000, step))
         assert census[tag].checkpoints[-1].odd_count == manual
 
@@ -174,9 +212,36 @@ def test_census_density_decreases_by_decade():
 def test_census_matches_parity_series_directly():
     parity = a_parity_series(4000)
     census = {r.class_tag: r for r in sparse_odd_census(4000)}
-    for tag, (step, offset) in CENSUS_CLASSES.items():
+    for tag, (step, offset) in CLASSES.items():
         manual = sum(parity[n] for n in range(offset, 4000, step))
         assert census[tag].checkpoints[-1].odd_count == manual
+
+
+@pytest.mark.parametrize("width", [1000, characterize.FLAG_WINDOW])
+@pytest.mark.parametrize("limit", [8192, 32768, 32769, 65536, 100_000])
+def test_census_counts_stop_at_each_checkpoint(limit, width, monkeypatch):
+    # limits at the end of a slice of key_counts, of a part of parity_keys,
+    # one past it, and between parts; windows of 1000 n end a part at every
+    # decade, which must be counted once, and not again at the next part
+    monkeypatch.setattr(characterize, "FLAG_WINDOW", width)
+    bits = a_parity_series(limit).to_bit_array()
+    census = {r.class_tag: r for r in sparse_odd_census(limit)}
+    assert list(census) == list(CLASSES)
+    for tag, (step, offset) in CLASSES.items():
+        expected = []
+        for x in checkpoints_upto(limit):
+            odd = int(bits[offset:x:step].sum())
+            expected.append(DensityCheckpoint(x, odd, odd / len(range(offset, x, step))))
+        assert census[tag].checkpoints == tuple(expected), tag
+        assert census[tag].mismatch is None
+
+
+def test_census_never_extracts(monkeypatch):
+    def refuse(self, step, offset):
+        raise AssertionError(f"extract({step}, {offset})")
+
+    monkeypatch.setattr(Gf2Series, "extract", refuse)
+    assert [r.class_tag for r in sparse_odd_census(40_000)] == list(CLASSES)
 
 
 def test_census_rejects_bad_limit():
