@@ -4,11 +4,12 @@
 alone (squareness, or the shape of the prime factorization), with no series
 computation. `odd_flag_windows` gives the same flags for a whole range, one
 window at a time, by marking the odd sets directly, without factorizing
-anything. Each case of n, which `cases` alone gives, has one row of the table
-`CASES`: its odd set and its reasons for an even and an odd flag. The reason
-names the branch, so a failed comparison against the series names the branch
-that lied. The class n == 7 (mod 8) has no characterization: its flag is
-meaningless.
+anything: its square branches are the c k^2 whose case has odd set c. Each
+case of n, which `cases` alone gives, has one row of the table `CASES`: its
+odd set and its reasons for an even and an odd flag, and one entry of
+`CASE_CLASSES`, its class. The reason names the branch, so a failed
+comparison against the series names the branch that lied. The class
+n == 7 (mod 8) has no characterization: its flag is meaningless.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .numtheory import MAX_INPUT, _sieve, factorize, is_square
 
 __all__ = [
     "predict_parity",
+    "CASE_CLASSES",
     "REASONS",
     "cases",
     "odd_flag_windows",
@@ -33,6 +35,9 @@ __all__ = [
 # the class of n and, in the odd classes, m mod 3. Neither extra case is
 # 7 (mod 8), so a case is 7 (mod 8) exactly when its n is.
 ZERO, TRIPLE_ROOT = 24, 25
+
+# The class of n in each case: that of n mod 8, save ZERO and TRIPLE_ROOT, both even.
+CASE_CLASSES = np.array(("even", "4m+1", "even", "8m+3", "even", "4m+1", "even", "8m+7") * 3 + ("even",) * 2)
 
 
 def _odd_class(tag: str, c: int, square_desc: str) -> list[tuple]:
@@ -54,12 +59,12 @@ def _fixed(reason: str, odd: bool) -> tuple:
 def _case_table() -> tuple[tuple, ...]:
     four, eight = _odd_class("4m+1", 1, "a square"), _odd_class("8m+3", 3, "3 times a square")
     rows = []
-    for r in range(24):
-        if r % 2 == 0:
+    for r, tag in enumerate(CASE_CLASSES[:24].tolist()):
+        if tag == "even":
             rows.append((2, "2m: m not a square", "2m: m = k^2 with 3 not | k"))
-        elif r % 4 == 1:
+        elif tag == "4m+1":
             rows.append(four[(r - 1) // 4 % 3])
-        elif r % 8 == 3:
+        elif tag == "8m+3":
             rows.append(eight[(r - 3) // 8 % 3])
         else:
             rows.append(("none", *("8m+7: uncharacterized class",) * 2))
@@ -105,8 +110,8 @@ def predict_parity(n: int) -> bool:
 
 # Width of the windows odd_flag_windows yields. A window costs a few bytes per
 # entry, and its sieve loops once per prime up to sqrt(limit). On a 2-core
-# Xeon VM a walk to 10^7 took 0.03 s and peaked at 1.1 MB traced; 2^16 took
-# 2.7 times as long, and 2^20 peaked at 2.5 MB.
+# Xeon VM a walk to 10^7 took 0.02 s and peaked at 2.0 MB traced; 2^16 took
+# 2.4 times as long, and 2^20 peaked at 2.5 MB.
 FLAG_WINDOW = 1 << 18
 
 # The residues whose odd set is "prime". There 3 not | n and n is odd, so in
@@ -120,15 +125,15 @@ def odd_flag_windows(limit: int, start: int = 0) -> Iterator[tuple[int, np.ndarr
 
     flags is a bool array whose entry i is predict_parity(lo + i);
     entries at lo + i == 7 (mod 8) are meaningless. The odd sets are marked
-    directly: 2k^2 with k = 0 or 3 not | k; odd k^2 with 3 not | k (the
-    square branch of 4m+1); 3k^2 with k odd (that of 8m+3); and every
-    p^e * k^2 with p == 5, 11, 17 (mod 24), p not | k, k prime to 6 and
-    e == 1 (mod 4). Each window finds its own primes (k = 1, e = 1) by a
-    segmented sieve. Every other p^e * k^2 is p * K^2 with K = p^((e-1)/2) k
-    >= 5, and those are exactly the p * K^2 in which p divides K an even
-    number of times. They and the squares, about sqrt(limit) of them, are
-    all the other odd n below limit; each is listed once in one sorted
-    array from start on, which each window slices.
+    directly: for each int odd set c of CASES, read at the call, the c k^2
+    whose case has odd set c, or "all" (n = 0); and every p^e * k^2 with
+    p == 5, 11, 17 (mod 24), p not | k, k prime to 6 and e == 1 (mod 4).
+    Each window finds its own primes (k = 1, e = 1) by a segmented sieve.
+    Every other p^e * k^2 is p * K^2 with K = p^((e-1)/2) k >= 5, and those
+    are exactly the p * K^2 in which p divides K an even number of times.
+    They and the c k^2, about sqrt(limit) of them, are all the other odd n
+    below limit; all are listed in one sorted array from start on, which
+    each window slices.
     """
     if not 0 <= start < limit:
         raise ValueError("need 0 <= start < limit")
@@ -138,12 +143,12 @@ def odd_flag_windows(limit: int, start: int = 0) -> Iterator[tuple[int, np.ndarr
     primes = _sieve(top // 25)
     primes = primes[np.isin(primes % 24, _PRIME_RESIDUES)]
 
-    k = np.arange(isqrt(top // 2) + 1)
-    rest = [2 * k[(k == 0) | (k % 3 != 0)] ** 2]
-    k = np.arange(1, isqrt(top) + 1, 2)
-    rest.append(k[k % 3 != 0] ** 2)
-    k = np.arange(1, isqrt(top // 3) + 1, 2)
-    rest.append(3 * k**2)
+    # the c * k^2 whose case (from the value) has odd set c or "all" (n = 0); one 18 j^2 past top ends the search
+    rest, triple = [], 18 * np.arange(1, isqrt(top // 18) + 2) ** 2
+    for c in {odd_set for odd_set, *_ in CASES if isinstance(odd_set, int)}:
+        n = c * np.arange(isqrt(top // c) + 1) ** 2
+        case = np.where(n == 0, ZERO, np.where(triple[np.searchsorted(triple, n)] == n, TRIPLE_ROOT, n % 24))
+        rest.append(n[np.array([odd_set in (c, "all") for odd_set, *_ in CASES])[case]])
     # p * K^2 with K >= 5 in [start, limit): for each K a run of primes,
     # primes[first:last], laid end to end
     k = np.arange(5, isqrt(top // 5) + 1, 2)

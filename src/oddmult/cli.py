@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .characterize import REASONS
+from .characterize import CASE_CLASSES, REASONS
 from .congruence import all_families, generate_12p_family, generate_24p_family, verify_family
 from .density import DISAGREES, density_8m7, key_counts, parity_keys, sparse_odd_census
 from .numtheory import is_prime
@@ -54,7 +54,7 @@ def _line_format(key: int) -> str:
     """The a-parity line of key = 4 * case + 2 * flag + bit, "{0}" standing for n."""
     case, flag, bit = key >> 2, key >> 1 & 1, key & 1
     line = f"[{REASONS[key >> 1]}] series={_WORDS[bit]}"
-    if case % 8 == 7:
+    if CASE_CLASSES[case] == "8m+7":
         return f"n={{0}}: unknown {line}\n"
     return f"n={{0}}: {_WORDS[flag]} {line} agree={'NO' if DISAGREES[key] else 'yes'}\n"
 

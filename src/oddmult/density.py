@@ -23,14 +23,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .characterize import REASONS, cases, odd_flag_windows, predict_parity
+from .characterize import CASE_CLASSES, cases, odd_flag_windows, predict_parity
 from .etaq import DISSECTION_CLASSES, a_parity_at, a_parity_series
 from .gf2series import Gf2Series
 
 __all__ = [
     "DensityCheckpoint",
     "DensityReport",
-    "CASE_CLASSES",
     "DISAGREES",
     "checkpoints_upto",
     "density_8m7",
@@ -95,10 +94,6 @@ def density_8m7(limit_m: int) -> DensityReport:
     mismatch = degrees[mismatches[0]] if mismatches.size else None
     return DensityReport("8m+7", tuple(marks), mismatch, len(sample))
 
-
-# The class of n in each case: that of n mod 8, save ZERO and TRIPLE_ROOT, both even.
-CASE_CLASSES = np.array([("even", "4m+1", "even", "8m+3", "even", "4m+1", "even", "8m+7")[case % 8]
-                         if case < 24 else "even" for case in range(len(REASONS) // 2)])
 
 # Whether the odd flag and the series bit disagree, at key 4 * case + 2 * flag
 # + bit: they differ, outside the uncharacterized class 8m+7.

@@ -160,6 +160,18 @@ def test_odd_flag_windows_prime_powers():
         assert flags[n] == odd == predict_parity(n), n
 
 
+def test_odd_flag_windows_read_their_square_branches_from_cases(monkeypatch):
+    # with case 1 (n == 1 mod 24) made always even, the sieve must stop marking
+    # the odd squares prime to 3, 1, 25, 49, 121, ..., all of which are in it
+    patched = list(characterize.CASES)
+    patched[1] = ("none", *patched[1][1:])
+    monkeypatch.setattr(characterize, "CASES", tuple(patched))
+    assert predict_parity(25) is False
+    flags = joined_flags(10_000, characterize.FLAG_WINDOW)
+    wrong = [n for n in range(10_000) if n % 8 != 7 and flags[n] != predict_parity(n)]
+    assert not wrong, wrong[:10]
+
+
 @functools.cache
 def predicted_below(limit: int) -> np.ndarray:
     return np.array([predict_parity(n) for n in range(limit)])

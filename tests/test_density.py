@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from oddmult import characterize, etaq
-from oddmult.characterize import odd_flag_windows, predict_parity
+from oddmult.characterize import CASE_CLASSES, odd_flag_windows, predict_parity
 from oddmult.density import (
-    CASE_CLASSES,
     DISAGREES,
     DensityCheckpoint,
     DensityReport,

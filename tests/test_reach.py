@@ -43,9 +43,10 @@ REFUSALS = [
 
 ALLOWED = {
     "numtheory._pollard_rho": "factors past 10^8, which no command reaches yet; "
-    "ROADMAP items 2 and 20 give it a caller, or item 22 deletes it",
+    "ROADMAP item 2 gives it its only caller, or the next re-anchor deletes it if item 2 has not started",
     "numtheory._factor_into": "Pollard rho's recursion; kept or deleted with it",
-    "numtheory.count_theta_pairs": "the O(sqrt n) second route of ROADMAP items 2 and 20, tested against the series",
+    "numtheory.count_theta_pairs": "the O(sqrt n) second route of ROADMAP items 2 and 20, tested against the series; "
+    "ROADMAP item 26, a single a-parity n read from its class's closed form, is its planned first caller",
     "gf2series.Gf2Series.__eq__": "a dunder method that tests compare series with",
     "gf2series.Gf2Series.__getitem__": "a dunder method that tests read single bits with; no command reaches it",
 }
