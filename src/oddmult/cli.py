@@ -79,7 +79,7 @@ def _cmd_parity(args) -> int:
 
 def _verify_identities(limit: int) -> int:
     # built first, so every identity quotient reads its 1/f_1 as a truncation
-    # of the P built for it, and once, so each dissection is an extraction of it
+    # of the P held for it, and once, so each dissection is an extraction of it
     parity = a_parity_series(8 * limit)
     failures = 0
     for name, lhs, rhs in identity_suite(limit):
@@ -164,7 +164,7 @@ def _cmd_density(args) -> int:
     status = 0
     with args.csv or contextlib.nullcontext():
         # The 8m+7 report is computed first: its cross-check builds the longest
-        # cached 1/f_1 (to 2 * limit), and the census's parity series then reads
+        # held 1/f_1 (to 2 * limit), and the census's parity series then reads
         # a truncation of it.
         last = [density_8m7(args.limit)] if "8m+7" in wanted else []
         census = sparse_odd_census(args.limit) if wanted != ["8m+7"] else []

@@ -81,7 +81,7 @@ def density_8m7(limit_m: int) -> DensityReport:
     if limit_m < 1:
         raise ValueError("limit_m must be >= 1")
     sample = sorted(random.Random(_SAMPLE_SEED).sample(range(limit_m), min(1000, limit_m)))
-    # The cross-check goes first: it builds the longest cached 1/f_1 (to
+    # The cross-check goes first: it builds the longest held 1/f_1 (to
     # about 2 * limit_m), which the closed form then reads a truncation of.
     degrees = [8 * m + 7 for m in sample]
     extracted = a_parity_at(degrees)

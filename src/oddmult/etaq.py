@@ -6,7 +6,7 @@ series dilated by r (Euler), f_r^3 is the triangular-number series dilated
 by r (Jacobi), and the Frobenius map gives f_r^2 = f_2r. So f_r is a power
 of f_s for the odd part s of r, and a quotient folds into one signed
 exponent per odd scale: its normal form. EtaQuotient.plan turns that form
-into one plan, plain data that eval runs: the single cached inverse
+into one plan, plain data that eval runs: the single held inverse
 P = 1/f_1, taken at q^t, times a few factors of square-root-sized
 support, at O(N * sqrt(N)) bit operations for truncation N and with no
 product of two dense series. A quotient in which two odd scales keep a
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -160,9 +160,17 @@ def _run(t: int, factors: list[tuple[int, list[int]]], trunc_len: int) -> Gf2Ser
     return acc
 
 
-# The longest P = 1/f_1 built so far. Like the parity series below it is
-# prefix-stable, so every shorter request is served by truncating this one.
-_longest_inverse: Gf2Series | None = None
+# The longest series of each name built so far. Coefficient n does not
+# depend on the truncation, so a request past the held series builds exactly
+# to it and every shorter request is served by truncating it.
+_longest: dict[str, Gf2Series] = {}
+
+
+def _held(name: str, trunc_len: int, build: Callable[[int], Gf2Series]) -> Gf2Series:
+    """The series held as name, to trunc_len; build(trunc_len) replaces it when it is shorter."""
+    if name not in _longest or trunc_len > _longest[name].trunc_len:
+        _longest[name] = build(trunc_len)
+    return _longest[name].truncate(trunc_len)
 
 
 def _inverse_f1(trunc_len: int) -> Gf2Series:
@@ -171,16 +179,11 @@ def _inverse_f1(trunc_len: int) -> Gf2Series:
     Mod 2, f_1^4 = f_4, so 1/f_1 = f_1^3 / f_4 = T(q) * P(q^4) with Jacobi's
     triangular T = f_1^3. P to n > 1 coefficients is therefore one
     class-split product of T against P to ceil(n/4), which is read from
-    the cached P when that is long enough; P = 1 at n = 1.
+    the held P when that is long enough; P = 1 at n = 1.
     """
-    global _longest_inverse
-    if _longest_inverse is None or trunc_len > _longest_inverse.trunc_len:
-        if trunc_len == 1:
-            _longest_inverse = Gf2Series.from_support([0], 1)
-        else:
-            inner = _inverse_f1(-(-trunc_len // 4))
-            _longest_inverse = inner.mul_dilated(triangular_exponents(trunc_len), 4, trunc_len)
-    return _longest_inverse.truncate(trunc_len)
+    if trunc_len == 1:
+        return Gf2Series.from_support([0], 1)
+    return _held("P", trunc_len, lambda n: _inverse_f1(-(-n // 4)).mul_dilated(triangular_exponents(n), 4, n))
 
 
 # The parity generating function: sum a(n) q^n = f_3 / f_1^3 (mod 2).
@@ -198,24 +201,9 @@ DISSECTION_CLASSES: dict[str, tuple[int, int, EtaQuotient]] = {
 }
 
 
-# The longest parity series built so far. Coefficient n does not depend on
-# the truncation, so every shorter request is served by truncating this one.
-_longest_parity: Gf2Series | None = None
-
-
 def a_parity_series(trunc_len: int) -> Gf2Series:
-    """Coefficient n is a(n) mod 2, for n < trunc_len.
-
-    A request past the longest series builds at least twice its length, so
-    a run of growing requests rebuilds O(log) times, never once per request,
-    and the series held is at most twice the longest request.
-    """
-    global _longest_parity
-    if _longest_parity is None:
-        _longest_parity = A_PARITY_QUOTIENT.eval(trunc_len)
-    elif trunc_len > _longest_parity.trunc_len:
-        _longest_parity = A_PARITY_QUOTIENT.eval(max(trunc_len, 2 * _longest_parity.trunc_len))
-    return _longest_parity.truncate(trunc_len)
+    """Coefficient n is a(n) mod 2, for n < trunc_len."""
+    return _held("parity", trunc_len, A_PARITY_QUOTIENT.eval)
 
 
 def a_parity_at(degrees: Iterable[int]) -> np.ndarray:

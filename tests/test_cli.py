@@ -374,7 +374,7 @@ def test_verify_identities_builds_the_parity_series_once(monkeypatch, capsys):
             built.append(trunc_len)
             return quotient.eval(trunc_len)
 
-    monkeypatch.setattr(oddmult.etaq, "_longest_parity", None)
+    monkeypatch.setattr(oddmult.etaq, "_longest", {})
     monkeypatch.setattr(oddmult.etaq, "A_PARITY_QUOTIENT", CountingQuotient())
     code, out = run_cli(capsys, "verify", "identities", "--limit", "500")
     assert code == 0 and out.endswith("PASS\n")
@@ -399,7 +399,7 @@ def test_density_all_builds_the_parity_series_once(monkeypatch, capsys):
         sampled.append(list(degrees))
         return real_parity_at(degrees)
 
-    monkeypatch.setattr(oddmult.etaq, "_longest_parity", None)
+    monkeypatch.setattr(oddmult.etaq, "_longest", {})
     monkeypatch.setattr(oddmult.etaq, "A_PARITY_QUOTIENT", CountingQuotient())
     monkeypatch.setattr(oddmult.density, "a_parity_at", recording_parity_at)
     code, out = run_cli(capsys, "density", "all", "--limit", "5000")
@@ -545,7 +545,7 @@ def test_census_and_verify_theorems_memory_envelope(monkeypatch, capsys):
     # tracemalloc sees numpy's buffers; the whole-range sieve peaked at 4.9 MB
     # here, and each window of the flags costs a few bytes per entry
     limit = 10**6
-    monkeypatch.setattr(oddmult.etaq, "_longest_parity", None)
+    monkeypatch.setattr(oddmult.etaq, "_longest", {})
     a_parity_series(limit)  # the series itself is outside the envelope
     for run in (lambda: sparse_odd_census(limit), lambda: cli._verify_theorems(limit)):
         tracemalloc.start()
@@ -562,7 +562,7 @@ def test_a_parity_range_memory_envelope(monkeypatch):
     # keys are made one part of 2^15 n at a time: keys for a whole flag window
     # of 2^18 n peaked at 1.32 MB here, parts at 0.84 MB. stdout is devnull,
     # not capsys, which would hold the 78 MB of text.
-    monkeypatch.setattr(oddmult.etaq, "_longest_parity", None)
+    monkeypatch.setattr(oddmult.etaq, "_longest", {})
     a_parity_series(10**6)  # the series itself is outside the envelope
     with open(os.devnull, "w") as devnull:
         monkeypatch.setattr(sys, "stdout", devnull)
@@ -579,7 +579,7 @@ def test_verify_identities_memory_envelope(monkeypatch, capsys):
     # the identities are built one at a time: holding all 16 of their sides
     # at once peaked at 2.4 MB here, one identity's two sides at 1.4 MB
     limit = 10**6
-    monkeypatch.setattr(oddmult.etaq, "_longest_parity", None)
+    monkeypatch.setattr(oddmult.etaq, "_longest", {})
     a_parity_series(8 * limit)  # the series itself is outside the envelope
     tracemalloc.start()
     try:

@@ -85,7 +85,7 @@ def test_density_8m7_holds_no_series_past_twice_its_limit(monkeypatch, limit):
         made.append(trunc_len)
         return real_of_words(trunc_len, words)
 
-    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    monkeypatch.setattr(etaq, "_longest", {})
     monkeypatch.setattr(Gf2Series, "_of_words", classmethod(recording))
     density_8m7(limit)
     assert made and max(made) <= 2 * limit + 2, max(made)

@@ -163,7 +163,7 @@ def test_parity_series_cached_value_is_consistent():
 
 @pytest.mark.parametrize("first, then", [(5000, 1234), (1234, 5000), (777, 777), (4097, 64)])
 def test_parity_series_after_another_length_matches_fresh_eval(monkeypatch, first, then):
-    monkeypatch.setattr(etaq, "_longest_parity", None)
+    monkeypatch.setattr(etaq, "_longest", {})
     a_parity_series(first)
     got = a_parity_series(then)
     fresh = A_PARITY_QUOTIENT.eval(then)
@@ -172,7 +172,7 @@ def test_parity_series_after_another_length_matches_fresh_eval(monkeypatch, firs
 
 
 def test_parity_series_truncation_leaves_the_cached_series_intact(monkeypatch):
-    monkeypatch.setattr(etaq, "_longest_parity", None)
+    monkeypatch.setattr(etaq, "_longest", {})
     longest = a_parity_series(5000)
     for n in (4999, 4097, 100, 1):  # each clears bits inside a word the cache shares
         assert a_parity_series(n) == A_PARITY_QUOTIENT.eval(n), n
@@ -190,14 +190,14 @@ def test_parity_series_builds_only_past_the_longest(monkeypatch):
             built.append(trunc_len)
             return A_PARITY_QUOTIENT.eval(trunc_len)
 
-    monkeypatch.setattr(etaq, "_longest_parity", None)
+    monkeypatch.setattr(etaq, "_longest", {})
     monkeypatch.setattr(etaq, "A_PARITY_QUOTIENT", CountingQuotient())
     for n in (300, 100, 2000, 2000, 5, 1999, 4096, 1, 300):
         assert a_parity_series(n) == A_PARITY_QUOTIENT.eval(n), n
     assert built == [300, 2000, 4096]
 
 
-def test_parity_series_past_the_longest_builds_at_least_twice_it(monkeypatch):
+def test_parity_series_past_the_longest_builds_exactly_the_request(monkeypatch):
     built = []
 
     class CountingQuotient:
@@ -205,11 +205,16 @@ def test_parity_series_past_the_longest_builds_at_least_twice_it(monkeypatch):
             built.append(trunc_len)
             return A_PARITY_QUOTIENT.eval(trunc_len)
 
-    monkeypatch.setattr(etaq, "_longest_parity", None)
+    monkeypatch.setattr(etaq, "_longest", {})
     monkeypatch.setattr(etaq, "A_PARITY_QUOTIENT", CountingQuotient())
     for n in (1000, 1001, 1999, 2000, 2001, 9000, 5):
         assert a_parity_series(n) == A_PARITY_QUOTIENT.eval(n), n
-    assert built == [1000, 2000, 4000, 9000]
+    assert built == [1000, 1001, 1999, 2000, 2001, 9000]
+    # P and the parity series are held side by side: a longer P leaves the parity series in place
+    held = etaq._longest["parity"]
+    assert etaq._longest["P"].trunc_len < 50_000
+    assert etaq._inverse_f1(50_000).trunc_len == etaq._longest["P"].trunc_len == 50_000
+    assert etaq._longest["parity"] is held and a_parity_series(9000) is held
 
 
 def test_parity_series_rejects_empty_truncation_after_a_build():
@@ -264,7 +269,7 @@ def denominator_scales(quotient):
 
 @pytest.mark.parametrize("trunc_len", [1, 7, 64, 1000, 4099])
 def test_plan_matches_reference_on_random_quotients(monkeypatch, trunc_len):
-    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    monkeypatch.setattr(etaq, "_longest", {})
     for quotient in random_quotients(trunc_len, 40):
         if denominator_scales(quotient) > 1:
             for run in (quotient.plan, quotient.eval):
@@ -285,7 +290,7 @@ def test_plan_matches_reference_on_random_quotients(monkeypatch, trunc_len):
 
 @pytest.mark.parametrize("trunc_len", [65535, 65541])
 def test_plan_matches_reference_across_the_word_cutoff(monkeypatch, trunc_len):
-    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    monkeypatch.setattr(etaq, "_longest", {})
     quotients = [q for q in random_quotients(trunc_len, 12) if denominator_scales(q) <= 1] + [
         A_PARITY_QUOTIENT,
         EtaQuotient.of({3: 10, 1: -6}),
@@ -320,7 +325,7 @@ def test_two_denominator_scales_are_refused(factors):
 def test_one_odd_scale_in_the_denominator_evaluates(monkeypatch, factors):
     # 1/(f1 f2) = 1/f1^3 = f1 P(q^4); f1/f2 = 1/f1 = P; 1/(f1^3 f2^2) = 1/f1^7 = f1 P(q^8);
     # f4/(f1 f2^3) = 1/f1^3
-    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    monkeypatch.setattr(etaq, "_longest", {})
     quotient = EtaQuotient.of(factors)
     assert denominator_scales(quotient) == 1
     for n in (1, 63, 64, 65, 5001):
@@ -386,14 +391,14 @@ def test_inverse_slot_builds_only_past_the_longest(monkeypatch):
     quotient = EtaQuotient.of({5: 1, 1: -1})  # f5 * P(q): no triangular factor of its own
     lengths = (300, 100, 2000, 2000, 5, 1999, 70_000, 1, 300)
     fresh = {n: reference(quotient, n) for n in set(lengths)}
-    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    monkeypatch.setattr(etaq, "_longest", {})
     monkeypatch.setattr(etaq, "triangular_exponents", recording_triangular)
     for n in lengths:
         got = quotient.eval(n)
         assert got.trunc_len == n
         assert got == fresh[n], n
     assert built == [2, 5, 19, 75, 300, 500, 2000, 4375, 17_500, 70_000]
-    assert etaq._longest_inverse.trunc_len == 70_000
+    assert etaq._longest["P"].trunc_len == 70_000
 
 
 def test_longer_inverse_recurses_down_to_the_cached_one(monkeypatch):
@@ -409,7 +414,7 @@ def test_longer_inverse_recurses_down_to_the_cached_one(monkeypatch):
         products.append((self.trunc_len, trunc_len))
         return real_mul_dilated(self, exponents, factor, trunc_len)
 
-    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    monkeypatch.setattr(etaq, "_longest", {})
     monkeypatch.setattr(Gf2Series, "mul_dilated", recording)
     longest = 1
     for n in lengths:
@@ -422,7 +427,7 @@ def test_longer_inverse_recurses_down_to_the_cached_one(monkeypatch):
             n = -(-n // 4)
         assert products == levels[::-1]
         longest = max(longest, got.trunc_len)
-    assert etaq._longest_inverse is got
+    assert etaq._longest["P"] is got
 
 
 @pytest.mark.parametrize("quotient", [A_PARITY_QUOTIENT] + [q for _, _, q in DISSECTION_CLASSES.values()], ids=str)
@@ -452,7 +457,7 @@ def identity_quotients():
 def test_package_quotients_match_reference(monkeypatch, trunc_len):
     asked = identity_quotients()
     assert len(asked) == 22
-    monkeypatch.setattr(etaq, "_longest_inverse", None)
+    monkeypatch.setattr(etaq, "_longest", {})
     for quotient in sorted(asked | {q for _, _, q in DISSECTION_CLASSES.values()}, key=str):
         got = quotient.eval(trunc_len)
         assert got.trunc_len == trunc_len
